@@ -142,6 +142,9 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward()
+            # the closure holds its own output, so dropping it breaks the
+            # cycle and lets refcounting free the graph
+            node._backward = None
 
 
 def add(a, b) -> Tensor:

@@ -1,127 +1,29 @@
 """Hot numeric kernels: nearest-neighbor chamfer forward/backward.
 
-Two interchangeable implementations live here. The numba one compiles the
-O(n*m) nearest-neighbor loops; the numpy one broadcasts the full pairwise
-distance tensor. The environment variable ``HDCAPS_NO_NUMBA`` is read once,
-at import: unset, ``""`` or ``"0"`` tries to import numba, and any other
-value (``HDCAPS_NO_NUMBA=1``, say) forces the numpy path without importing
-numba. numba is optional (the ``numba`` extra); without it the numpy path
-runs. Both paths break nearest-neighbor ties toward the lowest index; their
-float results may differ by roundoff because summation orders differ.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+One numpy algorithm. The forward builds all (B, n, m) squared distances
+as |p|^2 + |q|^2 - 2 p.q^T with one batched matmul. That expansion is
+fast but rounds differently from a direct sum, and BLAS may round two
+equal columns differently, so it only shortlists neighbours: every pair
+whose matmul distance lies within a worst-case roundoff bound of its
+row's or its column's minimum is recomputed exactly as
+``sum((p - q) ** 2)``. Each point's neighbour is the shortlisted one with
+the least exact distance, and ties in that computed distance go to the
+lowest index. The minima that make up the chamfer value are these exact
+distances, so they are never negative, ``chamfer(p, p)`` is exactly 0 and
+values and indices equal those of the full (B, n, m, D) difference tensor
+without building it. The backward gathers each point's neighbour by fancy
+indexing and scatters the opposite-side terms with a batched one-hot
+matmul.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("HDCAPS_NO_NUMBA", "")
-_want_numba = _env in ("", "0")
+# There is no numba backend; perfbench/run.py still records this flag.
+NUMBA_ENABLED = False
 
-if _want_numba:
-    try:
-        import numba
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba is optional; fall back to numpy
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-def _chamfer_forward_np(p, q):
-    d2 = np.sum((p[:, :, None, :] - q[:, None, :, :]) ** 2, axis=-1)
-    nn_pq = np.argmin(d2, axis=2)
-    nn_qp = np.argmin(d2, axis=1)
-    min_pq = np.take_along_axis(d2, nn_pq[:, :, None], axis=2)[:, :, 0]
-    min_qp = np.take_along_axis(d2, nn_qp[:, None, :], axis=1)[:, 0, :]
-    vals = min_pq.mean(axis=1) + min_qp.mean(axis=1)
-    return vals, nn_pq.astype(np.int64), nn_qp.astype(np.int64)
-
-
-def _chamfer_backward_np(p, q, nn_pq, nn_qp, gout):
-    gp = np.zeros_like(p)
-    gq = np.zeros_like(q)
-    bsz, n, _ = p.shape
-    m = q.shape[1]
-    scale_p = (gout * (2.0 / n))[:, None, None]
-    scale_q = (gout * (2.0 / m))[:, None, None]
-    rows = np.arange(bsz)[:, None]
-    diff_pq = (p - np.take_along_axis(q, nn_pq[:, :, None], axis=1)) * scale_p
-    gp += diff_pq
-    np.subtract.at(gq, (rows, nn_pq), diff_pq)
-    diff_qp = (q - np.take_along_axis(p, nn_qp[:, :, None], axis=1)) * scale_q
-    gq += diff_qp
-    np.subtract.at(gp, (rows, nn_qp), diff_qp)
-    return gp, gq
-
-
-if NUMBA_ENABLED:
-
-    @numba.njit(cache=True)
-    def _chamfer_forward_nb(p, q):  # pragma: no cover - exercised via dispatch
-        bsz, n, d = p.shape
-        m = q.shape[1]
-        vals = np.zeros(bsz)
-        nn_pq = np.zeros((bsz, n), dtype=np.int64)
-        nn_qp = np.zeros((bsz, m), dtype=np.int64)
-        for b in range(bsz):
-            acc_p = 0.0
-            for i in range(n):
-                best = np.inf
-                best_j = 0
-                for j in range(m):
-                    dist = 0.0
-                    for k in range(d):
-                        t = p[b, i, k] - q[b, j, k]
-                        dist += t * t
-                    if dist < best:
-                        best = dist
-                        best_j = j
-                nn_pq[b, i] = best_j
-                acc_p += best
-            acc_q = 0.0
-            for j in range(m):
-                best = np.inf
-                best_i = 0
-                for i in range(n):
-                    dist = 0.0
-                    for k in range(d):
-                        t = q[b, j, k] - p[b, i, k]
-                        dist += t * t
-                    if dist < best:
-                        best = dist
-                        best_i = i
-                nn_qp[b, j] = best_i
-                acc_q += best
-            vals[b] = acc_p / n + acc_q / m
-        return vals, nn_pq, nn_qp
-
-    @numba.njit(cache=True)
-    def _chamfer_backward_nb(p, q, nn_pq, nn_qp, gout):  # pragma: no cover
-        bsz, n, d = p.shape
-        m = q.shape[1]
-        gp = np.zeros_like(p)
-        gq = np.zeros_like(q)
-        for b in range(bsz):
-            sp = gout[b] * 2.0 / n
-            for i in range(n):
-                j = nn_pq[b, i]
-                for k in range(d):
-                    t = (p[b, i, k] - q[b, j, k]) * sp
-                    gp[b, i, k] += t
-                    gq[b, j, k] -= t
-            sq = gout[b] * 2.0 / m
-            for j in range(m):
-                i = nn_qp[b, j]
-                for k in range(d):
-                    t = (q[b, j, k] - p[b, i, k]) * sq
-                    gq[b, j, k] += t
-                    gp[b, i, k] -= t
-        return gp, gq
+_EPS = np.finfo(np.float64).eps
 
 
 def chamfer_forward(p: np.ndarray, q: np.ndarray):
@@ -133,9 +35,25 @@ def chamfer_forward(p: np.ndarray, q: np.ndarray):
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _chamfer_forward_nb(p, q)
-    return _chamfer_forward_np(p, q)
+    pp = np.einsum("bnd,bnd->bn", p, p)
+    qq = np.einsum("bmd,bmd->bm", q, q)
+    d2 = pp[:, :, None] + qq[:, None, :] - 2.0 * (p @ q.transpose(0, 2, 1))
+    # each expanded distance and each exact sum is off by at most about
+    # (D + 2) eps (max|p|^2 + max|q|^2), so the exact nearest neighbour lies
+    # within four such errors of the expanded minimum; 8 leaves a factor 2
+    bound = (8.0 * (p.shape[2] + 2) * _EPS) * (pp.max(axis=1) + qq.max(axis=1))
+    bound = bound[:, None, None]
+    near = d2 <= d2.min(axis=2, keepdims=True) + bound
+    near |= d2 <= d2.min(axis=1, keepdims=True) + bound
+    b, i, j = np.nonzero(near)
+    diff = p[b, i]
+    diff -= q[b, j]
+    exact = np.full(d2.shape, np.inf)
+    exact[b, i, j] = np.sum(np.square(diff, out=diff), axis=-1)
+    nn_pq = exact.argmin(axis=2)
+    nn_qp = exact.argmin(axis=1)
+    vals = exact.min(axis=2).mean(axis=1) + exact.min(axis=1).mean(axis=1)
+    return vals, nn_pq, nn_qp
 
 
 def chamfer_backward(p, q, nn_pq, nn_qp, gout):
@@ -143,6 +61,20 @@ def chamfer_backward(p, q, nn_pq, nn_qp, gout):
     p = np.ascontiguousarray(p, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
     gout = np.ascontiguousarray(gout, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _chamfer_backward_nb(p, q, nn_pq, nn_qp, gout)
-    return _chamfer_backward_np(p, q, nn_pq, nn_qp, gout)
+    bsz, n, _ = p.shape
+    m = q.shape[1]
+    rows = np.arange(bsz)[:, None]
+    diff_pq = q[rows, nn_pq]
+    np.subtract(p, diff_pq, out=diff_pq)
+    diff_pq *= (gout * (2.0 / n))[:, None, None]
+    diff_qp = p[rows, nn_qp]
+    np.subtract(q, diff_qp, out=diff_qp)
+    diff_qp *= (gout * (2.0 / m))[:, None, None]
+    # to_q[b, j, i] = 1 where q[b, j] is the neighbour of p[b, i]
+    to_q = (np.arange(m)[:, None] == nn_pq[:, None, :]).astype(np.float64)
+    to_p = (np.arange(n)[:, None] == nn_qp[:, None, :]).astype(np.float64)
+    gp = to_p @ diff_qp
+    np.subtract(diff_pq, gp, out=gp)
+    gq = to_q @ diff_pq
+    np.subtract(diff_qp, gq, out=gq)
+    return gp, gq

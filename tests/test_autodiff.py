@@ -177,3 +177,25 @@ def test_deep_chain_is_iterative():
         y = ad.add(y, 1.0)
     ad.backward(ad.tsum(y))
     np.testing.assert_allclose(x.grad, [1.0])
+
+
+def test_backward_leaves_no_reference_cycles():
+    # each closure captures its own output, so a graph that keeps its
+    # closures after backward is a cycle only the cyclic collector frees
+    import gc
+    import weakref
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = ad.Tensor(np.ones(4))
+        y = ad.relu(x * 2.0)
+        loss = ad.tsum(y)
+        alive = weakref.ref(y.data)
+        ad.backward(loss)
+        del y, loss
+        assert alive() is None
+        np.testing.assert_allclose(x.grad, 2.0)
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,56 +1,85 @@
-"""Agreement between the compiled and fallback chamfer kernels."""
+"""Chamfer kernels against a brute-force broadcast oracle."""
 
 import numpy as np
-import pytest
 
 from hdcaps import kernels
 
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_ENABLED, reason="numba backend disabled or unavailable"
-)
+
+def oracle_forward(p, q):
+    """Full (B, n, m, D) difference tensor; ties go to the lowest index."""
+    d2 = np.sum((p[:, :, None, :] - q[:, None, :, :]) ** 2, axis=-1)
+    nn_pq = np.argmin(d2, axis=2)
+    nn_qp = np.argmin(d2, axis=1)
+    vals = d2.min(axis=2).mean(axis=1) + d2.min(axis=1).mean(axis=1)
+    return vals, nn_pq, nn_qp
+
+
+def oracle_backward(p, q, nn_pq, nn_qp, gout):
+    """Per-point scatter of the chamfer gradient with np.subtract.at."""
+    bsz, n, _ = p.shape
+    m = q.shape[1]
+    rows = np.arange(bsz)[:, None]
+    diff_pq = (p - q[rows, nn_pq]) * (gout * (2.0 / n))[:, None, None]
+    diff_qp = (q - p[rows, nn_qp]) * (gout * (2.0 / m))[:, None, None]
+    gp, gq = diff_pq.copy(), diff_qp.copy()
+    np.subtract.at(gq, (rows, nn_pq), diff_pq)
+    np.subtract.at(gp, (rows, nn_qp), diff_qp)
+    return gp, gq
 
 
 def random_pair(rng, bsz=None):
     bsz = int(rng.integers(1, 6)) if bsz is None else bsz
-    n, m = rng.integers(1, 30, size=2)
-    d = int(rng.integers(1, 12))
+    n, m = rng.integers(1, 31, size=2)
+    d = int(rng.integers(1, 145))
     return rng.normal(size=(bsz, n, d)), rng.normal(size=(bsz, m, d))
 
 
-@needs_numba
-def test_forward_paths_agree():
+def test_forward_matches_oracle():
+    # the minima are recomputed with the oracle's own formula, so indices
+    # and values agree exactly, not just up to roundoff
     rng = np.random.default_rng(0)
-    for _ in range(50):
+    for _ in range(100):
         p, q = random_pair(rng)
-        v_np, i_np, j_np = kernels._chamfer_forward_np(p, q)
-        v_nb, i_nb, j_nb = kernels._chamfer_forward_nb(p, q)
-        np.testing.assert_allclose(v_np, v_nb, rtol=1e-13, atol=1e-13)
-        np.testing.assert_array_equal(i_np, i_nb)
-        np.testing.assert_array_equal(j_np, j_nb)
+        vals, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
+        ref_vals, ref_pq, ref_qp = oracle_forward(p, q)
+        np.testing.assert_array_equal(nn_pq, ref_pq)
+        np.testing.assert_array_equal(nn_qp, ref_qp)
+        np.testing.assert_array_equal(vals, ref_vals)
 
 
-@needs_numba
-def test_backward_paths_agree():
+def test_backward_matches_oracle():
     rng = np.random.default_rng(1)
-    for _ in range(50):
+    for _ in range(100):
         p, q = random_pair(rng)
         gout = rng.normal(size=p.shape[0])
-        _, nn_pq, nn_qp = kernels._chamfer_forward_np(p, q)
-        gp_np, gq_np = kernels._chamfer_backward_np(p, q, nn_pq, nn_qp, gout)
-        gp_nb, gq_nb = kernels._chamfer_backward_nb(p, q, nn_pq, nn_qp, gout)
-        np.testing.assert_allclose(gp_np, gp_nb, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(gq_np, gq_nb, rtol=1e-12, atol=1e-13)
+        _, nn_pq, nn_qp = oracle_forward(p, q)
+        gp, gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout)
+        ref_gp, ref_gq = oracle_backward(p, q, nn_pq, nn_qp, gout)
+        np.testing.assert_allclose(gp, ref_gp, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(gq, ref_gq, rtol=1e-12, atol=1e-13)
 
 
-@needs_numba
 def test_tie_break_lowest_index():
-    # two equally-near neighbors: both paths must pick index 0
+    # two equally-near neighbors: index 0 wins
     p = np.array([[[0.0, 0.0]]])
     q = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
-    _, nn_np, _ = kernels._chamfer_forward_np(p, q)
-    _, nn_nb, _ = kernels._chamfer_forward_nb(p, q)
-    assert nn_np[0, 0] == 0
-    assert nn_nb[0, 0] == 0
+    _, nn_pq, _ = kernels.chamfer_forward(p, q)
+    assert nn_pq[0, 0] == 0
+    # a duplicated point is nearest to every point of the other set; the
+    # matmul may round its two copies differently, the exact sums may not
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        p, q = random_pair(rng)
+        bsz, m, d = q.shape
+        if m < 2:
+            continue
+        lo, hi = np.sort(rng.choice(m, size=2, replace=False))
+        q[:, hi] = q[:, lo]
+        p = q[:, lo][:, None, :] + 1e-3 * rng.normal(size=p.shape)
+        _, nn_pq, _ = kernels.chamfer_forward(p, q)
+        assert (nn_pq == lo).all()
+        _, _, nn_qp = kernels.chamfer_forward(q, p)
+        assert (nn_qp == lo).all()
 
 
 def test_dispatch_accepts_noncontiguous():
@@ -59,14 +88,18 @@ def test_dispatch_accepts_noncontiguous():
     p = base[:, ::2, ::2]  # stride tricks make this non-contiguous
     q = rng.normal(size=(3, 4, 4))
     vals, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
-    ref, _, _ = kernels._chamfer_forward_np(np.ascontiguousarray(p), q)
-    np.testing.assert_allclose(vals, ref, atol=1e-13)
+    ref, ref_pq, ref_qp = oracle_forward(np.ascontiguousarray(p), q)
+    np.testing.assert_array_equal(vals, ref)
+    np.testing.assert_array_equal(nn_pq, ref_pq)
+    np.testing.assert_array_equal(nn_qp, ref_qp)
     gp, gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, np.ones(3))
-    assert gp.shape == p.shape and gq.shape == q.shape
+    ref_gp, ref_gq = oracle_backward(np.ascontiguousarray(p), q, nn_pq, nn_qp, np.ones(3))
+    np.testing.assert_allclose(gp, ref_gp, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(gq, ref_gq, rtol=1e-12, atol=1e-13)
 
 
 def test_backward_is_gradient_of_forward():
-    # directional finite difference through the dispatch layer
+    # directional finite difference through the public kernels
     rng = np.random.default_rng(3)
     p, q = random_pair(rng, bsz=2)
     vals, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
@@ -80,63 +113,3 @@ def test_backward_is_gradient_of_forward():
     numeric = (vp - vm).sum() / (2.0 * h)
     analytic = float((gp * dp).sum() + (gq * dq).sum())
     assert abs(numeric - analytic) < 1e-4
-
-
-# Runs in a fresh interpreter. A finder put first on sys.meta_path records
-# every lookup of numba and returns None, so the import goes on exactly as
-# it would without it (and still fails where numba is not installed).
-_FLAG_PROBE = """
-import sys
-
-looked_up = []
-
-
-class NumbaLookupRecorder:
-    @staticmethod
-    def find_spec(name, path=None, target=None):
-        if name.partition(".")[0] == "numba":
-            looked_up.append(name)
-        return None
-
-
-sys.meta_path.insert(0, NumbaLookupRecorder)
-import hdcaps.kernels as k
-
-print(k.NUMBA_ENABLED, bool(looked_up))
-"""
-
-
-def _probe_flag(tmp_path, value):
-    """Import hdcaps.kernels with HDCAPS_NO_NUMBA=value (None: unset).
-
-    Returns (NUMBA_ENABLED, whether numba was looked up). The child keeps
-    the parent's environment and finds the same hdcaps the tests import.
-    """
-    import os
-    import subprocess
-    import sys
-
-    import hdcaps
-
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(hdcaps.__file__)))
-    env = dict(os.environ)
-    env.pop("HDCAPS_NO_NUMBA", None)
-    if value is not None:
-        env["HDCAPS_NO_NUMBA"] = value
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _FLAG_PROBE],
-        env=env, cwd=tmp_path, capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    enabled, looked_up = out.stdout.split()
-    return enabled == "True", looked_up == "True"
-
-
-def test_env_flag_forces_numpy_path(tmp_path):
-    # any value other than "" or "0" forces numpy without touching numba
-    assert _probe_flag(tmp_path, "1") == (False, False)
-    # unset or "0" tries numba; whether it loads depends on the machine
-    for value in (None, "0"):
-        _, looked_up = _probe_flag(tmp_path, value)
-        assert looked_up, f"HDCAPS_NO_NUMBA={value!r} did not try numba"
