@@ -4,9 +4,12 @@ Every value is float64. A :class:`Tensor` wraps an ndarray plus the
 backward closure that scatters its gradient into its parents; calling
 :func:`backward` on a scalar loss walks the graph once in reverse
 topological order. The op set is just large enough for the models in
-this package (broadcast arithmetic, batched matmul, softmax, reductions,
-shape ops, and the capsule squash nonlinearity, which gets a hand-derived
-backward so it stays finite at the zero vector).
+this package: broadcast arithmetic, batched matmul, softmax, reductions
+and shape ops, plus four fused ops that are each one graph node with a
+closed-form backward. These are the capsule squash nonlinearity
+(``squash_groups``, finite at the zero vector), the dense layer
+(``linear``), attentive context normalization (``acn``) and the
+attention-weighted mean that aggregates capsules (``weighted_mean``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "mul",
     "div",
     "matmul",
+    "linear",
     "relu",
     "exp",
     "log",
@@ -34,6 +38,8 @@ __all__ = [
     "concat",
     "clip_min",
     "squash_groups",
+    "acn",
+    "weighted_mean",
 ]
 
 
@@ -210,6 +216,41 @@ def matmul(a, b) -> Tensor:
     return out
 
 
+def linear(x, w, b=None) -> Tensor:
+    """x @ w (+ b) for x (..., Din), w (Din, Dout) and b (Dout,), as one node.
+
+    The backward flattens the leading axes of x into rows, so the weight
+    gradient is one GEMM and the bias gradient one ones-vector GEMV. A
+    one-column w gets its input gradient as a broadcast multiply.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise ValueError(
+            f"linear expects x (..., Din) and w (Din, Dout), got "
+            f"{x.data.shape} and {w.data.shape}"
+        )
+    y = x.data @ w.data
+    if b is None:
+        parents = (x, w)
+    else:
+        b = as_tensor(b)
+        y = y + b.data
+        parents = (x, w, b)
+    out = Tensor(y, parents)
+
+    def bw():
+        g = out.grad
+        d_in, d_out = w.data.shape
+        g2 = g.reshape(-1, d_out)
+        _accum(w, x.data.reshape(-1, d_in).T @ g2)
+        if b is not None:
+            _accum(b, np.ones(g2.shape[0]) @ g2)
+        _accum(x, g * w.data[:, 0] if d_out == 1 else g @ w.data.T)
+
+    out._backward = bw
+    return out
+
+
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.maximum(a.data, 0.0), (a,))
@@ -364,6 +405,73 @@ def squash_groups(a, eps: float = 1e-8) -> Tensor:
         ds = ((r + eps) - 0.5 * r * (1.0 + n2)) / (u * u)
         inner = np.sum(out.grad * a.data, axis=-1, keepdims=True)
         _accum(a, out.grad * s + 2.0 * a.data * ds * inner)
+
+    out._backward = bw
+    return out
+
+
+def acn(h, w, eps: float) -> Tensor:
+    """Weighted standardization over the points axis (-2), as one node.
+
+    h: (..., X, H) features; w: (..., X, 1) nonnegative weights with the
+    same leading shape. With u = w / sum_x w, mu = sum_x u h,
+    v = sum_x u (h - mu)^2 and r = 1 / sqrt(v + eps), the output is
+    y = (h - mu) r. The backward uses the closed form
+
+        dh = r (g - u (sum_x g + y sum_x(g y))),
+        dw = sum_H[-1/2 sum_x(g y) (y^2 - v r^2) - y sum_x g] / sum_x w,
+
+    where the sums over the points and over H are GEMVs or einsum
+    contractions rather than broadcast temporaries.
+    """
+    h, w = as_tensor(h), as_tensor(w)
+    wsum = w.data.sum(axis=-2, keepdims=True)
+    wt = w.data.swapaxes(-1, -2)
+    centered = h.data - (wt @ h.data) / wsum
+    var = (wt @ (centered * centered)) / wsum
+    std = np.sqrt(var + eps)
+    y = centered / std
+    out = Tensor(y, (h, w))
+
+    def bw():
+        g = out.grad
+        r = 1.0 / std
+        ones = np.ones((1, g.shape[-2]))
+        sg = ones @ g
+        sgy = np.einsum("...xh,...xh->...h", g, y)[..., None, :]
+        dw = (0.5 * (sgy * var * r * r).sum(axis=-1, keepdims=True)
+              - y @ sg.swapaxes(-1, -2)
+              - 0.5 * ((y * y) @ sgy.swapaxes(-1, -2)))
+        _accum(w, dw / wsum)
+        # dh = r (g - u (sg + y sgy)), built in place in one buffer
+        dh = y * sgy
+        dh += sg
+        dh *= w.data / wsum
+        dh -= g
+        dh *= -r
+        _accum(h, dh)
+
+    out._backward = bw
+    return out
+
+
+def weighted_mean(attn, values, eps: float) -> Tensor:
+    """attn^T values / (sum_x attn + eps), as one node.
+
+    attn: (..., X, K) nonnegative weights; values: (..., X, D); the output
+    (..., K, D) holds one weighted mean of the value rows per column of
+    attn. With g' = g / den, the backward is dvalues = attn g' and
+    dattn = values g'^T - sum_D(g' out).
+    """
+    attn, values = as_tensor(attn), as_tensor(values)
+    den = (np.ones(attn.data.shape[-2]) @ attn.data)[..., None] + eps
+    out = Tensor((attn.data.swapaxes(-1, -2) @ values.data) / den, (attn, values))
+
+    def bw():
+        gs = out.grad / den
+        _accum(values, attn.data @ gs)
+        _accum(attn, values.data @ gs.swapaxes(-1, -2)
+               - np.einsum("...kd,...kd->...k", gs, out.data)[..., None, :])
 
     out._backward = bw
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, matmul, reshape, squash_groups
+from .autodiff import Tensor, as_tensor, linear, reshape, squash_groups
 
 __all__ = ["init_capsule_block", "squash", "extract_preliminary", "extract_preliminary_batch"]
 
@@ -52,7 +52,7 @@ def extract_preliminary_batch(params: dict, patches: Tensor, g: int, d_cap: int)
             f"{params['w'].data.shape[0]}"
         )
     x = reshape(patches, (bsz, b0 * b1, c_spec))
-    lifted = matmul(x, params["w"]) + params["b"]
+    lifted = linear(x, params["w"], params["b"])
     groups = reshape(lifted, (bsz, b0 * b1, g, d_cap))
     return reshape(squash_groups(groups), (bsz, b0 * b1, g * d_cap))
 

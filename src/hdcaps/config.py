@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 
@@ -40,6 +41,9 @@ class TrainConfig:
         return self.G * self.d_cap
 
     def validate(self) -> "TrainConfig":
+        for name in ("lr", "alpha", "beta", "gamma", "adam_beta1", "adam_beta2", "adam_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
         for name in ("K", "C", "b", "batch", "G", "n_blocks", "m", "H"):
@@ -54,6 +58,11 @@ class TrainConfig:
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ValueError("adam_eps must be > 0")
         return self
 
     def to_dict(self) -> dict:

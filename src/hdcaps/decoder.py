@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat, matmul, relu, reshape
+from .autodiff import Tensor, as_tensor, concat, linear, relu, reshape
 from .capsule_block import fan_uniform
 
 __all__ = ["init_decoder", "decode"]
@@ -59,8 +59,8 @@ def _decode(params: dict, poses: Tensor, descriptors: Tensor) -> Tensor:
     m, d_out = params["m"], params["d_out"]
     lead = descriptors.data.shape[:-1]  # (..., K)
     x = descriptors if params["anchored"] else concat([descriptors, poses], axis=-1)
-    hidden = relu(matmul(x, params["w1"]) + params["b1"])
-    out = matmul(hidden, params["w2"]) + params["b2"]
+    hidden = relu(linear(x, params["w1"], params["b1"]))
+    out = linear(hidden, params["w2"], params["b2"])
     out = reshape(out, lead + (m, d_out))
     if params["anchored"]:
         out = out + reshape(poses, lead + (1, d_out))

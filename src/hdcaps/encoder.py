@@ -19,23 +19,18 @@ carries a distribution over capsules) and the feature map F.
 Aggregation turns (A, F, P) into capsule poses (attention-weighted point
 centroids, rotation-equivariant) and descriptors (attention-weighted
 feature means, rotation-invariant).
+
+Each dense layer, each ACN and each of the two aggregation means is a
+single autodiff node (``linear``, ``acn``, ``weighted_mean``) with a
+closed-form backward, so a block is six nodes: two ``linear``, the
+softmax, ``acn``, the relu and the residual add.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    as_tensor,
-    div,
-    matmul,
-    relu,
-    softmax,
-    sqrt,
-    swapaxes,
-    tsum,
-)
+from .autodiff import Tensor, acn, as_tensor, linear, relu, softmax, weighted_mean
 from .capsule_block import fan_uniform
 
 __all__ = ["init_encoder", "acn_normalize", "encode", "encode_batch", "aggregate"]
@@ -64,15 +59,6 @@ def init_encoder(d_in: int, h: int, n_blocks: int, k: int, c: int,
     return params
 
 
-def _acn(features: Tensor, weights: Tensor) -> Tensor:
-    """Weighted standardization over the points axis (-2). weights: (..., X, 1)."""
-    wsum = tsum(weights, axis=-2, keepdims=True)
-    mean = div(tsum(weights * features, axis=-2, keepdims=True), wsum)
-    centered = features - mean
-    var = div(tsum(weights * centered * centered, axis=-2, keepdims=True), wsum)
-    return div(centered, sqrt(var + ACN_EPS))
-
-
 def acn_normalize(features, weights):
     """Standardize per-point features with weighted moments.
 
@@ -81,15 +67,14 @@ def acn_normalize(features, weights):
     variance + 1e-5).
     """
     if isinstance(features, Tensor):
-        return _acn(features, weights)
+        return acn(features, weights, ACN_EPS)
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if features.ndim != 2 or weights.ndim != 1 or weights.shape[0] != features.shape[0]:
         raise ValueError("expected features (X, H) and weights (X,)")
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("weights must be nonnegative with a positive sum")
-    out = _acn(as_tensor(features), as_tensor(weights[:, None]))
-    return out.data
+    return acn(features, weights[:, None], ACN_EPS).data
 
 
 def encode_batch(params: dict, points: Tensor) -> tuple[Tensor, Tensor]:
@@ -99,13 +84,13 @@ def encode_batch(params: dict, points: Tensor) -> tuple[Tensor, Tensor]:
             f"points are {points.data.shape[-1]}-D but the encoder expects "
             f"{params['lift_w'].data.shape[0]}-D input"
         )
-    h = matmul(points, params["lift_w"]) + params["lift_b"]
+    h = linear(points, params["lift_w"], params["lift_b"])
     for i in range(params["n_blocks"]):
-        weights = softmax(matmul(h, params[f"b{i}_att_w"]), axis=-2)
-        z = _acn(h, weights)
-        h = h + relu(matmul(z, params[f"b{i}_lin_w"]) + params[f"b{i}_lin_b"])
-    attn = softmax(matmul(h, params["att_w"]) + params["att_b"], axis=-1)
-    feats = matmul(h, params["feat_w"]) + params["feat_b"]
+        weights = softmax(linear(h, params[f"b{i}_att_w"]), axis=-2)
+        z = acn(h, weights, ACN_EPS)
+        h = h + relu(linear(z, params[f"b{i}_lin_w"], params[f"b{i}_lin_b"]))
+    attn = softmax(linear(h, params["att_w"], params["att_b"]), axis=-1)
+    feats = linear(h, params["feat_w"], params["feat_b"])
     return attn, feats
 
 
@@ -121,11 +106,7 @@ def encode(params: dict, points):
 
 
 def _aggregate(attn: Tensor, feats: Tensor, points: Tensor) -> tuple[Tensor, Tensor]:
-    at = swapaxes(attn, -1, -2)
-    denom = swapaxes(tsum(attn, axis=-2, keepdims=True), -1, -2) + AGG_EPS
-    poses = div(matmul(at, points), denom)
-    descriptors = div(matmul(at, feats), denom)
-    return poses, descriptors
+    return weighted_mean(attn, points, AGG_EPS), weighted_mean(attn, feats, AGG_EPS)
 
 
 def aggregate(attn, feats, points):

@@ -242,7 +242,11 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
                      classes: np.ndarray | None = None) -> tuple:
-    """Counts with rows = true class, columns = predicted class."""
+    """Counts with rows = true class, columns = predicted class.
+
+    Explicit classes must cover every label in y_true and y_pred; an
+    uncovered label raises ValueError naming it.
+    """
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
@@ -253,8 +257,11 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
         classes = np.asarray(classes)
     index = {cls: i for i, cls in enumerate(classes.tolist())}
     mat = np.zeros((classes.shape[0], classes.shape[0]), dtype=np.int64)
-    for t, p in zip(y_true.tolist(), y_pred.tolist()):
-        mat[index[t], index[p]] += 1
+    try:
+        for t, p in zip(y_true.tolist(), y_pred.tolist()):
+            mat[index[t], index[p]] += 1
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} is not in classes") from None
     return mat, classes
 
 

@@ -199,3 +199,90 @@ def test_backward_leaves_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+# ------------------------------------------------------------ fused ops
+
+ACN_EPS = 1e-5
+
+
+def test_linear_grad():
+    proj = np.random.default_rng(5).normal(size=(2, 3, 5))
+    check_op(lambda x, w, b: ad.tsum(ad.mul(ad.linear(x, w, b), proj)),
+             (2, 3, 4), (4, 5), (5,))
+    check_op(lambda x, w: ad.tsum(ad.mul(ad.linear(x, w), proj)),
+             (2, 3, 4), (4, 5))
+
+
+def test_linear_one_column_grad():
+    proj = np.random.default_rng(6).normal(size=(2, 3, 1))
+    check_op(lambda x, w, b: ad.tsum(ad.mul(ad.linear(x, w, b), proj)),
+             (2, 3, 4), (4, 1), (1,))
+    check_op(lambda x, w: ad.tsum(ad.mul(ad.linear(x, w), ad.linear(x, w))),
+             (5, 4), (4, 1))
+
+
+def test_linear_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 5))))
+    with pytest.raises(ValueError):
+        ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones(3)))
+
+
+def test_acn_grad_unnormalized_weights():
+    # exp(w) gives positive weights whose sum over the points is not 1
+    proj = np.random.default_rng(7).normal(size=(2, 5, 3))
+    check_op(lambda h, w: ad.tsum(ad.mul(ad.acn(h, ad.exp(w), ACN_EPS), proj)),
+             (2, 5, 3), (2, 5, 1), tol=1e-5)
+
+
+def test_weighted_mean_grad():
+    proj = np.random.default_rng(8).normal(size=(2, 3, 4))
+    check_op(lambda a, v: ad.tsum(ad.mul(ad.weighted_mean(ad.exp(a), v, 1e-8), proj)),
+             (2, 5, 3), (2, 5, 4))
+
+
+# The composite formulas the fused ops replace, kept as an oracle.
+
+def composite_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def composite_acn(h, w, eps):
+    wsum = ad.tsum(w, axis=-2, keepdims=True)
+    mean = ad.div(ad.tsum(w * h, axis=-2, keepdims=True), wsum)
+    centered = h - mean
+    var = ad.div(ad.tsum(w * centered * centered, axis=-2, keepdims=True), wsum)
+    return ad.div(centered, ad.sqrt(var + eps))
+
+
+def composite_weighted_mean(attn, values, eps):
+    at = ad.swapaxes(attn, -1, -2)
+    denom = ad.swapaxes(ad.tsum(attn, axis=-2, keepdims=True), -1, -2) + eps
+    return ad.div(ad.matmul(at, values), denom)
+
+
+@pytest.mark.parametrize("fused,composite,shapes,positive", [
+    (ad.linear, composite_linear, [(4, 6, 5), (5, 7), (7,)], ()),
+    (ad.linear, composite_linear, [(4, 6, 5), (5, 1), (1,)], ()),
+    (lambda h, w: ad.acn(h, w, ACN_EPS), lambda h, w: composite_acn(h, w, ACN_EPS),
+     [(4, 6, 5), (4, 6, 1)], (1,)),
+    (lambda a, v: ad.weighted_mean(a, v, 1e-8), lambda a, v: composite_weighted_mean(a, v, 1e-8),
+     [(4, 6, 3), (4, 6, 5)], (0,)),
+], ids=["linear", "linear_one_column", "acn", "weighted_mean"])
+def test_fused_ops_match_composite(fused, composite, shapes, positive):
+    rng = np.random.default_rng(9)
+    arrays = [rng.normal(size=s) for s in shapes]
+    for i in positive:
+        arrays[i] = rng.uniform(0.1, 2.0, size=shapes[i])
+    results = []
+    for op in (fused, composite):
+        inputs = [ad.Tensor(a.copy()) for a in arrays]
+        out = op(*inputs)
+        proj = np.random.default_rng(10).normal(size=out.data.shape)
+        ad.backward(ad.tsum(ad.mul(out, proj)))
+        results.append((out.data, [t.grad for t in inputs]))
+    (y_f, g_f), (y_c, g_c) = results
+    np.testing.assert_allclose(y_f, y_c, rtol=1e-12, atol=1e-15)
+    for a, b in zip(g_f, g_c):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)

@@ -62,6 +62,12 @@ def test_parse_config_ignores_comments_and_blanks(tmp_path):
     ("just words\n", "expected key=value", 2),
     ("K = 0\n", "K must be >= 1", 2),
     ("b = 4\n", "center pixel", 2),
+    ("lr = nan\n", "lr must be finite", 2),
+    ("alpha = inf\n", "alpha must be finite", 2),
+    ("gamma = nan\n", "gamma must be finite", 2),
+    ("adam_eps = -1\n", "adam_eps must be > 0", 2),
+    ("adam_beta1 = 2\n", "adam_beta1 must be in [0, 1)", 2),
+    ("adam_beta2 = 1\n", "adam_beta2 must be in [0, 1)", 2),
 ])
 def test_parse_config_errors_cite_line(tmp_path, text, fragment, lineno):
     path = write(tmp_path / "bad.cfg", "# header\n" + text)
@@ -81,6 +87,19 @@ def test_missing_config_file_is_exit_1(capsys, tmp_path):
                    "--config", str(tmp_path / "nope.cfg")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_nonfinite_config_value_is_exit_1(capsys, tmp_path):
+    scene = str(tmp_path / "scene")
+    cli.main(["gen-synth", "--out", scene, "--size", "8x8", "--classes", "2",
+              "--bands", "4"])
+    capsys.readouterr()
+    cfg = write(tmp_path / "bad.cfg", "epochs = 1\nlr = nan\n")
+    rc = cli.main(["train", "--data", scene, "--out", str(tmp_path / "ck"),
+                   "--config", cfg, "--quiet"])
+    assert rc == 1
+    assert f"{cfg}:2: lr must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ck")
 
 
 # ------------------------------------------------------------- exit codes

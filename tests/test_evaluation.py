@@ -303,6 +303,13 @@ def test_confusion_matrix_rejects_length_mismatch():
         evaluation.confusion_matrix(np.array([0, 1]), np.array([0]))
 
 
+@pytest.mark.parametrize("y_true,y_pred", [([0, 7], [0, 1]), ([0, 1], [7, 1])])
+def test_confusion_matrix_names_label_outside_classes(y_true, y_pred):
+    with pytest.raises(ValueError, match="label 7 is not in classes"):
+        evaluation.confusion_matrix(np.array(y_true), np.array(y_pred),
+                                    classes=np.array([0, 1]))
+
+
 def test_metrics_perfect_diagonal():
     mat = np.array([[2, 0], [0, 2]])
     assert evaluation.overall_accuracy(mat) == 1.0

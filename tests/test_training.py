@@ -115,6 +115,17 @@ def test_train_deterministic_final_params():
         np.testing.assert_array_equal(finals[0][name], finals[1][name])
 
 
+def test_forward_graph_size_guard():
+    # linear, acn and weighted_mean must stay single nodes: built from
+    # composite ops the same forward has 288 nodes with a closure. The
+    # count depends only on n_blocks, so the tiny widths keep the default 2.
+    state = tiny_state(seed=12, n_blocks=2)
+    hsi, lidar = tiny_data(13)
+    total, _ = forward_batch(state, hsi, lidar, np.random.default_rng(14))
+    nodes = sum(1 for node in ad._topo(total) if node._backward is not None)
+    assert nodes <= 160
+
+
 def test_batch_of_one_step_equals_single_pair_step():
     hsi, lidar = tiny_data(10, n=1)
     state_a = tiny_state(seed=11)
