@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat, linear, relu, reshape
+from .autodiff import Tensor, concat, linear, relu, reshape
 from .capsule_block import fan_uniform
 
 __all__ = ["init_decoder", "decode"]
@@ -55,7 +55,9 @@ def init_decoder(c: int, pose_dim: int, d_out: int, m: int, h: int,
     }
 
 
-def _decode(params: dict, poses: Tensor, descriptors: Tensor) -> Tensor:
+def decode(params: dict, poses: Tensor, descriptors: Tensor) -> Tensor:
+    """Reconstruct (..., K*m, d_out) points from poses (..., K, D) and
+    descriptors (..., K, C)."""
     m, d_out = params["m"], params["d_out"]
     lead = descriptors.data.shape[:-1]  # (..., K)
     x = descriptors if params["anchored"] else concat([descriptors, poses], axis=-1)
@@ -65,23 +67,3 @@ def _decode(params: dict, poses: Tensor, descriptors: Tensor) -> Tensor:
     if params["anchored"]:
         out = out + reshape(poses, lead + (1, d_out))
     return reshape(out, lead[:-1] + (lead[-1] * m, d_out))
-
-
-def decode(params: dict, poses, descriptors):
-    """Reconstruct (..., K*m, d_out) points from poses (..., K, D) and
-    descriptors (..., K, C)."""
-    if isinstance(poses, Tensor):
-        return _decode(params, poses, descriptors)
-    poses = np.asarray(poses, dtype=np.float64)
-    descriptors = np.asarray(descriptors, dtype=np.float64)
-    if poses.ndim != 2 or descriptors.ndim != 2:
-        raise ValueError("expected poses (K, D) and descriptors (K, C)")
-    if poses.shape[0] != descriptors.shape[0]:
-        raise ValueError("poses and descriptors must have one row per capsule")
-    if params["anchored"] and poses.shape[1] != params["d_out"]:
-        raise ValueError(
-            f"poses are {poses.shape[1]}-D but the decoder emits "
-            f"{params['d_out']}-D points"
-        )
-    out = _decode(params, as_tensor(poses[None]), as_tensor(descriptors[None]))
-    return out.data[0]

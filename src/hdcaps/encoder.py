@@ -4,12 +4,14 @@ The encoder lifts each point to a hidden width H, then runs residual
 blocks of the form
 
     weight = softmax over the points of (h @ att_w)
-    z      = acn_normalize(h, weight)
+    z      = acn(h, weight)
     h      = h + relu(z @ lin_w + lin_b)
 
-i.e. features are standardized with attention-weighted moments computed
-across the point set, which is what makes the blocks mix information
-between points while staying order-equivariant. The attention logits
+where ``acn`` subtracts the weighted mean of each channel and divides by
+sqrt(weighted variance + 1e-5). Features are thus standardized with
+attention-weighted moments computed across the point set, which is what
+makes the blocks mix information between points while staying
+order-equivariant. The attention logits
 carry no bias (a shared offset cannot survive the softmax over points)
 and the linear map sits after the normalization so its bias is not
 cancelled by the mean subtraction. Two linear heads then produce the
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, acn, as_tensor, linear, relu, softmax, weighted_mean
+from .autodiff import Tensor, acn, linear, relu, softmax, weighted_mean
 from .capsule_block import fan_uniform
 
-__all__ = ["init_encoder", "acn_normalize", "encode", "encode_batch", "aggregate"]
+__all__ = ["init_encoder", "encode_batch", "aggregate"]
 
 ACN_EPS = 1e-5
 AGG_EPS = 1e-8
@@ -59,24 +61,6 @@ def init_encoder(d_in: int, h: int, n_blocks: int, k: int, c: int,
     return params
 
 
-def acn_normalize(features, weights):
-    """Standardize per-point features with weighted moments.
-
-    features: (X, H); weights: (X,) nonnegative with positive sum. Per
-    channel, subtract the weighted mean and divide by sqrt(weighted
-    variance + 1e-5).
-    """
-    if isinstance(features, Tensor):
-        return acn(features, weights, ACN_EPS)
-    features = np.asarray(features, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if features.ndim != 2 or weights.ndim != 1 or weights.shape[0] != features.shape[0]:
-        raise ValueError("expected features (X, H) and weights (X,)")
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("weights must be nonnegative with a positive sum")
-    return acn(features, weights[:, None], ACN_EPS).data
-
-
 def encode_batch(params: dict, points: Tensor) -> tuple[Tensor, Tensor]:
     """(B, X, D) point sets -> attention maps (B, X, K) and features (B, X, C)."""
     if points.data.shape[-1] != params["lift_w"].data.shape[0]:
@@ -94,38 +78,11 @@ def encode_batch(params: dict, points: Tensor) -> tuple[Tensor, Tensor]:
     return attn, feats
 
 
-def encode(params: dict, points):
-    """Encode one (X, D) point set; returns (A, F) of the input's kind."""
-    if isinstance(points, Tensor):
-        return encode_batch(params, points)
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must have shape (X, D)")
-    a, f = encode_batch(params, as_tensor(pts[None]))
-    return a.data[0], f.data[0]
-
-
-def _aggregate(attn: Tensor, feats: Tensor, points: Tensor) -> tuple[Tensor, Tensor]:
-    return weighted_mean(attn, points, AGG_EPS), weighted_mean(attn, feats, AGG_EPS)
-
-
-def aggregate(attn, feats, points):
+def aggregate(attn: Tensor, feats: Tensor, points: Tensor) -> tuple[Tensor, Tensor]:
     """Capsule poses and descriptors from attention-weighted means.
 
     pose_k = sum_p A[p,k] P[p] / sum_p A[p,k] and likewise for the
-    descriptors over F; the denominator carries a 1e-8 guard. Works on
-    (X, K)/(X, C)/(X, D) arrays or on batched (B, ...) Tensors.
+    descriptors over F; the denominator carries a 1e-8 guard. Takes
+    batched (B, X, K) / (B, X, C) / (B, X, D) Tensors.
     """
-    if isinstance(attn, Tensor):
-        return _aggregate(attn, feats, points)
-    attn = np.asarray(attn, dtype=np.float64)
-    feats = np.asarray(feats, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    if attn.ndim != 2 or feats.ndim != 2 or points.ndim != 2:
-        raise ValueError("aggregate expects 2-D arrays")
-    if not (attn.shape[0] == feats.shape[0] == points.shape[0]):
-        raise ValueError("row counts of A, F and P must agree")
-    poses, descriptors = _aggregate(
-        as_tensor(attn[None]), as_tensor(feats[None]), as_tensor(points[None])
-    )
-    return poses.data[0], descriptors.data[0]
+    return weighted_mean(attn, points, AGG_EPS), weighted_mean(attn, feats, AGG_EPS)

@@ -1,4 +1,4 @@
-"""Rotation sampling on SO(D), rigid point-set transforms, chamfer distance.
+"""Rotation sampling on SO(D) and the batched chamfer distance.
 
 These are the shared geometric primitives of both branches: the rotated
 second view is produced by a Haar-distributed rotation of the input point
@@ -13,86 +13,27 @@ import numpy as np
 from . import kernels
 from .autodiff import Tensor, _accum, tmean
 
-__all__ = [
-    "sample_rotation",
-    "sample_rotations",
-    "apply_rotation",
-    "chamfer",
-    "chamfer_batch",
-]
-
-
-def _haar_fixup(q, r):
-    """Turn a QR factor pair into a uniform SO(D) sample (batched ok)."""
-    d = q.shape[-1]
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs = np.where(signs == 0.0, 1.0, signs)
-    q = q * signs[..., None, :]
-    neg = np.linalg.det(q) < 0.0
-    if q.ndim == 2:
-        if neg:
-            q[:, -1] = -q[:, -1]
-    else:
-        q[neg, :, -1] = -q[neg, :, -1]
-    return q
-
-
-def sample_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one Haar-distributed rotation matrix from SO(dim).
-
-    QR of a standard Gaussian matrix, columns sign-fixed by the diagonal
-    of R; if the determinant lands at -1 the last column is negated.
-    """
-    if dim < 1:
-        raise ValueError("rotation dimension must be >= 1")
-    a = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    return _haar_fixup(q, r)
+__all__ = ["sample_rotations", "chamfer_batch"]
 
 
 def sample_rotations(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` independent SO(dim) samples as a (count, dim, dim) stack."""
+    """Draw `count` independent SO(dim) samples as a (count, dim, dim) stack.
+
+    QR of standard Gaussian matrices, columns sign-fixed by the diagonal
+    of R; where the determinant lands at -1 the last column is negated.
+    """
     if dim < 1:
         raise ValueError("rotation dimension must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     a = rng.standard_normal((count, dim, dim))
     q, r = np.linalg.qr(a)
-    return _haar_fixup(q, r)
-
-
-def apply_rotation(rot: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Rotate every point: row p becomes R @ p. Shapes (D,D) and (X,D)."""
-    rot = np.asarray(rot, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
-        raise ValueError("rotation must be a square matrix")
-    if points.ndim != 2 or points.shape[1] != rot.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: rotation is {rot.shape[0]}-D, "
-            f"points are {points.shape[-1]}-D"
-        )
-    return points @ rot.T
-
-
-def chamfer(p, q) -> float:
-    """Symmetric chamfer distance between two point sets (X,D) and (Y,D).
-
-    mean over p of min_q |p-q|^2 plus mean over q of min_p |q-p|^2;
-    the sets may have different sizes but must share the dimension.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.ndim != 2 or q.ndim != 2:
-        raise ValueError("point sets must be 2-D arrays")
-    if p.shape[0] == 0 or q.shape[0] == 0:
-        raise ValueError("chamfer distance of an empty point set is undefined")
-    if p.shape[1] != q.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}"
-        )
-    vals, _, _ = kernels.chamfer_forward(p[None], q[None])
-    return float(vals[0])
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs = np.where(signs == 0.0, 1.0, signs)
+    q = q * signs[..., None, :]
+    neg = np.linalg.det(q) < 0.0
+    q[neg, :, -1] = -q[neg, :, -1]
+    return q
 
 
 def chamfer_batch(p: Tensor, q: Tensor) -> Tensor:

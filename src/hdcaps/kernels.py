@@ -9,11 +9,11 @@ row's or its column's minimum is recomputed exactly as
 ``sum((p - q) ** 2)``. Each point's neighbour is the shortlisted one with
 the least exact distance, and ties in that computed distance go to the
 lowest index. The minima that make up the chamfer value are these exact
-distances, so they are never negative, ``chamfer(p, p)`` is exactly 0 and
-values and indices equal those of the full (B, n, m, D) difference tensor
-without building it. The backward gathers each point's neighbour by fancy
-indexing and scatters the opposite-side terms with a batched one-hot
-matmul.
+distances, so they are never negative, the value of a set against itself
+is exactly 0, and values and indices equal those of the full
+(B, n, m, D) difference tensor without building it. The backward gathers
+each point's neighbour by fancy indexing and scatters the opposite-side
+terms with a batched one-hot matmul.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ and renormalized before the log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "loss_invariance",
     "loss_kl",
     "reconstruction_loss",
-    "branch_loss",
-    "total_loss",
 ]
 
 KL_EPS = 1e-8
@@ -63,16 +61,7 @@ class LossReport:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "equ_hsi": self.equ_hsi,
-            "inv_hsi": self.inv_hsi,
-            "cham_hsi": self.cham_hsi,
-            "equ_lidar": self.equ_lidar,
-            "inv_lidar": self.inv_lidar,
-            "cham_lidar": self.cham_lidar,
-            "kl": self.kl,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def _mean_sq_rows(diff: Tensor) -> Tensor:
@@ -81,33 +70,19 @@ def _mean_sq_rows(diff: Tensor) -> Tensor:
     return tmean(tmean(sq, axis=-1))
 
 
-def loss_equivariance(rot, poses, rotated_poses):
+def loss_equivariance(rot: np.ndarray, poses: Tensor, rotated_poses: Tensor) -> Tensor:
     """mean_k ||rot @ pose_k - rotated_pose_k||^2, averaged over the batch.
 
-    rot is treated as a constant; gradients flow into both pose sets.
-    Accepts a (D, D) rotation with (K, D) arrays, or (B, D, D) with
-    (B, K, D) Tensors.
+    rot is a (B, D, D) constant; gradients flow into both (B, K, D) pose
+    sets.
     """
-    if isinstance(poses, Tensor):
-        rot_t = as_tensor(np.swapaxes(np.asarray(rot, dtype=np.float64), -1, -2))
-        return _mean_sq_rows(matmul(poses, rot_t) - rotated_poses)
-    poses = np.asarray(poses, dtype=np.float64)
-    rotated_poses = np.asarray(rotated_poses, dtype=np.float64)
-    out = loss_equivariance(
-        np.asarray(rot, dtype=np.float64)[None],
-        as_tensor(poses[None]),
-        as_tensor(rotated_poses[None]),
-    )
-    return float(out.data)
+    rot_t = as_tensor(np.swapaxes(np.asarray(rot, dtype=np.float64), -1, -2))
+    return _mean_sq_rows(matmul(poses, rot_t) - rotated_poses)
 
 
-def loss_invariance(descriptors, rotated_descriptors):
+def loss_invariance(descriptors: Tensor, rotated_descriptors: Tensor) -> Tensor:
     """mean_k ||desc_k - rotated_desc_k||^2, averaged over the batch."""
-    if isinstance(descriptors, Tensor):
-        return _mean_sq_rows(descriptors - rotated_descriptors)
-    a = np.asarray(descriptors, dtype=np.float64)
-    b = np.asarray(rotated_descriptors, dtype=np.float64)
-    return float(_mean_sq_rows(as_tensor(a[None]) - as_tensor(b[None])).data)
+    return _mean_sq_rows(descriptors - rotated_descriptors)
 
 
 def _renorm(attn: Tensor) -> Tensor:
@@ -115,43 +90,17 @@ def _renorm(attn: Tensor) -> Tensor:
     return div(clipped, tsum(clipped, axis=-1, keepdims=True))
 
 
-def loss_kl(attn_from: Tensor, attn_to: Tensor):
+def loss_kl(attn_from: Tensor, attn_to: Tensor) -> Tensor:
     """Per-point KL divergence KL(attn_from || attn_to) averaged over
     points (and batch). Rows are clamped at 1e-8 and renormalized so the
     log stays finite; gradients flow into both maps."""
-    if isinstance(attn_from, Tensor):
-        p = _renorm(attn_from)
-        q = _renorm(attn_to)
-        per_point = tsum(p * (log(p) - log(q)), axis=-1)
-        return tmean(tmean(per_point, axis=-1))
-    p = np.asarray(attn_from, dtype=np.float64)
-    q = np.asarray(attn_to, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 2:
-        raise ValueError("expected two attention maps of equal (X, K) shape")
-    return float(loss_kl(as_tensor(p[None]), as_tensor(q[None])).data)
+    p = _renorm(attn_from)
+    q = _renorm(attn_to)
+    per_point = tsum(p * (log(p) - log(q)), axis=-1)
+    return tmean(tmean(per_point, axis=-1))
 
 
-def reconstruction_loss(points, recon):
+def reconstruction_loss(points: Tensor, recon: Tensor) -> Tensor:
     """Symmetric chamfer distance between input and reconstructed points,
     averaged over the batch."""
-    if isinstance(points, Tensor):
-        return chamfer_batch(points, recon)
-    from .geometry import chamfer
-
-    return chamfer(np.asarray(points, dtype=np.float64),
-                   np.asarray(recon, dtype=np.float64))
-
-
-def branch_loss(equ: float, inv: float, chamfer_val: float) -> float:
-    """Unweighted sum of one branch's three loss terms."""
-    for name, value in (("equ", equ), ("inv", inv), ("chamfer", chamfer_val)):
-        if not np.isfinite(value) or value < 0:
-            raise ValueError(f"{name} term must be finite and nonnegative")
-    return equ + inv + chamfer_val
-
-
-def total_loss(l_hsi: float, l_lidar: float, l_kl: float,
-               weights: LossWeights) -> float:
-    """Weighted combination of the branch losses and the alignment term."""
-    return (weights.alpha * l_hsi + weights.beta * l_lidar
-            + weights.gamma * l_kl)
+    return chamfer_batch(points, recon)

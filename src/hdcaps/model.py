@@ -43,7 +43,6 @@ __all__ = [
     "init_model",
     "parameters",
     "forward_batch",
-    "forward_pair",
     "decompose_batch",
     "fused_features",
     "save_checkpoint",
@@ -125,7 +124,7 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     """Run both branches on a batch and assemble the training loss.
 
     hsi_patches: (B, b, b, C_spec); lidar_points: (B, b*b, 3). Returns
-    (total_loss Tensor, LossReport). One rotation per sample per branch
+    (total loss Tensor, LossReport). One rotation per sample per branch
     is drawn from rng.
     """
     if weights is None:
@@ -187,17 +186,6 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     return total, report
 
 
-def forward_pair(state: ModelState, hsi_patch: np.ndarray,
-                 lidar_points: np.ndarray, rng: np.random.Generator,
-                 weights: LossWeights | None = None):
-    """forward_batch on a single (b, b, C_spec) / (b*b, 3) patch pair."""
-    hsi_patch = np.asarray(hsi_patch, dtype=np.float64)
-    lidar_points = np.asarray(lidar_points, dtype=np.float64)
-    if hsi_patch.ndim != 3 or lidar_points.ndim != 2:
-        raise ValueError("expected one patch: hsi (b, b, C), lidar (X, 3)")
-    return forward_batch(state, hsi_patch[None], lidar_points[None], rng, weights)
-
-
 def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
                     lidar_points: np.ndarray) -> CapsuleDecomposition:
     """Inference pass: encoder outputs and capsule summaries as arrays."""
@@ -235,15 +223,28 @@ def fused_features(state: ModelState, hsi_patches: np.ndarray,
     return out
 
 
+def _listed_files(directory: str) -> set:
+    """Parameter file names listed by the manifest in directory, if any."""
+    try:
+        with open(os.path.join(directory, CHECKPOINT_MANIFEST)) as fh:
+            listed = json.load(fh).get("params", {}).values()
+    except (OSError, ValueError, AttributeError):
+        return set()
+    return {fname for fname in listed if isinstance(fname, str)}
+
+
 def save_checkpoint(state: ModelState, directory: str) -> None:
     """Write one tensor file per parameter plus a JSON manifest.
 
     Parameters are stored in 32-bit floats, so a reloaded model matches
-    the trained one to single precision.
+    the trained one to single precision. Once the new manifest is in
+    place, tensor files that only the replaced manifest listed are
+    deleted.
     """
     from .dataio import write_dten
 
     os.makedirs(directory, exist_ok=True)
+    old_files = _listed_files(directory)
     flat = parameters(state)
     entries = {}
     for name, tensor in flat.items():
@@ -262,6 +263,12 @@ def save_checkpoint(state: ModelState, directory: str) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, os.path.join(directory, CHECKPOINT_MANIFEST))
+    # the old manifest is outside input: only plain *.dten names are removed
+    for fname in old_files - set(entries.values()):
+        path = os.path.join(directory, fname)
+        if (fname.endswith(".dten") and os.path.basename(fname) == fname
+                and os.path.isfile(path)):
+            os.remove(path)
 
 
 def load_checkpoint(directory: str) -> ModelState:

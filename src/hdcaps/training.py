@@ -9,14 +9,14 @@ rotations, then per-epoch shuffles).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .autodiff import backward
 from .config import TrainConfig
 from .errors import DivergenceError
-from .losses import LossWeights
+from .losses import LossReport, LossWeights
 from .model import ModelState, forward_batch, init_model, parameters
 
 __all__ = ["AdamState", "adam_step", "zero_grads", "train_step", "train", "grad_check"]
@@ -93,18 +93,17 @@ def train(state: ModelState, hsi_patches: np.ndarray, lidar_points: np.ndarray,
     params = parameters(state)
     opt = AdamState()
     weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
-    fields = ["epoch", "equ_hsi", "inv_hsi", "cham_hsi",
-              "equ_lidar", "inv_lidar", "cham_lidar", "kl", "total"]
+    columns = ["epoch"] + [f.name for f in fields(LossReport)]
     history = []
     log_fh = open(log_path, "w", newline="") if log_path else None
     try:
         writer = None
         if log_fh is not None:
-            writer = csv.DictWriter(log_fh, fieldnames=fields)
+            writer = csv.DictWriter(log_fh, fieldnames=columns)
             writer.writeheader()
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
-            sums = {k: 0.0 for k in fields[1:]}
+            sums = {k: 0.0 for k in columns[1:]}
             n_batches = 0
             for start in range(0, n, cfg.batch):
                 idx = order[start:start + cfg.batch]

@@ -14,20 +14,38 @@ def make_encoder(d_in, h, n_blocks, k, c, seed=0):
                                 np.random.default_rng(seed))
 
 
+def acn(feats, weights):
+    """ACN of one (X, H) point set with (X,) weights, as a batch of one."""
+    out = ad.acn(ad.Tensor(feats[None]), ad.Tensor(weights[None, :, None]),
+                 encoder.ACN_EPS)
+    return out.data[0]
+
+
+def encode(params, points):
+    attn, feats = encoder.encode_batch(params, ad.Tensor(points[None]))
+    return attn.data[0], feats.data[0]
+
+
+def aggregate(attn, feats, points):
+    poses, desc = encoder.aggregate(ad.Tensor(attn[None]), ad.Tensor(feats[None]),
+                                    ad.Tensor(points[None]))
+    return poses.data[0], desc.data[0]
+
+
 def test_acn_constant_rows_zero():
     feats = np.ones((4, 3)) * 2.5
-    out = encoder.acn_normalize(feats, np.ones(4))
+    out = acn(feats, np.ones(4))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_acn_uniform_123_fixture():
-    out = encoder.acn_normalize(np.array([[1.0], [2.0], [3.0]]), np.ones(3))
+    out = acn(np.array([[1.0], [2.0], [3.0]]), np.ones(3))
     # mu = 2, sigma^2 = 2/3: (x - 2) / sqrt(2/3 + eps)
     np.testing.assert_allclose(out[:, 0], [-1.22474, 0.0, 1.22474], atol=1e-3)
 
 
 def test_acn_one_hot_weights_fixture():
-    out = encoder.acn_normalize(np.array([[5.0], [9.0], [-9.0]]),
+    out = acn(np.array([[5.0], [9.0], [-9.0]]),
                                 np.array([1.0, 0.0, 0.0]))
     # moments collapse onto the selected point: mu = 5, var = 0
     assert out[0, 0] == 0.0
@@ -35,21 +53,11 @@ def test_acn_one_hot_weights_fixture():
     np.testing.assert_allclose(out[2, 0], -14.0 / np.sqrt(ACN_EPS), rtol=1e-12)
 
 
-def test_acn_rejects_bad_weights():
-    feats = np.ones((3, 2))
-    with pytest.raises(ValueError):
-        encoder.acn_normalize(feats, np.zeros(3))
-    with pytest.raises(ValueError):
-        encoder.acn_normalize(feats, np.array([1.0, -0.5, 0.2]))
-    with pytest.raises(ValueError):
-        encoder.acn_normalize(feats, np.ones(4))
-
-
 def test_acn_weighted_moments_against_numpy():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(6, 4))
     w = rng.uniform(0.1, 1.0, size=6)
-    out = encoder.acn_normalize(feats, w)
+    out = acn(feats, w)
     mu = (w[:, None] * feats).sum(0) / w.sum()
     var = (w[:, None] * (feats - mu) ** 2).sum(0) / w.sum()
     np.testing.assert_allclose(out, (feats - mu) / np.sqrt(var + ACN_EPS),
@@ -89,7 +97,7 @@ def test_encode_matches_hand_trace():
         "n_blocks": 1,
     }
     points = np.array([[1.0], [3.0]])
-    attn, feats = encoder.encode(params, points)
+    attn, feats = encode(params, points)
     want_a, want_f = hand_trace(
         points,
         params["lift_w"].data, params["lift_b"].data,
@@ -112,14 +120,14 @@ def test_encode_zero_attention_head_uniform():
     params["att_w"] = ad.Tensor(np.zeros_like(params["att_w"].data))
     params["att_b"] = ad.Tensor(np.zeros_like(params["att_b"].data))
     pts = np.random.default_rng(1).normal(size=(9, 3))
-    attn, _ = encoder.encode(params, pts)
+    attn, _ = encode(params, pts)
     np.testing.assert_allclose(attn, 1.0 / 5.0, atol=1e-12)
 
 
 def test_encode_rows_stochastic_positive():
     params = make_encoder(3, 16, 3, 4, 6, seed=2)
     pts = np.random.default_rng(3).normal(size=(25, 3)) * 5
-    attn, feats = encoder.encode(params, pts)
+    attn, feats = encode(params, pts)
     np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
     assert np.all(attn > 0)
     assert np.all(np.isfinite(feats))
@@ -130,23 +138,23 @@ def test_encode_permutation_equivariance():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(10, 4))
     perm = rng.permutation(10)
-    a0, f0 = encoder.encode(params, pts)
-    a1, f1 = encoder.encode(params, pts[perm])
+    a0, f0 = encode(params, pts)
+    a1, f1 = encode(params, pts[perm])
     np.testing.assert_allclose(a1, a0[perm], atol=1e-9)
     np.testing.assert_allclose(f1, f0[perm], atol=1e-9)
 
 
 def test_encode_rejects_dim_mismatch():
     params = make_encoder(3, 8, 1, 2, 2)
-    with pytest.raises(ValueError):
-        encoder.encode(params, np.zeros((5, 4)))
+    with pytest.raises(ValueError, match="4-D"):
+        encode(params, np.zeros((5, 4)))
 
 
 def test_aggregate_uniform_centroid():
     attn = np.full((2, 3), 1.0 / 3.0)
     pts = np.array([[0.0, 0.0], [2.0, 0.0]])
     feats = np.array([[1.0], [5.0]])
-    poses, desc = encoder.aggregate(attn, feats, pts)
+    poses, desc = aggregate(attn, feats, pts)
     np.testing.assert_allclose(poses, [[1.0, 0.0]] * 3, atol=1e-7)
     np.testing.assert_allclose(desc, [[3.0]] * 3, atol=1e-7)
 
@@ -155,7 +163,7 @@ def test_aggregate_one_hot_selection():
     attn = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
     pts = np.array([[1.0], [2.0], [7.0]])
     feats = np.array([[10.0], [20.0], [70.0]])
-    poses, desc = encoder.aggregate(attn, feats, pts)
+    poses, desc = aggregate(attn, feats, pts)
     np.testing.assert_allclose(poses[:, 0], [2.0, 1.0], rtol=1e-7)
     np.testing.assert_allclose(desc[:, 0], [20.0, 10.0], rtol=1e-7)
 
@@ -164,7 +172,7 @@ def test_aggregate_weighted_average_fixture():
     attn = np.array([[0.2, 0.8], [0.3, 0.1], [0.5, 0.1]])
     pts = np.array([[1.0], [2.0], [10.0]])
     feats = pts.copy()
-    poses, _ = encoder.aggregate(attn, feats, pts)
+    poses, _ = aggregate(attn, feats, pts)
     # column 0: (0.2*1 + 0.3*2 + 0.5*10) / 1.0 = 5.8
     np.testing.assert_allclose(poses[0, 0], 5.8, rtol=1e-7)
 
@@ -174,7 +182,7 @@ def test_aggregate_convex_hull():
     attn = rng.dirichlet(np.ones(4), size=8)
     pts = rng.normal(size=(8, 3))
     feats = rng.normal(size=(8, 2))
-    poses, desc = encoder.aggregate(attn, feats, pts)
+    poses, desc = aggregate(attn, feats, pts)
     assert np.all(poses.min(axis=0) >= pts.min(axis=0) - 1e-9)
     assert np.all(poses.max(axis=0) <= pts.max(axis=0) + 1e-9)
     assert np.all(desc.min(axis=0) >= feats.min(axis=0) - 1e-9)
@@ -186,12 +194,11 @@ def test_aggregate_rotation_linearity():
     attn = rng.dirichlet(np.ones(3), size=6)
     pts = rng.normal(size=(6, 4))
     feats = rng.normal(size=(6, 2))
-    rot = geometry.sample_rotation(4, rng)
-    poses, _ = encoder.aggregate(attn, feats, pts)
-    poses_rot, desc_rot = encoder.aggregate(
-        attn, feats, geometry.apply_rotation(rot, pts))
+    rot = geometry.sample_rotations(4, 1, rng)[0]
+    poses, _ = aggregate(attn, feats, pts)
+    poses_rot, desc_rot = aggregate(attn, feats, pts @ rot.T)
     np.testing.assert_allclose(poses_rot, poses @ rot.T, atol=1e-10)
-    _, desc = encoder.aggregate(attn, feats, pts)
+    _, desc = aggregate(attn, feats, pts)
     np.testing.assert_allclose(desc_rot, desc, atol=1e-12)
 
 
@@ -200,17 +207,22 @@ def test_aggregate_encode_permutation_invariance():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(12, 3))
     perm = rng.permutation(12)
-    a0, f0 = encoder.encode(params, pts)
-    p0, d0 = encoder.aggregate(a0, f0, pts)
-    a1, f1 = encoder.encode(params, pts[perm])
-    p1, d1 = encoder.aggregate(a1, f1, pts[perm])
+    a0, f0 = encode(params, pts)
+    p0, d0 = aggregate(a0, f0, pts)
+    a1, f1 = encode(params, pts[perm])
+    p1, d1 = aggregate(a1, f1, pts[perm])
     np.testing.assert_allclose(p1, p0, atol=1e-9)
     np.testing.assert_allclose(d1, d0, atol=1e-9)
 
 
 def test_aggregate_rejects_mismatched_rows():
-    with pytest.raises(ValueError):
-        encoder.aggregate(np.ones((3, 2)) / 2, np.ones((4, 1)), np.ones((3, 2)))
+    # the weighted means contract over the points axis, which never broadcasts
+    half = np.ones((3, 2)) / 2
+    for attn, feats, pts in ((half, np.ones((4, 1)), np.ones((3, 2))),
+                             (half, np.ones((3, 1)), np.ones((4, 2))),
+                             (half[:1], np.ones((3, 1)), np.ones((3, 2)))):
+        with pytest.raises(ValueError):
+            aggregate(attn, feats, pts)
 
 
 def test_encoder_param_gradients_fd():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdcaps import autodiff as ad
-from hdcaps import geometry
+from hdcaps import geometry, kernels, losses
 
 
 def brute_chamfer(p, q):
@@ -20,11 +20,15 @@ def brute_chamfer(p, q):
     return fwd / p.shape[0] + bwd / q.shape[0]
 
 
+def chamfer(p, q):
+    """The kernel's chamfer value of one pair of point sets."""
+    return kernels.chamfer_forward(p[None], q[None])[0][0]
+
+
 @pytest.mark.parametrize("dim", [2, 3, 16, 50])
 def test_rotation_orthogonal_unit_det(dim):
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        r = geometry.sample_rotation(dim, rng)
+    for r in geometry.sample_rotations(dim, 20, rng):
         np.testing.assert_allclose(r.T @ r, np.eye(dim), atol=1e-12)
         assert abs(np.linalg.det(r) - 1.0) < 1e-10
 
@@ -42,8 +46,7 @@ def test_rotation_batch_matches_contract():
 def test_rotation_so2_form():
     # in 2-D every proper rotation is [[c, -s], [s, c]]
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        r = geometry.sample_rotation(2, rng)
+    for r in geometry.sample_rotations(2, 50, rng):
         assert abs(r[0, 0] - r[1, 1]) < 1e-12
         assert abs(r[0, 1] + r[1, 0]) < 1e-12
 
@@ -57,52 +60,54 @@ def test_rotation_mean_entry_near_zero():
 
 def test_rotation_composition_closed():
     rng = np.random.default_rng(4)
-    a = geometry.sample_rotation(5, rng)
-    b = geometry.sample_rotation(5, rng)
+    a, b = geometry.sample_rotations(5, 2, rng)
     c = a @ b
     np.testing.assert_allclose(c.T @ c, np.eye(5), atol=1e-10)
     assert abs(np.linalg.det(c) - 1.0) < 1e-10
 
 
 def test_rotation_deterministic_and_stream_consistent():
-    a = geometry.sample_rotation(4, np.random.default_rng(9))
-    b = geometry.sample_rotation(4, np.random.default_rng(9))
-    np.testing.assert_array_equal(a, b)
-    # batched sampling consumes the stream differently from repeated
-    # single draws, but is itself reproducible
-    x = geometry.sample_rotations(4, 3, np.random.default_rng(9))
-    y = geometry.sample_rotations(4, 3, np.random.default_rng(9))
-    np.testing.assert_array_equal(x, y)
+    for count in (1, 3):
+        x = geometry.sample_rotations(4, count, np.random.default_rng(9))
+        y = geometry.sample_rotations(4, count, np.random.default_rng(9))
+        np.testing.assert_array_equal(x, y)
+    # a batch consumes the stream like one (count, dim, dim) Gaussian draw,
+    # so the first rotation of a batch does not depend on the batch size
+    one = geometry.sample_rotations(4, 1, np.random.default_rng(9))
+    three = geometry.sample_rotations(4, 3, np.random.default_rng(9))
+    np.testing.assert_allclose(three[0], one[0], atol=1e-12)
 
 
 def test_rotation_rejects_bad_dims():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        geometry.sample_rotation(0, rng)
+        geometry.sample_rotations(0, 1, rng)
     with pytest.raises(ValueError):
         geometry.sample_rotations(3, 0, rng)
 
 
 def test_apply_rotation_semantics():
+    # the model rotates a point set as pts @ rot.T (row p becomes R @ p);
+    # the equivariance loss must read rotations the same way
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # 90 degrees
     pts = np.array([[1.0, 0.0], [0.0, 2.0]])
-    out = geometry.apply_rotation(rot, pts)
+    out = pts @ rot.T
     np.testing.assert_allclose(out, [[0.0, 1.0], [-2.0, 0.0]], atol=1e-15)
-    with pytest.raises(ValueError):
-        geometry.apply_rotation(rot, np.ones((3, 3)))
+    loss = losses.loss_equivariance(rot[None], ad.Tensor(pts[None]), ad.Tensor(out[None]))
+    assert float(loss.data) == 0.0
 
 
 def test_chamfer_identical_sets_zero():
     rng = np.random.default_rng(5)
     p = rng.normal(size=(12, 4))
-    assert geometry.chamfer(p, p) == 0.0
+    assert chamfer(p, p) == 0.0
 
 
 def test_chamfer_known_value():
     p = np.array([[0.0], [1.0]])
     q = np.array([[0.25]])
     # p->q: (0.0625 + 0.5625)/2 ; q->p: 0.0625
-    assert abs(geometry.chamfer(p, q) - (0.3125 + 0.0625)) < 1e-15
+    assert abs(chamfer(p, q) - (0.3125 + 0.0625)) < 1e-15
 
 
 def test_chamfer_matches_bruteforce():
@@ -112,8 +117,7 @@ def test_chamfer_matches_bruteforce():
         d = int(rng.integers(1, 11))
         p = rng.normal(size=(n, d))
         q = rng.normal(size=(m, d))
-        fast = geometry.chamfer(p, q)
-        assert abs(fast - brute_chamfer(p, q)) < 1e-12
+        assert abs(chamfer(p, q) - brute_chamfer(p, q)) < 1e-12
 
 
 def test_chamfer_symmetry_and_rotation_invariance():
@@ -123,21 +127,9 @@ def test_chamfer_symmetry_and_rotation_invariance():
         d = int(rng.integers(2, 6))
         p = rng.normal(size=(n, d))
         q = rng.normal(size=(m, d))
-        assert abs(geometry.chamfer(p, q) - geometry.chamfer(q, p)) < 1e-12
-        rot = geometry.sample_rotation(d, rng)
-        rotated = abs(geometry.chamfer(geometry.apply_rotation(rot, p),
-                                       geometry.apply_rotation(rot, q))
-                      - geometry.chamfer(p, q))
-        assert rotated < 1e-10
-
-
-def test_chamfer_validation():
-    with pytest.raises(ValueError):
-        geometry.chamfer(np.ones((0, 2)), np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        geometry.chamfer(np.ones((2, 2)), np.ones((3, 4)))
-    with pytest.raises(ValueError):
-        geometry.chamfer(np.ones(3), np.ones((3, 1)))
+        assert abs(chamfer(p, q) - chamfer(q, p)) < 1e-12
+        rot = geometry.sample_rotations(d, 1, rng)[0]
+        assert abs(chamfer(p @ rot.T, q @ rot.T) - chamfer(p, q)) < 1e-10
 
 
 def test_chamfer_batch_matches_scalar():
@@ -145,7 +137,7 @@ def test_chamfer_batch_matches_scalar():
     p = rng.normal(size=(5, 9, 3))
     q = rng.normal(size=(5, 4, 3))
     batched = geometry.chamfer_batch(ad.Tensor(p), ad.Tensor(q))
-    singles = np.mean([geometry.chamfer(p[b], q[b]) for b in range(5)])
+    singles = np.mean([brute_chamfer(p[b], q[b]) for b in range(5)])
     assert abs(float(batched.data) - singles) < 1e-12
 
 
@@ -179,3 +171,5 @@ def test_chamfer_batch_rejects_bad_shapes():
         geometry.chamfer_batch(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3, 1))))
     with pytest.raises(ValueError):
         geometry.chamfer_batch(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 3, 4))))
+    with pytest.raises(ValueError):
+        geometry.chamfer_batch(ad.Tensor(np.ones((1, 2, 2))), ad.Tensor(np.ones((1, 3, 4))))

@@ -1,5 +1,9 @@
 """Optimizer, training loop, determinism and the gradient checker."""
 
+import json
+import os
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,10 +11,9 @@ from hdcaps import autodiff as ad
 from hdcaps import training
 from hdcaps.config import TrainConfig
 from hdcaps.errors import DivergenceError
-from hdcaps.losses import LossWeights
+from hdcaps.losses import LossReport, LossWeights
 from hdcaps.model import (
     forward_batch,
-    forward_pair,
     init_model,
     load_checkpoint,
     parameters,
@@ -94,14 +97,18 @@ def test_forward_zero_weights_zero_total():
 
 
 def test_report_total_is_weighted_combination():
+    # forward_batch is the one place that combines the loss terms
+    assert LossWeights() == LossWeights(0.5, 0.5, 0.1)
     state = tiny_state(seed=6)
     hsi, lidar = tiny_data(7)
-    w = LossWeights(0.3, 0.6, 0.2)
-    _, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1), w)
-    want = (0.3 * (rep.equ_hsi + rep.inv_hsi + rep.cham_hsi)
-            + 0.6 * (rep.equ_lidar + rep.inv_lidar + rep.cham_lidar)
-            + 0.2 * rep.kl)
-    np.testing.assert_allclose(rep.total, want, rtol=1e-12)
+    rng = np.random.default_rng(8)
+    for w in [LossWeights(0.3, 0.6, 0.2)] + [LossWeights(*rng.uniform(0, 1, 3))
+                                              for _ in range(10)]:
+        _, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1), w)
+        want = ((rep.equ_hsi + rep.inv_hsi + rep.cham_hsi) * w.alpha
+                + (rep.equ_lidar + rep.inv_lidar + rep.cham_lidar) * w.beta
+                + rep.kl * w.gamma)
+        assert rep.total == want
 
 
 def test_train_deterministic_final_params():
@@ -139,8 +146,8 @@ def test_batch_of_one_step_equals_single_pair_step():
                         np.random.default_rng(12), weights)
 
     training.zero_grads(params_b)
-    total, _ = forward_pair(state_b, hsi[0], lidar[0],
-                            np.random.default_rng(12), weights)
+    total, _ = forward_batch(state_b, hsi[:1], lidar[:1],
+                             np.random.default_rng(12), weights)
     ad.backward(total)
     training.adam_step(params_b, training.AdamState(), state_b.config.lr,
                        state_b.config.adam_beta1, state_b.config.adam_beta2,
@@ -198,6 +205,15 @@ def test_train_writes_csv_log(tmp_path):
                         "equ_lidar,inv_lidar,cham_lidar,kl,total")
     assert len(lines) == 3 and len(history) == 2
     assert float(lines[1].split(",")[-1]) == history[0]["total"]
+
+
+def test_report_fields_name_the_csv_columns():
+    # the CSV header is built from LossReport's fields; pin their order
+    names = [f.name for f in fields(LossReport)]
+    assert names == ["equ_hsi", "inv_hsi", "cham_hsi", "equ_lidar",
+                     "inv_lidar", "cham_lidar", "kl", "total"]
+    report = LossReport(*[float(i) for i in range(len(names))])
+    assert list(report.as_dict().items()) == [(n, float(i)) for i, n in enumerate(names)]
 
 
 def test_grad_check_five_seeds_tiny_config():
@@ -271,3 +287,53 @@ def test_checkpoint_round_trip(tmp_path):
             src[name].data.astype(np.float32), dst[name].data.astype(np.float32)
         )
     assert loaded.config.to_dict() == state.config.to_dict()
+
+
+def dten_files(directory):
+    return sorted(f for f in os.listdir(directory) if f.endswith(".dten"))
+
+
+def test_checkpoint_overwrite_removes_stale_tensors(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(tiny_state(seed=25, n_blocks=3), str(ckpt))
+    (ckpt / "notes.txt").write_text("kept")
+    (ckpt / "extra.dten").write_bytes(b"not listed")
+    small = tiny_state(seed=26, n_blocks=1)
+    save_checkpoint(small, str(ckpt))
+    want = sorted(name + ".dten" for name in parameters(small))
+    assert dten_files(ckpt) == sorted(want + ["extra.dten"])
+    assert (ckpt / "notes.txt").read_text() == "kept"
+    loaded = load_checkpoint(str(ckpt))
+    assert loaded.config.n_blocks == 1
+    assert set(parameters(loaded)) == set(parameters(small))
+
+
+def test_checkpoint_overwrite_keeps_unsafe_manifest_names(tmp_path):
+    # the old manifest is read from disk; names that are not a plain
+    # *.dten file in the checkpoint directory must never be deleted
+    ckpt = tmp_path / "ckpt"
+    (ckpt / "sub").mkdir(parents=True)
+    (tmp_path / "outside.dten").write_bytes(b"x")
+    (ckpt / "sub" / "inner.dten").write_bytes(b"x")
+    (ckpt / "notes.txt").write_bytes(b"x")
+    (ckpt / "dir.dten").mkdir()
+    listed = ["../outside.dten", "sub/inner.dten", "notes.txt", "dir.dten",
+              str(tmp_path / "outside.dten"), 7, None]
+    (ckpt / "manifest.json").write_text(json.dumps(
+        {"params": {f"p{i}": name for i, name in enumerate(listed)}}))
+    save_checkpoint(tiny_state(seed=27), str(ckpt))
+    for path in (tmp_path / "outside.dten", ckpt / "sub" / "inner.dten",
+                 ckpt / "notes.txt", ckpt / "dir.dten"):
+        assert path.exists(), path
+    load_checkpoint(str(ckpt))
+
+
+@pytest.mark.parametrize("old_manifest", ["{not json", "[1, 2]", '{"params": [1]}'])
+def test_checkpoint_overwrite_tolerates_malformed_manifest(tmp_path, old_manifest):
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    (ckpt / "manifest.json").write_text(old_manifest)
+    state = tiny_state(seed=28)
+    save_checkpoint(state, str(ckpt))
+    assert dten_files(ckpt) == sorted(name + ".dten" for name in parameters(state))
+    load_checkpoint(str(ckpt))
