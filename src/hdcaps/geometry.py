@@ -46,6 +46,8 @@ def chamfer_batch(p: Tensor, q: Tensor) -> Tensor:
         raise ValueError("chamfer_batch expects (B, n, D) tensors")
     if p.data.shape[0] != q.data.shape[0] or p.data.shape[2] != q.data.shape[2]:
         raise ValueError("batch or dimension mismatch in chamfer_batch")
+    if p.data.shape[1] == 0 or q.data.shape[1] == 0:
+        raise ValueError("chamfer distance of an empty point set is undefined")
     vals, nn_pq, nn_qp = kernels.chamfer_forward(p.data, q.data)
     out = Tensor(vals, (p, q))
 

@@ -5,6 +5,8 @@ import pytest
 
 from hdcaps import autodiff as ad
 from hdcaps import decoder, geometry, kernels, losses
+from hdcaps.config import TrainConfig
+from hdcaps.model import forward_batch, init_model
 
 
 def decode(params, poses, desc):
@@ -25,6 +27,22 @@ def loss_inv(desc, rotated):
 
 def loss_kl(a, b):
     return float(losses.loss_kl(ad.Tensor(a[None]), ad.Tensor(b[None])).data)
+
+
+def tiny_batch(seed):
+    """A tiny model (b=3, C_spec=4, K=2, C=3) and a batch of two patch pairs."""
+    cfg = TrainConfig(K=2, C=3, b=3, H=8, n_blocks=1, m=2, G=2, d_cap=2,
+                      batch=2, seed=seed)
+    state = init_model(cfg, 4, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    return state, rng.standard_normal((2, 3, 3, 4)), rng.standard_normal((2, 9, 3))
+
+
+def weighted_terms(rep, w):
+    """The three branch terms of a LossReport, mixed by the LossWeights w."""
+    return ((rep.equ_hsi + rep.inv_hsi + rep.cham_hsi) * w.alpha
+            + (rep.equ_lidar + rep.inv_lidar + rep.cham_lidar) * w.beta
+            + rep.kl * w.gamma)
 
 
 def zeroed(params):
@@ -156,6 +174,35 @@ def test_reconstruction_loss_matches_chamfer():
     q = rng.normal(size=(5, 3))
     got = losses.reconstruction_loss(ad.Tensor(p[None]), ad.Tensor(q[None]))
     assert float(got.data) == kernels.chamfer_forward(p[None], q[None])[0][0]
+
+
+def test_total_loss_weighted_combination():
+    # forward_batch is the one place that combines the loss terms
+    w = losses.LossWeights()
+    assert (w.alpha, w.beta, w.gamma) == (0.5, 0.5, 0.1)
+    state, hsi, lidar = tiny_batch(6)
+    total, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1))
+    assert float(total.data) == rep.total
+    np.testing.assert_allclose(rep.total, 0.5 * (rep.equ_hsi + rep.inv_hsi + rep.cham_hsi)
+                               + 0.5 * (rep.equ_lidar + rep.inv_lidar + rep.cham_lidar)
+                               + 0.1 * rep.kl, rtol=1e-15)
+    _, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1),
+                           losses.LossWeights(0.0, 0.0, 0.0))
+    assert rep.total == 0.0
+    custom = losses.LossWeights(alpha=0.25, beta=0.5, gamma=0.1)
+    _, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1), custom)
+    np.testing.assert_allclose(rep.total, 0.25 * (rep.equ_hsi + rep.inv_hsi + rep.cham_hsi)
+                               + 0.5 * (rep.equ_lidar + rep.inv_lidar + rep.cham_lidar)
+                               + 0.1 * rep.kl, rtol=1e-15)
+
+
+def test_total_loss_exact_weighted_identity_random():
+    state, hsi, lidar = tiny_batch(8)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        w = losses.LossWeights(*rng.uniform(0, 1, size=3))
+        _, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1), w)
+        assert rep.total == weighted_terms(rep, w)
 
 
 def test_loss_gradients_fd():

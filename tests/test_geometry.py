@@ -171,5 +171,14 @@ def test_chamfer_batch_rejects_bad_shapes():
         geometry.chamfer_batch(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3, 1))))
     with pytest.raises(ValueError):
         geometry.chamfer_batch(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 3, 4))))
-    with pytest.raises(ValueError):
+
+
+def test_chamfer_validation():
+    with pytest.raises(ValueError, match="empty point set"):
+        geometry.chamfer_batch(ad.Tensor(np.ones((1, 0, 2))), ad.Tensor(np.ones((1, 3, 2))))
+    with pytest.raises(ValueError, match="empty point set"):
+        geometry.chamfer_batch(ad.Tensor(np.ones((1, 3, 2))), ad.Tensor(np.ones((1, 0, 2))))
+    with pytest.raises(ValueError, match="dimension mismatch"):
         geometry.chamfer_batch(ad.Tensor(np.ones((1, 2, 2))), ad.Tensor(np.ones((1, 3, 4))))
+    with pytest.raises(ValueError, match="expects"):
+        geometry.chamfer_batch(ad.Tensor(np.ones((1, 3))), ad.Tensor(np.ones((1, 3, 1))))
