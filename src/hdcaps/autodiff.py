@@ -10,9 +10,19 @@ closed-form backward. These are the capsule squash nonlinearity
 (``squash_groups``, finite at the zero vector), the dense layer
 (``linear``), attentive context normalization (``acn``) and the
 attention-weighted mean that aggregates capsules (``weighted_mean``).
+
+Two kinds of values never get a gradient. A leaf that :func:`as_tensor`
+makes from a non-Tensor (input data, rotations, targets, scalar weights)
+is a constant, and so is every op output whose inputs are all
+constants; backward computes nothing for them. Inside :func:`no_grad`
+every op output is a constant: it keeps no parents and no closure, so an
+inference pass builds no graph and its intermediates are freed by
+refcount as soon as they go out of scope.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -20,6 +30,7 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "backward",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -43,16 +54,47 @@ __all__ = [
 ]
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: every op output is a constant.
+
+    The mode is process-wide, and the mode from before the block is
+    restored on exit, also when the block raises.
+    """
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 class Tensor:
-    """A node in the computation graph."""
+    """A node in the computation graph.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    ``Tensor(data)`` is a trainable leaf. An op passes its inputs as
+    ``parents``; its output is a graph node if grad mode is on and some
+    input is not a constant, and a constant otherwise.
+    """
 
-    def __init__(self, data, parents=(), backward_fn=None):
+    __slots__ = ("data", "grad", "_parents", "_backward", "_const")
+
+    def __init__(self, data, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = parents
-        self._backward = backward_fn
+        self._backward = None
+        self._parents = ()
+        self._const = bool(parents)
+        if parents and _grad_enabled:
+            for p in parents:
+                if not p._const:
+                    self._parents = parents
+                    self._const = False
+                    break
 
     @property
     def shape(self):
@@ -98,10 +140,24 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """x itself if it is a Tensor, else x as a constant leaf."""
+    if isinstance(x, Tensor):
+        return x
+    const = Tensor(x)
+    const._const = True
+    return const
+
+
+def _attach(out: Tensor, bw) -> Tensor:
+    """Give an op's output its backward closure if it is a graph node."""
+    if out._parents:
+        out._backward = bw
+    return out
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    if t._const:
+        return
     # grads are never mutated in place, so sharing memory with a view is fine
     if t.grad is None:
         t.grad = g
@@ -161,8 +217,7 @@ def add(a, b) -> Tensor:
         _accum(a, _unbroadcast(out.grad, a.data.shape))
         _accum(b, _unbroadcast(out.grad, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def sub(a, b) -> Tensor:
@@ -173,8 +228,7 @@ def sub(a, b) -> Tensor:
         _accum(a, _unbroadcast(out.grad, a.data.shape))
         _accum(b, _unbroadcast(-out.grad, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def mul(a, b) -> Tensor:
@@ -182,11 +236,12 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
     def bw():
-        _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+        if not a._const:
+            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+        if not b._const:
+            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def div(a, b) -> Tensor:
@@ -197,8 +252,7 @@ def div(a, b) -> Tensor:
         _accum(a, _unbroadcast(out.grad / b.data, a.data.shape))
         _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -209,11 +263,12 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data, (a, b))
 
     def bw():
-        _accum(a, _unbroadcast(out.grad @ b.data.swapaxes(-1, -2), a.data.shape))
-        _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ out.grad, b.data.shape))
+        if not a._const:
+            _accum(a, _unbroadcast(out.grad @ b.data.swapaxes(-1, -2), a.data.shape))
+        if not b._const:
+            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ out.grad, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -242,13 +297,14 @@ def linear(x, w, b=None) -> Tensor:
         g = out.grad
         d_in, d_out = w.data.shape
         g2 = g.reshape(-1, d_out)
-        _accum(w, x.data.reshape(-1, d_in).T @ g2)
-        if b is not None:
+        if not w._const:
+            _accum(w, x.data.reshape(-1, d_in).T @ g2)
+        if b is not None and not b._const:
             _accum(b, np.ones(g2.shape[0]) @ g2)
-        _accum(x, g * w.data[:, 0] if d_out == 1 else g @ w.data.T)
+        if not x._const:
+            _accum(x, g * w.data[:, 0] if d_out == 1 else g @ w.data.T)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def relu(a) -> Tensor:
@@ -258,8 +314,7 @@ def relu(a) -> Tensor:
     def bw():
         _accum(a, out.grad * (a.data > 0.0))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def exp(a) -> Tensor:
@@ -269,8 +324,7 @@ def exp(a) -> Tensor:
     def bw():
         _accum(a, out.grad * out.data)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def log(a) -> Tensor:
@@ -280,8 +334,7 @@ def log(a) -> Tensor:
     def bw():
         _accum(a, out.grad / a.data)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def sqrt(a) -> Tensor:
@@ -291,8 +344,7 @@ def sqrt(a) -> Tensor:
     def bw():
         _accum(a, out.grad * 0.5 / out.data)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -306,8 +358,7 @@ def softmax(a, axis: int = -1) -> Tensor:
         g = out.grad
         _accum(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -320,8 +371,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -342,8 +392,7 @@ def reshape(a, shape) -> Tensor:
     def bw():
         _accum(a, out.grad.reshape(a.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
@@ -353,8 +402,7 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     def bw():
         _accum(a, out.grad.swapaxes(ax1, ax2))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -367,8 +415,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
         for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
             _accum(t, g)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def clip_min(a, lo: float) -> Tensor:
@@ -379,8 +426,7 @@ def clip_min(a, lo: float) -> Tensor:
     def bw():
         _accum(a, out.grad * (a.data > lo))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def squash_groups(a, eps: float = 1e-8) -> Tensor:
@@ -406,8 +452,7 @@ def squash_groups(a, eps: float = 1e-8) -> Tensor:
         inner = np.sum(out.grad * a.data, axis=-1, keepdims=True)
         _accum(a, out.grad * s + 2.0 * a.data * ds * inner)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def acn(h, w, eps: float) -> Tensor:
@@ -451,8 +496,7 @@ def acn(h, w, eps: float) -> Tensor:
         dh *= -r
         _accum(h, dh)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def weighted_mean(attn, values, eps: float) -> Tensor:
@@ -473,5 +517,4 @@ def weighted_mean(attn, values, eps: float) -> Tensor:
         _accum(attn, values.data @ gs.swapaxes(-1, -2)
                - np.einsum("...kd,...kd->...k", gs, out.data)[..., None, :])
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)

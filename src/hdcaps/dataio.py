@@ -28,7 +28,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError
 
@@ -223,10 +222,14 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     if n == 0:
         raise ValueError("scene has no labeled pixels")
 
-    band_mean = hsi[mask].mean(axis=0)
-    band_std = hsi[mask].std(axis=0)
+    labeled = hsi[mask]
+    band_mean = labeled.mean(axis=0)
+    band_std = labeled.std(axis=0)
     band_std = np.where(band_std < _STD_FLOOR, 1.0, band_std)
-    hsi_n = (hsi - band_mean) / band_std
+    # standardize in float64, then cast the scene once: the cast is
+    # elementwise, so gathering float32 patches from it gives the same
+    # values as casting float64 patches, without a b*b-fold float64 copy
+    hsi_n = ((hsi - band_mean) / band_std).astype(np.float32)
     el_std = elevation.std()
     el_n = (elevation - elevation.mean()) / (el_std if el_std >= _STD_FLOOR else 1.0)
 
@@ -238,12 +241,13 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
         el_n = np.pad(el_n, r, mode="reflect")
     rows, cols = np.nonzero(mask)
 
-    win_h = sliding_window_view(hsi_n, (b, b), axis=(0, 1))
-    patches = win_h[rows, cols]  # (N, C, b, b)
-    patches = np.transpose(patches, (0, 2, 3, 1)).astype(np.float32)
-
-    win_e = sliding_window_view(el_n, (b, b))
-    heights = win_e[rows, cols].reshape(n, b * b)
+    # pixel (row, col) of the scene is pixel (row + r, col + r) of the
+    # padded one, so its patch spans padded rows row .. row + b - 1
+    offsets = np.arange(b)
+    win_rows = (rows[:, None] + offsets)[:, :, None]  # (N, b, 1)
+    win_cols = (cols[:, None] + offsets)[:, None, :]  # (N, 1, b)
+    patches = hsi_n[win_rows, win_cols]  # (N, b, b, C) float32
+    heights = el_n[win_rows, win_cols].reshape(n, b * b)
 
     axis = _grid_axis(b)
     gy, gx = np.meshgrid(axis, axis, indexing="ij")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .autodiff import Tensor, _accum, tmean
+from .autodiff import Tensor, _accum, _attach, tmean
 
 __all__ = ["sample_rotations", "chamfer_batch"]
 
@@ -52,9 +52,9 @@ def chamfer_batch(p: Tensor, q: Tensor) -> Tensor:
     out = Tensor(vals, (p, q))
 
     def bw():
-        gp, gq = kernels.chamfer_backward(p.data, q.data, nn_pq, nn_qp, out.grad)
+        gp, gq = kernels.chamfer_backward(p.data, q.data, nn_pq, nn_qp, out.grad,
+                                          need_p=not p._const, need_q=not q._const)
         _accum(p, gp)
         _accum(q, gq)
 
-    out._backward = bw
-    return tmean(out)
+    return tmean(_attach(out, bw))

@@ -56,8 +56,12 @@ def chamfer_forward(p: np.ndarray, q: np.ndarray):
     return vals, nn_pq, nn_qp
 
 
-def chamfer_backward(p, q, nn_pq, nn_qp, gout):
-    """Gradient of chamfer_forward values w.r.t. both point sets."""
+def chamfer_backward(p, q, nn_pq, nn_qp, gout, need_p=True, need_q=True):
+    """Gradient of chamfer_forward values w.r.t. both point sets.
+
+    Returns (gp, gq); a side whose need_* flag is False is returned as
+    None and costs no one-hot scatter.
+    """
     p = np.ascontiguousarray(p, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
     gout = np.ascontiguousarray(gout, dtype=np.float64)
@@ -70,11 +74,14 @@ def chamfer_backward(p, q, nn_pq, nn_qp, gout):
     diff_qp = p[rows, nn_qp]
     np.subtract(q, diff_qp, out=diff_qp)
     diff_qp *= (gout * (2.0 / m))[:, None, None]
-    # to_q[b, j, i] = 1 where q[b, j] is the neighbour of p[b, i]
-    to_q = (np.arange(m)[:, None] == nn_pq[:, None, :]).astype(np.float64)
-    to_p = (np.arange(n)[:, None] == nn_qp[:, None, :]).astype(np.float64)
-    gp = to_p @ diff_qp
-    np.subtract(diff_pq, gp, out=gp)
-    gq = to_q @ diff_pq
-    np.subtract(diff_qp, gq, out=gq)
+    gp = gq = None
+    if need_p:
+        # to_p[b, i, j] = 1 where p[b, i] is the neighbour of q[b, j]
+        to_p = (np.arange(n)[:, None] == nn_qp[:, None, :]).astype(np.float64)
+        gp = to_p @ diff_qp
+        np.subtract(diff_pq, gp, out=gp)
+    if need_q:
+        to_q = (np.arange(m)[:, None] == nn_pq[:, None, :]).astype(np.float64)
+        gq = to_q @ diff_pq
+        np.subtract(diff_qp, gq, out=gq)
     return gp, gq

@@ -12,6 +12,11 @@ One forward pass encodes each branch twice, raw and under a freshly
 sampled random rotation, and scores equivariance of the poses,
 invariance of the descriptors, chamfer reconstruction, and cross-branch
 attention agreement.
+
+The extract path (``decompose_batch`` inside ``fused_features``) encodes
+each branch once, under ``autodiff.no_grad``, and stops at the feature
+maps: the fused features read only those, so it builds no graph and
+runs no capsule aggregation.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, matmul
+from .autodiff import Tensor, as_tensor, matmul, no_grad
 from .capsule_block import extract_preliminary_batch, init_capsule_block
 from .config import TrainConfig
 from .decoder import decode, init_decoder
@@ -39,7 +44,6 @@ from .losses import (
 
 __all__ = [
     "ModelState",
-    "CapsuleDecomposition",
     "init_model",
     "parameters",
     "forward_batch",
@@ -63,20 +67,6 @@ class ModelState:
     enc_lidar: dict
     dec_hsi: dict
     dec_lidar: dict
-
-
-@dataclass
-class CapsuleDecomposition:
-    """Per-branch encoder outputs and capsule summaries for a batch."""
-
-    attn_hsi: np.ndarray
-    feats_hsi: np.ndarray
-    poses_hsi: np.ndarray
-    desc_hsi: np.ndarray
-    attn_lidar: np.ndarray
-    feats_lidar: np.ndarray
-    poses_lidar: np.ndarray
-    desc_lidar: np.ndarray
 
 
 def init_model(cfg: TrainConfig, c_spec: int, rng: np.random.Generator) -> ModelState:
@@ -187,20 +177,15 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
 
 
 def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
-                    lidar_points: np.ndarray) -> CapsuleDecomposition:
-    """Inference pass: encoder outputs and capsule summaries as arrays."""
-    pts_h = _branch_points_hsi(state, hsi_patches)
-    pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float64))
-    attn_h, feats_h = encode_batch(state.enc_hsi, pts_h)
-    attn_l, feats_l = encode_batch(state.enc_lidar, pts_l)
-    poses_h, desc_h = aggregate(attn_h, feats_h, pts_h)
-    poses_l, desc_l = aggregate(attn_l, feats_l, pts_l)
-    return CapsuleDecomposition(
-        attn_hsi=attn_h.data, feats_hsi=feats_h.data,
-        poses_hsi=poses_h.data, desc_hsi=desc_h.data,
-        attn_lidar=attn_l.data, feats_lidar=feats_l.data,
-        poses_lidar=poses_l.data, desc_lidar=desc_l.data,
-    )
+                    lidar_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inference pass: the (B, X, C) encoder feature maps of the spectral
+    and the elevation branch, computed without building a graph."""
+    with no_grad():
+        pts_h = _branch_points_hsi(state, hsi_patches)
+        pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float64))
+        _, feats_h = encode_batch(state.enc_hsi, pts_h)
+        _, feats_l = encode_batch(state.enc_lidar, pts_l)
+    return feats_h.data, feats_l.data
 
 
 def fused_features(state: ModelState, hsi_patches: np.ndarray,
@@ -209,17 +194,25 @@ def fused_features(state: ModelState, hsi_patches: np.ndarray,
 
     For each branch the center-pixel feature row and the mean feature row
     are taken from the encoder's feature map; the four pieces are
-    concatenated spectral-first.
+    concatenated spectral-first. Patches are encoded `batch` at a time.
     """
     from .evaluation import fuse_features
 
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     n = hsi_patches.shape[0]
+    if lidar_points.shape[0] != n:
+        raise ValueError(
+            f"hsi_patches has {n} patches but lidar_points has "
+            f"{lidar_points.shape[0]}"
+        )
     center = lidar_points.shape[1] // 2
     out = np.empty((n, 4 * state.config.C), dtype=np.float64)
     for start in range(0, n, batch):
         stop = min(start + batch, n)
-        dec = decompose_batch(state, hsi_patches[start:stop], lidar_points[start:stop])
-        out[start:stop] = fuse_features(dec.feats_hsi, dec.feats_lidar, center)
+        feats_h, feats_l = decompose_batch(
+            state, hsi_patches[start:stop], lidar_points[start:stop])
+        out[start:stop] = fuse_features(feats_h, feats_l, center)
     return out
 
 

@@ -1,9 +1,12 @@
 """Finite-difference and identity checks for the reverse-mode core."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from hdcaps import autodiff as ad
+from hdcaps import geometry
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -199,6 +202,114 @@ def test_backward_leaves_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+# ------------------------------------------------------- no_grad, constants
+
+def test_no_grad_ops_build_no_graph():
+    rng = np.random.default_rng(30)
+    x = ad.Tensor(rng.normal(size=(2, 5, 4)))
+    w = ad.Tensor(rng.normal(size=(4, 3)))
+    with ad.no_grad():
+        h = ad.linear(x, w, ad.Tensor(np.zeros(3)))
+        weights = ad.reshape(ad.exp(ad.tsum(h, axis=-1)), (2, 5, 1))
+        outs = [h, weights, ad.relu(h), ad.softmax(h, axis=-2), h * x.data[..., :3],
+                h + 1.0, h - h, h / 2.0, ad.sqrt(ad.clip_min(h, 0.1)), ad.log(weights),
+                ad.squash_groups(h), ad.acn(h, weights, 1e-5),
+                ad.weighted_mean(ad.softmax(h, axis=-1), x, 1e-8), ad.matmul(x, w),
+                ad.tmean(h), ad.concat([h, h], axis=-1), ad.swapaxes(h, -1, -2)]
+    for out in outs:
+        assert out._parents == () and out._backward is None
+    # the same op outside the block is a graph node again
+    y = ad.linear(x, w)
+    assert y._parents == (x, w) and y._backward is not None
+
+
+def test_no_grad_restores_graph_mode_after_nesting_and_errors():
+    x = ad.Tensor(np.ones(3))
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad.mul(x, 2.0)._backward is None
+        assert ad.mul(x, 2.0)._backward is None
+    assert ad.mul(x, 2.0)._backward is not None
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    out = ad.tsum(ad.mul(x, 2.0))
+    assert out._backward is not None
+    ad.backward(out)
+    np.testing.assert_array_equal(x.grad, 2.0)
+
+
+def test_no_grad_frees_intermediates_by_refcount():
+    # a graph that never runs backward is a cycle (each closure holds its
+    # own output); under no_grad there is no closure, so refcount frees it
+    import gc
+    import weakref
+
+    def intermediate_survives(grad_mode):
+        x = ad.Tensor(np.ones(4))
+        with contextlib.nullcontext() if grad_mode else ad.no_grad():
+            y = ad.relu(x * 2.0)
+            alive = weakref.ref(y.data)
+            loss = ad.tsum(y)
+        del y, loss
+        return alive() is not None
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert intermediate_survives(grad_mode=True)
+        assert not intermediate_survives(grad_mode=False)
+    finally:
+        gc.collect()
+        if enabled:
+            gc.enable()
+
+
+def test_constants_get_no_gradient(monkeypatch):
+    rng = np.random.default_rng(31)
+    data = rng.normal(size=(2, 5, 4))
+    rot = rng.normal(size=(3, 3))
+    target = rng.normal(size=(2, 6, 3))
+    shift = rng.normal(size=3)
+    w = ad.Tensor(rng.normal(size=(4, 3)))
+    b = ad.Tensor(rng.normal(size=3))
+    x = ad.as_tensor(data)
+    assert x._const and not w._const
+    # an op whose inputs are all constants is a constant itself
+    flat = ad.reshape(x, (10, 4))
+    assert flat._const and flat._parents == () and flat._backward is None
+
+    def loss(x_leaf, w, b, rot_leaf, target_leaf, shift_leaf):
+        h = ad.matmul(ad.linear(x_leaf, w, b), rot_leaf) + shift_leaf
+        return ad.mul(geometry.chamfer_batch(target_leaf, h), 0.5)
+
+    arrays = (data, rot, target, shift)
+    consts = [ad.as_tensor(a) for a in arrays]
+    out = loss(consts[0], w, b, *consts[1:])
+    # linear, matmul, mul and chamfer compute no gradient for a constant;
+    # add hands its constant operand one, which _accum drops
+    computed_for = []
+
+    def recording_accum(t, g, real=ad._accum):
+        if g is not None:
+            computed_for.append(t)
+        real(t, g)
+
+    for module in (ad, geometry):
+        monkeypatch.setattr(module, "_accum", recording_accum)
+    ad.backward(out)
+    assert [t for t in computed_for if t._const] == [consts[3]]
+    assert all(c.grad is None for c in consts)
+    monkeypatch.undo()
+    # the parameter gradients equal those with the data as trainable leaves
+    leaves = [ad.Tensor(a) for a in arrays]
+    w2, b2 = ad.Tensor(w.data.copy()), ad.Tensor(b.data.copy())
+    ad.backward(loss(leaves[0], w2, b2, *leaves[1:]))
+    assert all(t.grad is not None for t in leaves)
+    np.testing.assert_array_equal(w.grad, w2.grad)
+    np.testing.assert_array_equal(b.grad, b2.grad)
 
 
 # ------------------------------------------------------------ fused ops

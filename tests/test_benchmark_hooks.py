@@ -4,7 +4,7 @@ perfbench's layer tracer and its timed pieces replace functions by module
 attribute (for example ``hdcaps.model.encode_batch``). If a layer stops
 being looked up that way, its time silently moves into the untimed rest
 of the step, so these tests pin both the names and the call counts of one
-``forward_batch``.
+``forward_batch`` and of one ``fused_features``.
 """
 
 import importlib
@@ -32,6 +32,16 @@ FORWARD_CALLS = {
     "reconstruction_loss": 2,
 }
 
+# calls in one fused_features over 3 batches: one graph-free decompose
+# per batch, which lifts the spectra once and encodes each branch once
+# and aggregates nothing
+EXTRACT_CALLS = {
+    "decompose_batch": 3,
+    "extract_preliminary_batch": 3,
+    "encode_batch": 6,
+    "aggregate": 0,
+}
+
 
 def test_layertrace_targets_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -43,7 +53,8 @@ def test_layertrace_targets_resolve(monkeypatch):
     assert {attr for mod, attr, _ in TARGETS if mod == "hdcaps.model"} >= set(FORWARD_CALLS)
 
 
-def test_forward_batch_calls_layers_through_model(monkeypatch):
+def count_model_calls(monkeypatch, names):
+    """Wrap each named hdcaps.model attribute; returns the call Counter."""
     calls = Counter()
 
     def counting(name, fn):
@@ -52,8 +63,13 @@ def test_forward_batch_calls_layers_through_model(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in FORWARD_CALLS:
+    for name in names:
         monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
+    return calls
+
+
+def test_forward_batch_calls_layers_through_model(monkeypatch):
+    calls = count_model_calls(monkeypatch, FORWARD_CALLS)
     cfg = TrainConfig(K=2, C=3, b=3, H=8, n_blocks=1, m=2, G=2, d_cap=2, batch=2)
     rng = np.random.default_rng(0)
     state = model.init_model(cfg, 4, rng)
@@ -61,3 +77,15 @@ def test_forward_batch_calls_layers_through_model(monkeypatch):
     lidar = rng.standard_normal((2, 9, 3))
     model.forward_batch(state, hsi, lidar, rng)
     assert dict(calls) == FORWARD_CALLS
+
+
+def test_fused_features_calls_layers_through_model(monkeypatch):
+    calls = count_model_calls(monkeypatch, EXTRACT_CALLS)
+    cfg = TrainConfig(K=2, C=3, b=3, H=8, n_blocks=1, m=2, G=2, d_cap=2, batch=2)
+    rng = np.random.default_rng(1)
+    state = model.init_model(cfg, 4, rng)
+    hsi = rng.standard_normal((5, 3, 3, 4))
+    lidar = rng.standard_normal((5, 9, 3))
+    feats = model.fused_features(state, hsi, lidar, batch=2)
+    assert feats.shape == (5, 4 * cfg.C)
+    assert {name: calls[name] for name in EXTRACT_CALLS} == EXTRACT_CALLS

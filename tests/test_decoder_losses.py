@@ -216,7 +216,7 @@ def test_loss_gradients_fd():
     arrs = [poses, rposes, attn_a, attn_b]
 
     def run():
-        tensors = [ad.as_tensor(x) for x in arrs]
+        tensors = [ad.Tensor(x) for x in arrs]
         p, rp, aa, ab = tensors
         out = losses.loss_equivariance(rot, p, rp) + losses.loss_kl(aa, ab)
         return out, tensors

@@ -59,6 +59,19 @@ def test_backward_matches_oracle():
         np.testing.assert_allclose(gq, ref_gq, rtol=1e-12, atol=1e-13)
 
 
+def test_backward_skips_unneeded_side():
+    rng = np.random.default_rng(2)
+    p, q = random_pair(rng, bsz=3)
+    gout = rng.normal(size=3)
+    _, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
+    gp, gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout)
+    only_q = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout, need_p=False)
+    only_p = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout, need_q=False)
+    assert only_q[0] is None and only_p[1] is None
+    np.testing.assert_array_equal(only_q[1], gq)
+    np.testing.assert_array_equal(only_p[0], gp)
+
+
 def test_tie_break_lowest_index():
     # two equally-near neighbors: index 0 wins
     p = np.array([[[0.0, 0.0]]])

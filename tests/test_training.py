@@ -9,11 +9,15 @@ import pytest
 
 from hdcaps import autodiff as ad
 from hdcaps import training
+from hdcaps.capsule_block import extract_preliminary_batch
 from hdcaps.config import TrainConfig
+from hdcaps.encoder import encode_batch
 from hdcaps.errors import DivergenceError
 from hdcaps.losses import LossReport, LossWeights
 from hdcaps.model import (
+    decompose_batch,
     forward_batch,
+    fused_features,
     init_model,
     load_checkpoint,
     parameters,
@@ -127,6 +131,45 @@ def test_forward_graph_size_guard():
     total, _ = forward_batch(state, hsi, lidar, np.random.default_rng(14))
     nodes = sum(1 for node in ad._topo(total) if node._backward is not None)
     assert nodes <= 160
+
+
+def test_decompose_batch_leaves_no_cyclic_garbage():
+    import gc
+
+    state = tiny_state(seed=15)
+    hsi, lidar = tiny_data(16)
+    gc.collect()
+    feats = decompose_batch(state, hsi, lidar)
+    del feats
+    assert gc.collect() == 0
+
+
+def test_decompose_batch_equals_graph_mode_encoder():
+    state = tiny_state(seed=17, n_blocks=2)
+    hsi, lidar = tiny_data(18, n=5)
+    feats_h, feats_l = decompose_batch(state, hsi, lidar)
+    cfg = state.config
+    pts_h = extract_preliminary_batch(state.caps, hsi, cfg.G, cfg.d_cap)
+    _, want_h = encode_batch(state.enc_hsi, pts_h)
+    _, want_l = encode_batch(state.enc_lidar, ad.Tensor(lidar))
+    assert want_h._backward is not None
+    np.testing.assert_array_equal(feats_h, want_h.data)
+    np.testing.assert_array_equal(feats_l, want_l.data)
+
+
+@pytest.mark.parametrize("batch", [0, -3])
+def test_fused_features_rejects_nonpositive_batch(batch):
+    state = tiny_state(seed=19)
+    hsi, lidar = tiny_data(20)
+    with pytest.raises(ValueError, match="batch"):
+        fused_features(state, hsi, lidar, batch=batch)
+
+
+def test_fused_features_rejects_mismatched_lengths():
+    state = tiny_state(seed=21)
+    hsi, lidar = tiny_data(22, n=4)
+    with pytest.raises(ValueError, match=r"4 patches.*3"):
+        fused_features(state, hsi, lidar[:3])
 
 
 def test_batch_of_one_step_equals_single_pair_step():
