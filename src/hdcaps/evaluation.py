@@ -2,9 +2,10 @@
 unsupervised baselines and agreement metrics.
 
 The classifier is a one-vs-rest linear model trained on the hinge loss
-with L2 regularization (Pegasos-style per-sample subgradient steps with
-the 1/(lambda*t) schedule and norm projection, shuffled passes drawn
-from a seeded generator). Features are z-scored with moments from the
+with L2 regularization: Pegasos-style per-sample subgradient steps with
+the 1/(lambda*t) schedule and a per-class norm projection. All classes
+advance as one (K, D+1) iterate and so share one shuffled sample order,
+drawn from a seeded generator. Features are z-scored with moments from the
 training split. Baselines are PCA and Laplacian eigenmaps applied to
 the per-pixel original data; both are fit transductively on the full
 feature matrix, the split happens afterwards.
@@ -42,24 +43,22 @@ def fuse_features(feats_hsi: np.ndarray, feats_lidar: np.ndarray,
                   center: int) -> np.ndarray:
     """Concatenate center-pixel and mean feature rows of both branches.
 
-    feats_*: (X, C) for one patch or (N, X, C) for a batch; center is the
-    row index of the patch's center pixel. Output is (4 * C,) or
-    (N, 4 * C), ordered [spectral center, spectral mean, lidar center,
-    lidar mean].
+    feats_*: (N, X, C) feature maps of a batch; center is the row index of
+    the patch's center pixel. Output is (N, 4 * C), ordered [spectral
+    center, spectral mean, lidar center, lidar mean].
     """
     fh = np.asarray(feats_hsi, dtype=np.float64)
     fl = np.asarray(feats_lidar, dtype=np.float64)
+    if fh.ndim != 3 or fl.ndim != 3:
+        raise ValueError(
+            f"expected (N, X, C) feature maps, got {fh.shape} and {fl.shape}")
     if fh.shape[:-1] != fl.shape[:-1]:
         raise ValueError("branch feature maps must cover the same points")
-    single = fh.ndim == 2
-    if single:
-        fh, fl = fh[None], fl[None]
     if not 0 <= center < fh.shape[1]:
         raise ValueError("center index out of range")
-    fused = np.concatenate(
+    return np.concatenate(
         [fh[:, center], fh.mean(axis=1), fl[:, center], fl.mean(axis=1)], axis=1
     )
-    return fused[0] if single else fused
 
 
 def raw_patch_features(patchset) -> np.ndarray:
@@ -91,15 +90,21 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray,
                      seed: int = 0) -> LinearClassifier:
     """One-vs-rest hinge-loss linear classifier.
 
-    Per-sample subgradient steps over `epochs` shuffled passes with step
-    size 1/(lam * t), t the global step counter, plus projection onto
-    the ball of radius 1/sqrt(lam). The returned weights are the average
-    over all iterates; the last iterate still swings with the final few
-    samples at this step schedule, the average settles. The bias is a
-    weight on a constant feature, so it shares the decay and projection;
-    that keeps its scale commensurate with the scores. Deterministic
-    given (features, labels, seed).
+    All K classes advance together as one (K, D + 1) iterate over the
+    same `epochs` shuffled passes, drawn from one generator. Each sample
+    takes a subgradient step of size 1/(lam * t), t the global step
+    counter, in every row whose margin it violates; then each row is
+    projected onto the ball of radius 1/sqrt(lam). The returned weights
+    are the average over all iterates; the last iterate still swings with
+    the final few samples at this step schedule, the average settles. The
+    bias is a weight on a constant feature, so it shares the decay and
+    projection; that keeps its scale commensurate with the scores.
+    Deterministic given (features, labels, seed).
     """
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels)
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
@@ -115,31 +120,24 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray,
         raise ValueError("need at least two classes to train a classifier")
     n, d = x.shape
     x = np.concatenate([x, np.ones((n, 1))], axis=1)
+    y = np.where(labels[:, None] == classes, 1.0, -1.0)  # (n, K)
     radius = 1.0 / np.sqrt(lam)
-    w = np.zeros((classes.shape[0], d))
-    b = np.zeros(classes.shape[0])
-    for k, cls in enumerate(classes):
-        y = np.where(labels == cls, 1.0, -1.0)
-        rng = np.random.default_rng(seed)
-        wk = np.zeros(d + 1)
-        avg = np.zeros(d + 1)
-        t = 1
-        for _ in range(epochs):
-            for i in rng.permutation(n):
-                step = 1.0 / (lam * t)
-                violated = y[i] * (x[i] @ wk) < 1.0
-                wk *= 1.0 - 1.0 / t
-                if violated:
-                    wk += step * y[i] * x[i]
-                norm = np.linalg.norm(wk)
-                if norm > radius:
-                    wk *= radius / norm
-                avg += wk
-                t += 1
-        avg /= t - 1
-        w[k] = avg[:d]
-        b[k] = avg[d]
-    return LinearClassifier(classes=classes, w=w, b=b, mean=mean, std=std)
+    rng = np.random.default_rng(seed)
+    w = np.zeros((classes.shape[0], d + 1))
+    avg = np.zeros_like(w)
+    t = 1
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            violated = y[i] * (w @ x[i]) < 1.0
+            w *= 1.0 - 1.0 / t
+            w += np.outer(violated * y[i] / (lam * t), x[i])
+            norms = np.linalg.norm(w, axis=1)
+            w *= (radius / np.maximum(norms, radius))[:, None]
+            avg += w
+            t += 1
+    avg /= t - 1
+    return LinearClassifier(classes=classes, w=avg[:, :d], b=avg[:, d],
+                            mean=mean, std=std)
 
 
 def predict(model: LinearClassifier, feats: np.ndarray) -> np.ndarray:

@@ -12,34 +12,35 @@ from hdcaps import dataio, evaluation
 # ---------------------------------------------------------------- fusion
 
 def test_fuse_zero_maps_gives_zero_vector():
-    fh = np.zeros((5, 3))
-    fl = np.zeros((5, 3))
+    fh = np.zeros((1, 5, 3))
+    fl = np.zeros((1, 5, 3))
     out = evaluation.fuse_features(fh, fl, center=2)
-    assert out.shape == (12,)
-    np.testing.assert_array_equal(out, np.zeros(12))
+    assert out.shape == (1, 12)
+    np.testing.assert_array_equal(out, np.zeros((1, 12)))
 
 
 def test_fuse_center_and_mean_ordering():
     # center row 1, means chosen by hand: [1, 2, 10, 15]
-    fh = np.array([[3.0], [1.0], [2.0]])
-    fl = np.array([[20.0], [10.0], [15.0]])
+    fh = np.array([[[3.0], [1.0], [2.0]]])
+    fl = np.array([[[20.0], [10.0], [15.0]]])
     out = evaluation.fuse_features(fh, fl, center=1)
-    np.testing.assert_allclose(out, [1.0, 2.0, 10.0, 15.0])
+    np.testing.assert_allclose(out, [[1.0, 2.0, 10.0, 15.0]])
 
 
 def test_fuse_invariant_to_non_center_row_order():
     rng = np.random.default_rng(0)
-    fh = rng.normal(size=(3, 4))
-    fl = rng.normal(size=(3, 2))
+    fh = rng.normal(size=(1, 3, 4))
+    fl = rng.normal(size=(1, 3, 2))
     base = evaluation.fuse_features(fh, fl, center=1)
     perm = [2, 1, 0]  # swap the two non-center rows
-    out = evaluation.fuse_features(fh[perm], fl[perm], center=1)
+    out = evaluation.fuse_features(fh[:, perm], fl[:, perm], center=1)
     np.testing.assert_allclose(out, base, atol=1e-12)
 
 
 def test_fuse_branches_may_differ_in_width():
-    out = evaluation.fuse_features(np.ones((4, 2)), np.ones((4, 3)), center=0)
-    assert out.shape == (2 * 2 + 2 * 3,)
+    out = evaluation.fuse_features(np.ones((1, 4, 2)), np.ones((1, 4, 3)),
+                                   center=0)
+    assert out.shape == (1, 2 * 2 + 2 * 3)
 
 
 def test_fuse_batch_matches_per_instance():
@@ -50,16 +51,28 @@ def test_fuse_batch_matches_per_instance():
     assert batch.shape == (6, 10)
     for i in range(6):
         np.testing.assert_array_equal(
-            batch[i], evaluation.fuse_features(fh[i], fl[i], center=2))
+            batch[i:i + 1],
+            evaluation.fuse_features(fh[i:i + 1], fl[i:i + 1], center=2))
 
 
 def test_fuse_rejects_mismatched_points_and_bad_center():
     with pytest.raises(ValueError):
-        evaluation.fuse_features(np.ones((4, 2)), np.ones((5, 2)), center=0)
+        evaluation.fuse_features(np.ones((1, 4, 2)), np.ones((1, 5, 2)),
+                                 center=0)
     with pytest.raises(ValueError):
-        evaluation.fuse_features(np.ones((4, 2)), np.ones((4, 2)), center=4)
+        evaluation.fuse_features(np.ones((1, 4, 2)), np.ones((1, 4, 2)),
+                                 center=4)
     with pytest.raises(ValueError):
-        evaluation.fuse_features(np.ones((4, 2)), np.ones((4, 2)), center=-1)
+        evaluation.fuse_features(np.ones((1, 4, 2)), np.ones((1, 4, 2)),
+                                 center=-1)
+
+
+@pytest.mark.parametrize("shape_h,shape_l", [((4, 2), (4, 2)),
+                                             ((1, 4, 2), (4, 2)),
+                                             ((2, 1, 4, 2), (2, 1, 4, 2))])
+def test_fuse_rejects_input_that_is_not_a_batch(shape_h, shape_l):
+    with pytest.raises(ValueError, match=r"\(N, X, C\)"):
+        evaluation.fuse_features(np.ones(shape_h), np.ones(shape_l), center=0)
 
 
 def test_raw_patch_features_center_spectrum_and_height(tmp_path):
@@ -132,6 +145,90 @@ def test_predict_score_tie_takes_lowest_class_id():
                                       w=np.zeros((2, 3)), b=np.zeros(2),
                                       mean=np.zeros(3), std=np.ones(3))
     assert evaluation.predict(clf, np.ones((1, 3)))[0] == 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"lam": 0.0}, {"lam": -1e-4}, {"lam": float("nan")},
+    {"lam": float("inf")}, {"epochs": 0}, {"epochs": -1},
+])
+def test_classifier_rejects_bad_settings(kwargs):
+    feats = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+    labels = np.array([1, 1, 2, 2])
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        evaluation.train_classifier(feats, labels, **kwargs)
+
+
+def _per_class_pegasos(feats, labels, lam, epochs, seed):
+    """Reference probe: one Pegasos run per class, each from a fresh
+    generator with the same seed, so every class sees the same sample
+    order. The shared (K, D + 1) iterate must match it."""
+    mean = feats.mean(axis=0)
+    std = feats.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    x = (feats - mean) / std
+    classes = np.unique(labels)
+    n, d = x.shape
+    x = np.concatenate([x, np.ones((n, 1))], axis=1)
+    radius = 1.0 / np.sqrt(lam)
+    w = np.zeros((classes.shape[0], d))
+    b = np.zeros(classes.shape[0])
+    for k, cls in enumerate(classes):
+        y = np.where(labels == cls, 1.0, -1.0)
+        rng = np.random.default_rng(seed)
+        wk = np.zeros(d + 1)
+        avg = np.zeros(d + 1)
+        t = 1
+        for _ in range(epochs):
+            for i in rng.permutation(n):
+                step = 1.0 / (lam * t)
+                violated = y[i] * (x[i] @ wk) < 1.0
+                wk *= 1.0 - 1.0 / t
+                if violated:
+                    wk += step * y[i] * x[i]
+                norm = np.linalg.norm(wk)
+                if norm > radius:
+                    wk *= radius / norm
+                avg += wk
+                t += 1
+        avg /= t - 1
+        w[k] = avg[:d]
+        b[k] = avg[d]
+    return evaluation.LinearClassifier(classes=classes, w=w, b=b,
+                                       mean=mean, std=std)
+
+
+def test_classifier_matches_per_class_oracle():
+    rng = np.random.default_rng(2024)
+    for case in range(32):
+        k = 2 if case % 4 == 0 else int(rng.integers(2, 9))
+        n = int(rng.integers(max(k, 12), 80))
+        d = int(rng.integers(1, 12))
+        centers = rng.normal(size=(k, d)) * 2.0
+        labels = np.concatenate([np.arange(k),
+                                 rng.integers(0, k, size=n - k)])
+        feats = centers[labels] + rng.normal(size=(n, d))
+        if case % 3 == 0:
+            feats[:, 0] = 3.5  # a constant column
+        if case % 5 == 0:
+            feats = np.vstack([feats, feats[: n // 2]])  # duplicated rows
+            labels = np.concatenate([labels, labels[: n // 2]])
+        lam = float(10.0 ** rng.uniform(-5, -1))
+        epochs = int(rng.integers(1, 6))
+        seed = int(rng.integers(0, 1000))
+        got = evaluation.train_classifier(feats, labels, lam=lam,
+                                          epochs=epochs, seed=seed)
+        want = _per_class_pegasos(feats, labels, lam, epochs, seed)
+        scale = max(np.abs(want.w).max(), np.abs(want.b).max())
+        np.testing.assert_array_equal(got.classes, want.classes)
+        assert np.abs(got.w - want.w).max() <= 1e-13 * scale, case
+        assert np.abs(got.b - want.b).max() <= 1e-13 * scale, case
+        held_out = centers[rng.integers(0, k, size=200)] \
+            + rng.normal(size=(200, d)) * 1.5
+        np.testing.assert_array_equal(evaluation.predict(got, held_out),
+                                      evaluation.predict(want, held_out))
+        np.testing.assert_array_equal(evaluation.predict(got, feats),
+                                      evaluation.predict(want, feats))
 
 
 def test_classifier_tolerates_constant_feature_column():

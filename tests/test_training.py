@@ -262,9 +262,24 @@ def test_grad_check_five_seeds_tiny_config():
         assert all(r["rel_err"] <= max_rel for r in records)
 
 
-def test_grad_check_detects_corruption():
-    max_rel, _ = training.grad_check(seed=0, n_samples=4,
-                                     corrupt=("enc_hsi.lift_w", 0))
+def test_grad_check_detects_corruption(monkeypatch):
+    # inflate one parameter's analytic gradient after the real backward
+    # pass; the checker must report it
+    params = {}
+    real_parameters, real_backward = training.parameters, training.backward
+
+    def capture(state):
+        params.update(real_parameters(state))
+        return params
+
+    def inflated_backward(total):
+        real_backward(total)
+        tensor = params["enc_hsi.lift_w"]
+        tensor.grad = tensor.grad * 2.0 + 1.0
+
+    monkeypatch.setattr(training, "parameters", capture)
+    monkeypatch.setattr(training, "backward", inflated_backward)
+    max_rel, _ = training.grad_check(seed=0, n_samples=4)
     assert max_rel > 1e-2
 
 
