@@ -151,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _metric_line(prefix: str, result: dict) -> str:
-    return (f"{prefix}oa={result['oa']:.6f} aa={result['aa']:.6f} "
-            f"kappa={result['kappa']:.6f}")
-
-
 def _write_report(path: str, result: dict) -> None:
     payload = {
         "oa": result["oa"],
@@ -170,6 +165,21 @@ def _write_report(path: str, result: dict) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
+
+
+def _score(args, feats: np.ndarray, labels: np.ndarray, prefix: str) -> int:
+    """Split, probe, write the optional report and print the metric line."""
+    from . import dataio, evaluation
+
+    rng = np.random.default_rng(args.seed)
+    train_idx, test_idx = dataio.stratified_split(labels, args.train_frac, rng)
+    result = evaluation.evaluate_split(feats, labels, train_idx, test_idx,
+                                       seed=args.seed)
+    if args.report:
+        _write_report(args.report, result)
+    print(f"{prefix}oa={result['oa']:.6f} aa={result['aa']:.6f} "
+          f"kappa={result['kappa']:.6f}")
+    return 0
 
 
 def _cmd_gen_synth(args) -> int:
@@ -234,7 +244,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from . import dataio, evaluation
+    from . import dataio
 
     rows, cols, labels, feats = dataio.read_features(args.features)
     if args.labels:
@@ -242,14 +252,7 @@ def _cmd_eval(args) -> int:
         if raster.ndim != 2:
             raise ValueError("label raster must be a 2-D tensor")
         labels = raster[rows, cols].astype(np.int32)
-    rng = np.random.default_rng(args.seed)
-    train_idx, test_idx = dataio.stratified_split(labels, args.train_frac, rng)
-    result = evaluation.evaluate_split(feats.astype(np.float64), labels,
-                                       train_idx, test_idx, seed=args.seed)
-    if args.report:
-        _write_report(args.report, result)
-    print(_metric_line("", result))
-    return 0
+    return _score(args, feats, labels, "")
 
 
 def _cmd_baseline(args) -> int:
@@ -265,15 +268,7 @@ def _cmd_baseline(args) -> int:
     else:
         feats = evaluation.laplacian_eigenmaps(raw, args.dim,
                                                n_neighbors=args.neighbors)
-    rng = np.random.default_rng(args.seed)
-    train_idx, test_idx = dataio.stratified_split(patches.labels,
-                                                  args.train_frac, rng)
-    result = evaluation.evaluate_split(feats, patches.labels, train_idx,
-                                       test_idx, seed=args.seed)
-    if args.report:
-        _write_report(args.report, result)
-    print(_metric_line(f"method={args.method} ", result))
-    return 0
+    return _score(args, feats, patches.labels, f"method={args.method} ")
 
 
 def _cmd_gradcheck(args) -> int:

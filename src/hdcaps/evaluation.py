@@ -156,7 +156,7 @@ def pca_fit(feats: np.ndarray, n_components: int) -> dict:
     feats = np.asarray(feats, dtype=np.float64)
     n, d = feats.shape
     if not 1 <= n_components <= d:
-        raise ValueError("n_components must be in [1, D]")
+        raise ValueError(f"n_components must be in [1, D = {d}], got {n_components}")
     mean = feats.mean(axis=0)
     centered = feats - mean
     cov = centered.T @ centered / max(1, n - 1)
@@ -190,9 +190,9 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     x = np.asarray(feats, dtype=np.float64)
     n = x.shape[0]
     if n_neighbors < 1 or n_neighbors >= n:
-        raise ValueError("need 1 <= n_neighbors < n_samples")
+        raise ValueError(f"need 1 <= n_neighbors < n_samples = {n}, got {n_neighbors}")
     if n_components < 1 or n_components >= n:
-        raise ValueError("need 1 <= n_components < n_samples")
+        raise ValueError(f"need 1 <= n_components < n_samples = {n}, got {n_components}")
     sq = np.sum(x * x, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
     np.fill_diagonal(d2, np.inf)
@@ -208,7 +208,6 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     if sigma < _STD_FLOOR:
         sigma = 1.0
     weights = np.where(adj, np.exp(-d2 / (sigma * sigma)), 0.0)
-    np.fill_diagonal(weights, 0.0)
 
     n_comp, comp_labels = connected_components(adj, directed=False)
     out = np.zeros((n, n_components))
@@ -226,10 +225,10 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     w_sub = weights[np.ix_(idx, idx)]
     deg = w_sub.sum(axis=1)
     lap = np.diag(deg) - w_sub
-    vals, vecs = scipy.linalg.eigh(lap, np.diag(deg),
-                                   subset_by_index=[0, n_components])
-    order = np.argsort(vals)
-    vecs = vecs[:, order[1:n_components + 1]]
+    # ascending eigenvalues; the first is the trivial constant solution
+    _, vecs = scipy.linalg.eigh(lap, np.diag(deg),
+                                subset_by_index=[0, n_components])
+    vecs = vecs[:, 1:]
     for i in range(vecs.shape[1]):
         j = np.argmax(np.abs(vecs[:, i]))
         if vecs[j, i] < 0:
@@ -300,7 +299,6 @@ def kappa(mat: np.ndarray) -> float:
 
 def evaluate_split(feats: np.ndarray, labels: np.ndarray,
                    train_idx: np.ndarray, test_idx: np.ndarray,
-                   lam: float = 1e-4, epochs: int = 100,
                    seed: int = 0) -> dict:
     """Train the linear classifier on the train rows, score the test rows.
 
@@ -308,8 +306,7 @@ def evaluate_split(feats: np.ndarray, labels: np.ndarray,
     class absent from the test rows), the confusion matrix and the class
     list.
     """
-    model = train_classifier(feats[train_idx], labels[train_idx],
-                             lam=lam, epochs=epochs, seed=seed)
+    model = train_classifier(feats[train_idx], labels[train_idx], seed=seed)
     preds = predict(model, feats[test_idx])
     mat, classes = confusion_matrix(labels[test_idx], preds,
                                     np.unique(labels))

@@ -8,9 +8,11 @@ standardized height). Each branch runs its own point-set encoder,
 capsule aggregation and decoder; training couples them through a KL
 term on the attention maps.
 
-One forward pass encodes each branch twice, raw and under a freshly
-sampled random rotation, and scores equivariance of the poses,
-invariance of the descriptors, chamfer reconstruction, and cross-branch
+Both branches train under one recipe, after Canonical Capsules: one
+routine (``_branch``) encodes a branch's point set twice, raw and under
+a freshly sampled random rotation, and scores equivariance of the poses,
+invariance of the descriptors and chamfer reconstruction.
+``forward_batch`` runs it once per branch and adds cross-branch
 attention agreement.
 
 The extract path (``decompose_batch`` inside ``fused_features``) encodes
@@ -102,10 +104,21 @@ def parameters(state: ModelState) -> dict:
     return flat
 
 
-def _branch_points_hsi(state: ModelState, patches: np.ndarray) -> Tensor:
-    return extract_preliminary_batch(
-        state.caps, patches, state.config.G, state.config.d_cap
-    )
+def _branch(enc: dict, dec: dict, pts: Tensor, rot: np.ndarray, target: Tensor):
+    """One branch's share of the training loss.
+
+    Encodes and aggregates pts raw and rotated by rot (B, d, d), decodes
+    the raw view and scores it against target. Returns (raw attention
+    map, equivariance, invariance, chamfer).
+    """
+    pts_rot = matmul(pts, as_tensor(np.swapaxes(rot, -1, -2)))
+    attn, feats = encode_batch(enc, pts)
+    attn_rot, feats_rot = encode_batch(enc, pts_rot)
+    poses, desc = aggregate(attn, feats, pts)
+    poses_rot, desc_rot = aggregate(attn_rot, feats_rot, pts_rot)
+    recon = decode(dec, poses, desc)
+    return (attn, loss_equivariance(rot, poses, poses_rot),
+            loss_invariance(desc, desc_rot), reconstruction_loss(target, recon))
 
 
 def forward_batch(state: ModelState, hsi_patches: np.ndarray,
@@ -115,65 +128,37 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
 
     hsi_patches: (B, b, b, C_spec); lidar_points: (B, b*b, 3). Returns
     (total loss Tensor, LossReport). One rotation per sample per branch
-    is drawn from rng.
+    is drawn from rng, spectral first.
     """
+    cfg = state.config
     if weights is None:
-        weights = LossWeights(state.config.alpha, state.config.beta, state.config.gamma)
+        weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
     hsi_patches = np.asarray(hsi_patches, dtype=np.float64)
     n = hsi_patches.shape[0]
     if lidar_points.shape[0] != n:
         raise ValueError("spectral and elevation batches must have equal length")
 
-    pts_h = _branch_points_hsi(state, hsi_patches)
+    pts_h = extract_preliminary_batch(state.caps, hsi_patches, cfg.G, cfg.d_cap)
     pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float64))
     # reconstruction target of the spectral branch: the raw pixel spectra
     # as a point set, NOT the lifted capsule points (which the model could
     # collapse to make reconstruction trivial)
-    x = hsi_patches.shape[1] * hsi_patches.shape[2]
-    target_h = as_tensor(hsi_patches.reshape(n, x, state.c_spec))
-
-    rot_h = sample_rotations(state.config.d_h, n, rng)
+    target_h = as_tensor(hsi_patches.reshape(n, -1, state.c_spec))
+    rot_h = sample_rotations(cfg.d_h, n, rng)
     rot_l = sample_rotations(3, n, rng)
-    pts_h_rot = matmul(pts_h, as_tensor(np.swapaxes(rot_h, -1, -2)))
-    pts_l_rot = as_tensor(np.matmul(pts_l.data, np.swapaxes(rot_l, -1, -2)))
 
-    attn_h, feats_h = encode_batch(state.enc_hsi, pts_h)
-    attn_he, feats_he = encode_batch(state.enc_hsi, pts_h_rot)
-    attn_l, feats_l = encode_batch(state.enc_lidar, pts_l)
-    attn_le, feats_le = encode_batch(state.enc_lidar, pts_l_rot)
-
-    poses_h, desc_h = aggregate(attn_h, feats_h, pts_h)
-    poses_he, desc_he = aggregate(attn_he, feats_he, pts_h_rot)
-    poses_l, desc_l = aggregate(attn_l, feats_l, pts_l)
-    poses_le, desc_le = aggregate(attn_le, feats_le, pts_l_rot)
-
-    recon_h = decode(state.dec_hsi, poses_h, desc_h)
-    recon_l = decode(state.dec_lidar, poses_l, desc_l)
-
-    equ_h = loss_equivariance(rot_h, poses_h, poses_he)
-    inv_h = loss_invariance(desc_h, desc_he)
-    cham_h = reconstruction_loss(target_h, recon_h)
-    equ_l = loss_equivariance(rot_l, poses_l, poses_le)
-    inv_l = loss_invariance(desc_l, desc_le)
-    cham_l = reconstruction_loss(pts_l, recon_l)
+    attn_h, equ_h, inv_h, cham_h = _branch(state.enc_hsi, state.dec_hsi,
+                                           pts_h, rot_h, target_h)
+    attn_l, equ_l, inv_l, cham_l = _branch(state.enc_lidar, state.dec_lidar,
+                                           pts_l, rot_l, pts_l)
     kl = loss_kl(attn_h, attn_l)
-
     total = (
         (equ_h + inv_h + cham_h) * weights.alpha
         + (equ_l + inv_l + cham_l) * weights.beta
         + kl * weights.gamma
     )
-    report = LossReport(
-        equ_hsi=float(equ_h.data),
-        inv_hsi=float(inv_h.data),
-        cham_hsi=float(cham_h.data),
-        equ_lidar=float(equ_l.data),
-        inv_lidar=float(inv_l.data),
-        cham_lidar=float(cham_l.data),
-        kl=float(kl.data),
-        total=float(total.data),
-    )
-    return total, report
+    terms = (equ_h, inv_h, cham_h, equ_l, inv_l, cham_l, kl, total)  # field order
+    return total, LossReport(*(float(t.data) for t in terms))
 
 
 def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
@@ -181,7 +166,8 @@ def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
     """Inference pass: the (B, X, C) encoder feature maps of the spectral
     and the elevation branch, computed without building a graph."""
     with no_grad():
-        pts_h = _branch_points_hsi(state, hsi_patches)
+        pts_h = extract_preliminary_batch(state.caps, hsi_patches,
+                                          state.config.G, state.config.d_cap)
         pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float64))
         _, feats_h = encode_batch(state.enc_hsi, pts_h)
         _, feats_l = encode_batch(state.enc_lidar, pts_l)

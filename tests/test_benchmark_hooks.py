@@ -4,10 +4,14 @@ perfbench's layer tracer and its timed pieces replace functions by module
 attribute (for example ``hdcaps.model.encode_batch``). If a layer stops
 being looked up that way, its time silently moves into the untimed rest
 of the step, so these tests pin both the names and the call counts of one
-``forward_batch`` and of one ``fused_features``.
+``forward_batch`` and of one ``fused_features``. The last test runs
+perfbench's self-test, so a source change that moves its reference
+outputs fails here rather than as failed operations in a benchmark run.
 """
 
 import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -89,3 +93,10 @@ def test_fused_features_calls_layers_through_model(monkeypatch):
     feats = model.fused_features(state, hsi, lidar, batch=2)
     assert feats.shape == (5, 4 * cfg.C)
     assert {name: calls[name] for name in EXTRACT_CALLS} == EXTRACT_CALLS
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark's reference outputs must still hold for this source
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

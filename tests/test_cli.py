@@ -220,6 +220,14 @@ def test_baseline_methods_run_and_report(pipeline, capsys):
         assert 0.0 <= data["oa"] <= 1.0
 
 
+def test_baseline_pca_default_dim_wider_than_features(pipeline, capsys):
+    # 8 bands plus the center height: 9 raw features, under the default 32
+    rc = cli.main(["baseline", "--data", pipeline["scene"], "--method", "pca"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "32" in err and "9" in err
+
+
 def test_extract_rejects_band_mismatch(pipeline, capsys, tmp_path):
     other = str(tmp_path / "scene6")
     cli.main(["gen-synth", "--out", other, "--size", "16x16", "--classes", "3",

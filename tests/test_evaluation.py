@@ -288,9 +288,9 @@ def test_pca_transform_is_centered_projection():
 
 def test_pca_rejects_bad_component_count():
     x = np.random.default_rng(5).normal(size=(10, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"D = 4\], got 0"):
         evaluation.pca_fit(x, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"D = 4\], got 5"):
         evaluation.pca_fit(x, 5)
 
 
@@ -363,11 +363,11 @@ def test_eigenmaps_component_too_small_raises():
 
 def test_eigenmaps_rejects_bad_arguments():
     x = np.random.default_rng(6).normal(size=(8, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_neighbors < n_samples = 8, got 0"):
         evaluation.laplacian_eigenmaps(x, 1, n_neighbors=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_neighbors < n_samples = 8, got 8"):
         evaluation.laplacian_eigenmaps(x, 1, n_neighbors=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_components < n_samples = 8, got 8"):
         evaluation.laplacian_eigenmaps(x, 8, n_neighbors=3)
 
 
