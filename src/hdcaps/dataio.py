@@ -19,6 +19,13 @@ HDCF (feature table):
 Malformed files raise FormatError with the byte offset where parsing
 failed. Writers go through a temp file and os.replace so readers never
 observe a half-written file.
+
+Patches are not stored as a b*b-fold copy of the scene. `extract_patches`
+keeps the standardized, mirror-padded float32 scene once, inside a
+`PatchStack`; indexing the stack's first axis with a slice, an integer or
+an integer array gathers only the selected b x b windows, so a batch of B
+patches costs B*b*b*C floats and the whole (N, b, b, C) stack is built
+only by `np.asarray`.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
     "read_features",
     "write_scene",
     "read_scene",
+    "PatchStack",
     "PatchSet",
     "extract_patches",
     "stratified_split",
@@ -174,17 +182,67 @@ def read_scene(directory: str):
     return hsi, elevation, labels
 
 
+def _windows(rows, cols, b: int):
+    """Index arrays (..., b, 1) and (..., 1, b) that gather the b x b
+    windows centered on scene pixels (rows, cols) from the scene padded by
+    b // 2: pixel (row, col) of the scene is pixel (row + r, col + r) of
+    the padded one, so its window spans padded rows row .. row + b - 1."""
+    offsets = np.arange(b)
+    win_rows = (np.asarray(rows)[..., None] + offsets)[..., :, None]
+    win_cols = (np.asarray(cols)[..., None] + offsets)[..., None, :]
+    return win_rows, win_cols
+
+
+class PatchStack:
+    """The (N, b, b, C) float32 stack of standardized spectral patches,
+    gathered from the scene on demand.
+
+    scene: the standardized scene mirror-padded by b // 2 on both spatial
+    axes, (H + b - 1, W + b - 1, C) float32, the only copy of the spectra;
+    rows, cols: (N,) scene coordinates of the patch centers. Patch i is
+    scene[rows[i]:rows[i] + b, cols[i]:cols[i] + b]. Indexing the first
+    axis with an integer, a slice or an integer array gathers just those
+    patches; `np.asarray` gathers all N.
+    """
+
+    def __init__(self, scene: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 b: int):
+        self.scene = scene
+        self.rows = rows
+        self.cols = cols
+        self.b = b
+        self.shape = (rows.shape[0], b, b, scene.shape[2])
+        self.dtype = scene.dtype
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.scene[_windows(self.rows[key], self.cols[key], self.b)]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        full = self[:]
+        return full if dtype is None else full.astype(dtype, copy=False)
+
+    def center(self) -> np.ndarray:
+        """(N, C) spectra of the patch centers, read from the scene."""
+        r = self.b // 2
+        return self.scene[self.rows + r, self.cols + r]
+
+
 @dataclass
 class PatchSet:
     """Extracted patches for every labeled pixel of a scene.
 
-    hsi: (N, b, b, C) standardized spectra; lidar: (N, b*b, 3) point sets
-    with grid x, grid y in [-1, 1] and standardized elevation z; labels,
-    rows, cols: (N,) int32. Patch points are ordered row-major, so the
-    center pixel is index (b*b) // 2.
+    hsi: a PatchStack, the lazy (N, b, b, C) float32 standardized spectra,
+    which holds one padded copy of the scene and gathers a batch's windows
+    when indexed; lidar: (N, b*b, 3) float32 point sets with grid x, grid
+    y in [-1, 1] and standardized elevation z; labels, rows, cols: (N,)
+    int32. Patch points are ordered row-major, so the center pixel is
+    index (b*b) // 2.
     """
 
-    hsi: np.ndarray
+    hsi: PatchStack
     lidar: np.ndarray
     labels: np.ndarray
     rows: np.ndarray
@@ -225,11 +283,14 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     labeled = hsi[mask]
     band_mean = labeled.mean(axis=0)
     band_std = labeled.std(axis=0)
+    del labeled
     band_std = np.where(band_std < _STD_FLOOR, 1.0, band_std)
     # standardize in float64, then cast the scene once: the cast is
     # elementwise, so gathering float32 patches from it gives the same
     # values as casting float64 patches, without a b*b-fold float64 copy
-    hsi_n = ((hsi - band_mean) / band_std).astype(np.float32)
+    hsi_n = hsi - band_mean
+    hsi_n /= band_std
+    hsi_n = hsi_n.astype(np.float32)
     el_std = elevation.std()
     el_n = (elevation - elevation.mean()) / (el_std if el_std >= _STD_FLOOR else 1.0)
 
@@ -240,14 +301,9 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
         hsi_n = np.pad(hsi_n, ((r, r), (r, r), (0, 0)), mode="reflect")
         el_n = np.pad(el_n, r, mode="reflect")
     rows, cols = np.nonzero(mask)
-
-    # pixel (row, col) of the scene is pixel (row + r, col + r) of the
-    # padded one, so its patch spans padded rows row .. row + b - 1
-    offsets = np.arange(b)
-    win_rows = (rows[:, None] + offsets)[:, :, None]  # (N, b, 1)
-    win_cols = (cols[:, None] + offsets)[:, None, :]  # (N, 1, b)
-    patches = hsi_n[win_rows, win_cols]  # (N, b, b, C) float32
-    heights = el_n[win_rows, win_cols].reshape(n, b * b)
+    rows = rows.astype(np.int32)
+    cols = cols.astype(np.int32)
+    heights = el_n[_windows(rows, cols, b)].reshape(n, b * b)
 
     axis = _grid_axis(b)
     gy, gx = np.meshgrid(axis, axis, indexing="ij")
@@ -257,9 +313,8 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     lidar[:, :, 2] = heights
 
     return PatchSet(
-        hsi=patches, lidar=lidar,
-        labels=labels[mask].astype(np.int32),
-        rows=rows.astype(np.int32), cols=cols.astype(np.int32),
+        hsi=PatchStack(hsi_n, rows, cols, b), lidar=lidar,
+        labels=labels[mask].astype(np.int32), rows=rows, cols=cols,
         b=b, c_spec=hsi.shape[2],
     )
 

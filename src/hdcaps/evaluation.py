@@ -68,10 +68,8 @@ def raw_patch_features(patchset) -> np.ndarray:
     reference the extracted features are compared against; it carries no
     neighborhood context.
     """
-    n = len(patchset)
-    center = patchset.b * patchset.b // 2
-    spec = patchset.hsi.reshape(n, -1, patchset.c_spec)[:, center, :]
-    height = patchset.lidar[:, center, 2:3]
+    spec = patchset.hsi.center()
+    height = patchset.lidar[:, patchset.b * patchset.b // 2, 2:3]
     return np.concatenate([spec.astype(np.float64),
                            height.astype(np.float64)], axis=1)
 
@@ -181,7 +179,8 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     """Spectral embedding of the symmetrized kNN graph.
 
     Edges carry heat-kernel weights exp(-d^2 / sigma^2) with sigma the
-    median kNN edge length. Solves the generalized problem
+    median length of the kNN edges that join distinct rows (1 if there
+    are none). Solves the generalized problem
     L y = lambda D y and returns the eigenvectors for the n_components
     smallest nonzero eigenvalues. If the graph is disconnected, only the
     largest component is embedded; other rows are zero and a warning is
@@ -203,8 +202,16 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     adj[rows, nn.reshape(-1)] = True
     adj |= adj.T
 
-    edge_d2 = d2[adj]
-    sigma = np.median(np.sqrt(edge_d2))
+    # sigma skips edges between identical rows: when they are most of the
+    # edges, their zero or roundoff lengths would set sigma, and every other
+    # edge would get weight 0. Identical rows get a d2 of at most this
+    # roundoff bound, so only edges under it are compared exactly.
+    ei, ej = np.nonzero(adj)
+    edge_d2 = d2[ei, ej]
+    same = edge_d2 <= 8 * (x.shape[1] + 2) * np.finfo(float).eps * (sq[ei] + sq[ej])
+    same[same] = np.all(x[ei[same]] == x[ej[same]], axis=1)
+    lengths = np.sqrt(edge_d2[~same])
+    sigma = np.median(lengths) if lengths.size else 1.0
     if sigma < _STD_FLOOR:
         sigma = 1.0
     weights = np.where(adj, np.exp(-d2 / (sigma * sigma)), 0.0)
@@ -252,14 +259,20 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
         classes = np.unique(np.concatenate([y_true, y_pred]))
     else:
         classes = np.asarray(classes)
-    index = {cls: i for i, cls in enumerate(classes.tolist())}
-    mat = np.zeros((classes.shape[0], classes.shape[0]), dtype=np.int64)
-    try:
-        for t, p in zip(y_true.tolist(), y_pred.tolist()):
-            mat[index[t], index[p]] += 1
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} is not in classes") from None
-    return mat, classes
+    k = classes.shape[0]
+    labels = np.concatenate([y_true, y_pred])
+    values, inverse = np.unique(np.concatenate([classes, labels]),
+                                return_inverse=True)
+    # position in classes of each distinct value, -1 for values outside it
+    position = np.full(values.shape[0], -1)
+    position[inverse[:k]] = np.arange(k)
+    index = position[inverse[k:]]
+    if np.any(index < 0):
+        missing = labels[np.argmax(index < 0)].item()
+        raise ValueError(f"label {missing!r} is not in classes")
+    n = y_true.shape[0]
+    mat = np.bincount(index[:n] * k + index[n:], minlength=k * k)
+    return mat.reshape(k, k), classes
 
 
 def overall_accuracy(mat: np.ndarray) -> float:

@@ -181,6 +181,9 @@ def fused_features(state: ModelState, hsi_patches: np.ndarray,
     For each branch the center-pixel feature row and the mean feature row
     are taken from the encoder's feature map; the four pieces are
     concatenated spectral-first. Patches are encoded `batch` at a time.
+    hsi_patches may be any (N, b, b, C) stack whose first axis takes a
+    slice, such as an ndarray or the lazy `dataio.PatchStack`, which then
+    gathers one batch of windows at a time.
     """
     from .evaluation import fuse_features
 

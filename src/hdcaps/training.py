@@ -82,7 +82,10 @@ def train(state: ModelState, hsi_patches: np.ndarray, lidar_points: np.ndarray,
     """Train for config.epochs epochs of shuffled minibatches.
 
     Returns one dict of mean loss components per epoch; optionally
-    appends the same rows to a CSV file at log_path.
+    appends the same rows to a CSV file at log_path. hsi_patches may be
+    any (N, b, b, C) stack whose first axis takes an integer index array,
+    such as an ndarray or the lazy `dataio.PatchStack`, which then
+    gathers one minibatch of windows at a time.
     """
     cfg = state.config
     n = hsi_patches.shape[0]

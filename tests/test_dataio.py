@@ -161,7 +161,7 @@ def test_extract_corner_mirror_reflection():
     rows = [1, 0, 1]
     cols = [1, 0, 1]
     want = np.array([[vals[i, j] for j in cols] for i in rows])
-    np.testing.assert_allclose(ps.hsi[0, :, :, 0], want, atol=1e-6)
+    np.testing.assert_allclose(np.asarray(ps.hsi)[0, :, :, 0], want, atol=1e-6)
     # elevation standardizes over the whole scene, not the labeled pixels
     want_z = (want - vals.mean()) / vals.std()
     np.testing.assert_allclose(ps.lidar[0, :, 2].reshape(3, 3), want_z, atol=1e-6)
@@ -188,7 +188,7 @@ def test_extract_standardization_moments():
     labels = (rng.uniform(size=(20, 21)) < 0.6).astype(np.int32)
     ps = dataio.extract_patches(hsi, elev, labels, b=3)
     center = (3 * 3) // 2
-    spectra = ps.hsi.reshape(len(ps), 9, 3)[:, center, :].astype(np.float64)
+    spectra = np.asarray(ps.hsi).reshape(len(ps), 9, 3)[:, center, :].astype(np.float64)
     np.testing.assert_allclose(spectra.mean(axis=0), 0.0, atol=1e-6)
     np.testing.assert_allclose(spectra.std(axis=0), 1.0, atol=1e-6)
 
@@ -254,18 +254,44 @@ def test_extract_gather_matches_window_oracle(b):
 
 
 def test_extract_peak_memory_stays_near_output():
-    # the float64 (N, C, b, b) gather and its cast made the peak about 3x
-    # the output; gathering from the float32 scene keeps it near 1.1x
+    # the spectra are held once, as the padded float32 scene, not as a
+    # b*b-fold (N, b, b, C) copy: at b = 9 that copy alone is about 40x
+    # the float64 scene
     import tracemalloc
 
     hsi, elev, labels = dataio.gen_synthetic(40, 40, 4, 64, np.random.default_rng(0))
-    tracemalloc.start()
-    try:
-        ps = dataio.extract_patches(hsi, elev, labels, b=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * (ps.hsi.nbytes + ps.lidar.nbytes)
+    for b in (5, 9):
+        tracemalloc.start()
+        try:
+            ps = dataio.extract_patches(hsi, elev, labels, b=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * hsi.nbytes + ps.lidar.nbytes, b
+
+
+def test_patch_stack_indexing_matches_full_stack():
+    rng = np.random.default_rng(6)
+    hsi = rng.normal(size=(9, 10, 4))
+    elev = rng.normal(size=(9, 10))
+    labels = (rng.uniform(size=(9, 10)) < 0.6).astype(np.int32)
+    labels[0, 0] = labels[8, 9] = 1
+    ps = dataio.extract_patches(hsi, elev, labels, b=5)
+    full = np.asarray(ps.hsi)
+    n = len(ps)
+    assert len(ps.hsi) == n and ps.hsi.shape == full.shape == (n, 5, 5, 4)
+    assert ps.hsi.dtype == full.dtype == np.float32
+    keys = [slice(None), slice(3, 11), slice(None, None, -2), slice(n, n),
+            slice(4, 4), np.array([n - 1, 0, 7, 7, 2, 0]), np.array([], dtype=np.int64),
+            rng.permutation(n), 5, -1]
+    for key in keys:
+        got = ps.hsi[key]
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, full[key])
+    assert ps.hsi[slice(4, 4)].shape == (0, 5, 5, 4)
+    np.testing.assert_array_equal(np.asarray(ps.hsi, dtype=np.float64),
+                                  full.astype(np.float64))
+    np.testing.assert_array_equal(ps.hsi.center(), full[:, 2, 2, :])
 
 
 def test_split_water_row_fixture():

@@ -81,7 +81,7 @@ def test_raw_patch_features_center_spectrum_and_height(tmp_path):
     ps = dataio.extract_patches(hsi, elev, labels, b=3)
     raw = evaluation.raw_patch_features(ps)
     assert raw.shape == (len(ps), 6)
-    np.testing.assert_allclose(raw[:, :5], ps.hsi[:, 1, 1, :], atol=1e-6)
+    np.testing.assert_allclose(raw[:, :5], np.asarray(ps.hsi)[:, 1, 1, :], atol=1e-6)
     np.testing.assert_allclose(raw[:, 5], ps.lidar[:, 4, 2], atol=1e-6)
 
 
@@ -342,6 +342,18 @@ def test_eigenmaps_duplicated_rows_coincide():
     assert sign[0] != sign[4]
 
 
+def test_eigenmaps_sigma_ignores_edges_between_duplicated_rows():
+    # most kNN edges join a row to its duplicate; a median over all edges
+    # made sigma roundoff, weighted every other edge 0 and left rows of
+    # degree 0, so the generalized eigensolver failed
+    x = np.random.default_rng(39).standard_normal((117, 3))
+    x = np.concatenate([x, x[:58]])
+    with pytest.warns(UserWarning, match="components"):
+        emb = evaluation.laplacian_eigenmaps(x, 1, n_neighbors=1)
+    assert emb.shape == (175, 1)
+    assert np.all(np.isfinite(emb)) and np.any(emb != 0.0)
+
+
 def test_eigenmaps_disconnected_graph_warns_and_zeroes_small_component():
     rng = np.random.default_rng(5)
     big = rng.normal(size=(21, 2)) * 0.4
@@ -393,6 +405,36 @@ def test_confusion_matrix_explicit_classes_keep_empty_rows():
         np.array([1, 1]), np.array([1, 1]), classes=np.array([0, 1, 2]))
     np.testing.assert_array_equal(mat, [[0, 0, 0], [0, 2, 0], [0, 0, 0]])
     np.testing.assert_array_equal(classes, [0, 1, 2])
+
+
+def confusion_loop_oracle(y_true, y_pred, classes=None):
+    """The former per-sample loop over a label -> index dict."""
+    if classes is None:
+        classes = np.unique(np.concatenate([y_true, y_pred]))
+    index = {cls: i for i, cls in enumerate(classes.tolist())}
+    mat = np.zeros((classes.shape[0], classes.shape[0]), dtype=np.int64)
+    for t, p in zip(y_true.tolist(), y_pred.tolist()):
+        mat[index[t], index[p]] += 1
+    return mat, classes
+
+
+def test_confusion_matrix_matches_loop_oracle():
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        labels = rng.choice(20, size=rng.integers(2, 8), replace=False) - 5
+        n = int(rng.integers(0, 60))
+        y_true = rng.choice(labels, size=n)
+        y_pred = rng.choice(labels, size=n)
+        classes = None
+        if trial % 3:
+            # explicit classes in any order, some absent from both arrays
+            extra = np.setdiff1d(np.arange(-8, 20), labels)[:trial % 4]
+            classes = rng.permutation(np.concatenate([labels, extra]))
+        mat, got_classes = evaluation.confusion_matrix(y_true, y_pred, classes)
+        want, want_classes = confusion_loop_oracle(y_true, y_pred, classes)
+        assert mat.dtype == want.dtype
+        np.testing.assert_array_equal(mat, want)
+        np.testing.assert_array_equal(got_classes, want_classes)
 
 
 def test_confusion_matrix_rejects_length_mismatch():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hdcaps import autodiff as ad
-from hdcaps import training
+from hdcaps import dataio, training
 from hdcaps.capsule_block import extract_preliminary_batch
 from hdcaps.config import TrainConfig
 from hdcaps.encoder import encode_batch
@@ -120,6 +120,23 @@ def test_train_deterministic_final_params():
         finals.append(clone_params(parameters(state)))
     for name in finals[0]:
         np.testing.assert_array_equal(finals[0][name], finals[1][name])
+
+
+def test_train_and_fused_features_same_on_lazy_and_dense_stack():
+    hsi, elev, labels = dataio.gen_synthetic(7, 8, 3, 4, np.random.default_rng(2))
+    ps = dataio.extract_patches(hsi, elev, labels, b=3)
+    dense = np.asarray(ps.hsi)
+    runs = []
+    for stack in (ps.hsi, dense):
+        state = tiny_state(seed=4, epochs=2, batch=5)
+        history = training.train(state, stack, ps.lidar, np.random.default_rng(4))
+        feats = fused_features(state, stack, ps.lidar, batch=7)
+        runs.append((history, clone_params(parameters(state)), feats))
+    (hist_a, params_a, feats_a), (hist_b, params_b, feats_b) = runs
+    assert hist_a == hist_b
+    for name in params_a:
+        np.testing.assert_array_equal(params_a[name], params_b[name])
+    np.testing.assert_array_equal(feats_a, feats_b)
 
 
 def test_forward_graph_size_guard():
