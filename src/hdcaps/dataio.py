@@ -20,12 +20,17 @@ Malformed files raise FormatError with the byte offset where parsing
 failed. Writers go through a temp file and os.replace so readers never
 observe a half-written file.
 
-Patches are not stored as a b*b-fold copy of the scene. `extract_patches`
-keeps the standardized, mirror-padded float32 scene once, inside a
-`PatchStack`; indexing the stack's first axis with a slice, an integer or
-an integer array gathers only the selected b x b windows, so a batch of B
-patches costs B*b*b*C floats and the whole (N, b, b, C) stack is built
-only by `np.asarray`.
+`extract_patches` keeps the standardized spectra in whichever form is
+smaller. N labeled pixels at patch size b make an (N, b, b, C) stack of
+N*b*b*C floats; the mirror-padded scene has (H + b - 1)(W + b - 1)*C.
+When labels cover more than about 1/b^2 of the scene, as in a densely
+labeled scene, the padded float32 scene is kept once inside a
+`PatchStack`: indexing its first axis with a slice, an integer or an
+integer array gathers only the selected b x b windows, so a batch of B
+patches costs B*b*b*C floats and the whole stack is built only by
+`np.asarray`. When labels are sparser (public HSI + LiDAR ground truths
+often label a few percent of the pixels), the gathered (N, b, b, C)
+ndarray is kept instead. Both index the same way.
 """
 
 from __future__ import annotations
@@ -221,28 +226,24 @@ class PatchStack:
         return self.scene[_windows(self.rows[key], self.cols[key], self.b)]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        full = self[:]
-        return full if dtype is None else full.astype(dtype, copy=False)
-
-    def center(self) -> np.ndarray:
-        """(N, C) spectra of the patch centers, read from the scene."""
-        r = self.b // 2
-        return self.scene[self.rows + r, self.cols + r]
+        return self[:]
 
 
 @dataclass
 class PatchSet:
     """Extracted patches for every labeled pixel of a scene.
 
-    hsi: a PatchStack, the lazy (N, b, b, C) float32 standardized spectra,
-    which holds one padded copy of the scene and gathers a batch's windows
-    when indexed; lidar: (N, b*b, 3) float32 point sets with grid x, grid
-    y in [-1, 1] and standardized elevation z; labels, rows, cols: (N,)
-    int32. Patch points are ordered row-major, so the center pixel is
-    index (b*b) // 2.
+    hsi: the (N, b, b, C) float32 standardized spectra, as a lazy
+    PatchStack that holds one padded copy of the scene and gathers a
+    batch's windows when indexed, or, when N*b*b is below the padded
+    scene's pixel count (sparse labels), as the gathered ndarray;
+    lidar: (N, b*b, 3) float32 point sets with grid x, grid y in [-1, 1]
+    and standardized elevation z; labels, rows, cols: (N,) int32. Patch
+    points are ordered row-major, so the center pixel is index
+    (b*b) // 2.
     """
 
-    hsi: PatchStack
+    hsi: PatchStack | np.ndarray
     lidar: np.ndarray
     labels: np.ndarray
     rows: np.ndarray
@@ -252,6 +253,13 @@ class PatchSet:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
+
+    def center_spectra(self) -> np.ndarray:
+        """(N, C) standardized spectra of the patch centers."""
+        r = self.b // 2
+        if isinstance(self.hsi, PatchStack):
+            return self.hsi.scene[self.rows + r, self.cols + r]
+        return self.hsi[:, r, r]
 
 
 def _grid_axis(b: int) -> np.ndarray:
@@ -264,7 +272,8 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
 
     Borders are mirror-padded. Spectra are z-scored per band with moments
     computed over labeled pixels only; elevation is z-scored over the
-    whole scene. Near-constant bands divide by 1 instead of ~0.
+    whole scene. Near-constant bands divide by 1 instead of ~0. The
+    spectra are kept in the smaller of the two forms PatchSet.hsi takes.
     """
     hsi = np.asarray(hsi, dtype=np.float64)
     elevation = np.asarray(elevation, dtype=np.float64)
@@ -312,8 +321,13 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     lidar[:, :, 1] = gy.reshape(-1)
     lidar[:, :, 2] = heights
 
+    spectra = PatchStack(hsi_n, rows, cols, b)
+    if n * b * b < hsi_n.shape[0] * hsi_n.shape[1]:
+        # labels so sparse that the gathered patches are smaller than the
+        # padded scene: keep them and let the scene go
+        spectra = np.asarray(spectra)
     return PatchSet(
-        hsi=PatchStack(hsi_n, rows, cols, b), lidar=lidar,
+        hsi=spectra, lidar=lidar,
         labels=labels[mask].astype(np.int32), rows=rows, cols=cols,
         b=b, c_spec=hsi.shape[2],
     )

@@ -68,7 +68,7 @@ def raw_patch_features(patchset) -> np.ndarray:
     reference the extracted features are compared against; it carries no
     neighborhood context.
     """
-    spec = patchset.hsi.center()
+    spec = patchset.center_spectra()
     height = patchset.lidar[:, patchset.b * patchset.b // 2, 2:3]
     return np.concatenate([spec.astype(np.float64),
                            height.astype(np.float64)], axis=1)
@@ -255,21 +255,21 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise ValueError("label arrays must have equal length")
+    values, index = np.unique(np.concatenate([y_true, y_pred]),
+                              return_inverse=True)
     if classes is None:
-        classes = np.unique(np.concatenate([y_true, y_pred]))
+        classes = values
     else:
         classes = np.asarray(classes)
+        found = np.isin(values, classes)
+        if not found.all():
+            missing = values[np.argmin(found)].item()
+            raise ValueError(f"label {missing!r} is not in classes")
+        # explicit classes come in any order: map each distinct label to
+        # its position in classes
+        order = np.argsort(classes)
+        index = order[np.searchsorted(classes, values, sorter=order)][index]
     k = classes.shape[0]
-    labels = np.concatenate([y_true, y_pred])
-    values, inverse = np.unique(np.concatenate([classes, labels]),
-                                return_inverse=True)
-    # position in classes of each distinct value, -1 for values outside it
-    position = np.full(values.shape[0], -1)
-    position[inverse[:k]] = np.arange(k)
-    index = position[inverse[k:]]
-    if np.any(index < 0):
-        missing = labels[np.argmax(index < 0)].item()
-        raise ValueError(f"label {missing!r} is not in classes")
     n = y_true.shape[0]
     mat = np.bincount(index[:n] * k + index[n:], minlength=k * k)
     return mat.reshape(k, k), classes

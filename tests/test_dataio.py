@@ -291,7 +291,26 @@ def test_patch_stack_indexing_matches_full_stack():
     assert ps.hsi[slice(4, 4)].shape == (0, 5, 5, 4)
     np.testing.assert_array_equal(np.asarray(ps.hsi, dtype=np.float64),
                                   full.astype(np.float64))
-    np.testing.assert_array_equal(ps.hsi.center(), full[:, 2, 2, :])
+    assert isinstance(ps.hsi, dataio.PatchStack)
+    np.testing.assert_array_equal(ps.center_spectra(), full[:, 2, 2, :])
+
+
+def test_extract_keeps_smaller_of_scene_and_patches():
+    # the padded 14 x 15 scene has 210 pixels: 8 patches of 5 x 5 (200
+    # pixels) are kept gathered, 9 (225 pixels) as windows of the scene
+    rng = np.random.default_rng(8)
+    hsi = rng.normal(size=(10, 11, 3))
+    elev = rng.normal(size=(10, 11))
+    for n, kind in ((8, np.ndarray), (9, dataio.PatchStack)):
+        labels = np.zeros(110, dtype=np.int32)
+        labels[rng.choice(110, size=n, replace=False)] = 1
+        labels = labels.reshape(10, 11)
+        ps = dataio.extract_patches(hsi, elev, labels, b=5)
+        assert type(ps.hsi) is kind
+        want_hsi, _ = window_oracle(hsi, elev, labels, 5)
+        np.testing.assert_array_equal(np.asarray(ps.hsi), want_hsi)
+        np.testing.assert_array_equal(ps.hsi[::-1], want_hsi[::-1])
+        np.testing.assert_array_equal(ps.center_spectra(), want_hsi[:, 2, 2, :])
 
 
 def test_split_water_row_fixture():
