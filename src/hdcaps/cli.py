@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
-from .config import TrainConfig
-from .errors import DivergenceError, FormatError
+from .config import INT_FIELDS, TrainConfig
+from .errors import DivergenceError
 
 __all__ = ["main", "parse_config", "build_parser"]
 
@@ -35,10 +34,6 @@ class ConfigError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-_INT_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)
-               if f.type in (int, "int")}
 
 
 def parse_config(path: str) -> TrainConfig:
@@ -71,9 +66,9 @@ def parse_config(path: str) -> TrainConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         try:
-            parsed = int(value) if key in _INT_FIELDS else float(value)
+            parsed = int(value) if key in INT_FIELDS else float(value)
         except ValueError:
-            kind = "an integer" if key in _INT_FIELDS else "a number"
+            kind = "an integer" if key in INT_FIELDS else "a number"
             raise ConfigError(
                 f"{path}:{lineno}: value for {key!r} must be {kind}, got {value!r}"
             ) from None
@@ -152,19 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_report(path: str, result: dict) -> None:
-    payload = {
+    from .dataio import write_json
+
+    write_json(path, {
         "oa": result["oa"],
         "aa": result["aa"],
         "kappa": result["kappa"],
         "per_class": result["per_class"],
         "confusion": result["confusion"].tolist(),
         "classes": result["classes"].tolist(),
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    })
 
 
 def _score(args, feats: np.ndarray, labels: np.ndarray, prefix: str) -> int:
@@ -308,13 +300,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -70,8 +70,20 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        """Validated config from outside data; unknown keys and mistyped
+        values (bools, strings, floats for int fields) raise ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a mapping, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in d.items():
+            integer = name in INT_FIELDS
+            allowed = int if integer else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                kind = "an integer" if integer else "a number"
+                raise ValueError(f"config field {name!r} must be {kind}, got {value!r}")
         return cls(**d).validate()
+
+
+INT_FIELDS = frozenset(f.name for f in fields(TrainConfig) if f.type in (int, "int"))

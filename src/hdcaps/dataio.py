@@ -17,8 +17,9 @@ HDCF (feature table):
     then n records of (u32 row, u32 col, i32 label, d * f32 features)
 
 Malformed files raise FormatError with the byte offset where parsing
-failed. Writers go through a temp file and os.replace so readers never
-observe a half-written file.
+failed. Every writer here, `write_json` included, writes a temp file and
+renames it over the target, so readers never observe a half-written
+file; an array is streamed from its own buffer after its header.
 
 `extract_patches` keeps the standardized spectra in whichever form is
 smaller. N labeled pixels at patch size b make an (N, b, b, C) stack of
@@ -35,6 +36,7 @@ ndarray is kept instead. Both index the same way.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from dataclasses import dataclass
@@ -48,6 +50,7 @@ __all__ = [
     "read_dten",
     "write_features",
     "read_features",
+    "write_json",
     "write_scene",
     "read_scene",
     "PatchStack",
@@ -64,20 +67,51 @@ _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<i4")}
 _STD_FLOOR = 1e-12
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, *chunks) -> None:
+    """Write the chunks (bytes, or C-contiguous arrays written from their
+    own buffers) to path + ".tmp", then rename it over path."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
+
+
+def _read_container(path: str, magic: bytes, header_size: int) -> bytes:
+    """The bytes of path, checked for a complete header and its magic."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < header_size:
+        raise FormatError(path, len(blob), "truncated header")
+    if blob[:4] != magic:
+        raise FormatError(path, 0, f"bad magic {blob[:4]!r}, expected {magic!r}")
+    return blob
+
+
+def _payload(path: str, blob: bytes, offset: int, dtype: np.dtype, count: int,
+             what: str) -> np.ndarray:
+    """The count items of dtype at offset, which must end the file."""
+    end = offset + count * dtype.itemsize
+    if len(blob) < end:
+        raise FormatError(path, len(blob),
+                          f"truncated {what}: expected {end} bytes total")
+    if len(blob) > end:
+        raise FormatError(path, end, f"trailing bytes after {what}")
+    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+
+
+def write_json(path: str, obj) -> None:
+    """Write obj as JSON with 2-space indent, sorted keys and a final newline."""
+    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def write_dten(path: str, array: np.ndarray) -> None:
     """Serialize an array as DTEN. Floats store as f32, ints as i32."""
     array = np.asarray(array)
     if array.dtype.kind == "f":
-        code, data = 1, array.astype("<f4")
+        code, dtype = 1, "<f4"
     elif array.dtype.kind in ("i", "u"):
-        code, data = 2, array.astype("<i4")
+        code, dtype = 2, "<i4"
     else:
         raise ValueError(f"cannot serialize dtype {array.dtype}")
     if array.ndim > 255:
@@ -87,16 +121,11 @@ def write_dten(path: str, array: np.ndarray) -> None:
             raise ValueError("dimension too large for the container")
     header = DTEN_MAGIC + struct.pack("<HBB", DTEN_VERSION, code, array.ndim)
     header += struct.pack(f"<{array.ndim}I", *array.shape)
-    _atomic_write(path, header + np.ascontiguousarray(data).tobytes())
+    _atomic_write(path, header, np.ascontiguousarray(array, dtype=dtype))
 
 
 def read_dten(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise FormatError(path, len(blob), "truncated header")
-    if blob[:4] != DTEN_MAGIC:
-        raise FormatError(path, 0, f"bad magic {blob[:4]!r}, expected {DTEN_MAGIC!r}")
+    blob = _read_container(path, DTEN_MAGIC, 8)
     version, code, ndim = struct.unpack_from("<HBB", blob, 4)
     if version != DTEN_VERSION:
         raise FormatError(path, 4, f"unsupported version {version}")
@@ -110,16 +139,7 @@ def read_dten(path: str) -> np.ndarray:
     count = 1
     for dim in shape:
         count *= dim
-    expected_end = dims_end + count * dtype.itemsize
-    if len(blob) < expected_end:
-        raise FormatError(
-            path, len(blob),
-            f"truncated payload: expected {expected_end} bytes total",
-        )
-    if len(blob) > expected_end:
-        raise FormatError(path, expected_end, "trailing bytes after payload")
-    data = np.frombuffer(blob, dtype=dtype, count=count, offset=dims_end)
-    return data.reshape(shape).copy()
+    return _payload(path, blob, dims_end, dtype, count, "payload").reshape(shape).copy()
 
 
 def write_features(path: str, rows: np.ndarray, cols: np.ndarray,
@@ -135,30 +155,16 @@ def write_features(path: str, rows: np.ndarray, cols: np.ndarray,
     rec["col"] = cols
     rec["label"] = labels
     rec["feat"] = feats
-    header = HDCF_MAGIC + struct.pack("<II", n, dim)
-    _atomic_write(path, header + rec.tobytes())
+    _atomic_write(path, HDCF_MAGIC + struct.pack("<II", n, dim), rec)
 
 
 def read_features(path: str):
     """Returns (rows u32, cols u32, labels i32, feats f32 (n, d))."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
-        raise FormatError(path, len(blob), "truncated header")
-    if blob[:4] != HDCF_MAGIC:
-        raise FormatError(path, 0, f"bad magic {blob[:4]!r}, expected {HDCF_MAGIC!r}")
+    blob = _read_container(path, HDCF_MAGIC, 12)
     n, dim = struct.unpack_from("<II", blob, 4)
     rec_dtype = np.dtype([("row", "<u4"), ("col", "<u4"),
                           ("label", "<i4"), ("feat", "<f4", (dim,))])
-    expected_end = 12 + n * rec_dtype.itemsize
-    if len(blob) < expected_end:
-        raise FormatError(
-            path, len(blob),
-            f"truncated records: expected {expected_end} bytes total",
-        )
-    if len(blob) > expected_end:
-        raise FormatError(path, expected_end, "trailing bytes after records")
-    rec = np.frombuffer(blob, dtype=rec_dtype, count=n, offset=12)
+    rec = _payload(path, blob, 12, rec_dtype, n, "records")
     return (rec["row"].copy(), rec["col"].copy(),
             rec["label"].copy(), rec["feat"].copy())
 

@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 CHECKPOINT_MANIFEST = "manifest.json"
+CHECKPOINT_PARAMS = "params.dten"
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -205,73 +207,65 @@ def fused_features(state: ModelState, hsi_patches: np.ndarray,
     return out
 
 
-def _listed_files(directory: str) -> set:
-    """Parameter file names listed by the manifest in directory, if any."""
-    try:
-        with open(os.path.join(directory, CHECKPOINT_MANIFEST)) as fh:
-            listed = json.load(fh).get("params", {}).values()
-    except (OSError, ValueError, AttributeError):
-        return set()
-    return {fname for fname in listed if isinstance(fname, str)}
-
-
 def save_checkpoint(state: ModelState, directory: str) -> None:
-    """Write one tensor file per parameter plus a JSON manifest.
+    """Write a checkpoint directory of two files.
 
-    Parameters are stored in 32-bit floats, so a reloaded model matches
-    the trained one to single precision. Once the new manifest is in
-    place, tensor files that only the replaced manifest listed are
-    deleted.
+    params.dten holds every parameter's values, concatenated in
+    ``parameters(state)`` order as one (P,) float32 vector, so a reloaded
+    model matches the trained one to single precision. manifest.json,
+    written after it, holds the format, version 2, the config, c_spec and
+    the ordered list of parameter names. Other files in the directory are
+    left as they are.
     """
-    from .dataio import write_dten
+    from .dataio import write_dten, write_json
 
     os.makedirs(directory, exist_ok=True)
-    old_files = _listed_files(directory)
     flat = parameters(state)
-    entries = {}
-    for name, tensor in flat.items():
-        fname = name + ".dten"
-        write_dten(os.path.join(directory, fname), tensor.data.astype(np.float32))
-        entries[name] = fname
-    manifest = {
+    write_dten(os.path.join(directory, CHECKPOINT_PARAMS),
+               np.concatenate([t.data.reshape(-1) for t in flat.values()],
+                              dtype=np.float32))
+    write_json(os.path.join(directory, CHECKPOINT_MANIFEST), {
         "format": "hdcaps-checkpoint",
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "config": state.config.to_dict(),
         "c_spec": state.c_spec,
-        "params": entries,
-    }
-    tmp = os.path.join(directory, CHECKPOINT_MANIFEST + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(directory, CHECKPOINT_MANIFEST))
-    # the old manifest is outside input: only plain *.dten names are removed
-    for fname in old_files - set(entries.values()):
-        path = os.path.join(directory, fname)
-        if (fname.endswith(".dten") and os.path.basename(fname) == fname
-                and os.path.isfile(path)):
-            os.remove(path)
+        "params": list(flat),
+    })
 
 
 def load_checkpoint(directory: str) -> ModelState:
+    """Rebuild the model saved by save_checkpoint (version 2 only).
+
+    The manifest's names must equal those of the model its config builds,
+    in order, and params.dten must hold their total size; anything else
+    raises a ValueError naming what is wrong.
+    """
     from .dataio import read_dten
 
     path = os.path.join(directory, CHECKPOINT_MANIFEST)
     with open(path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "hdcaps-checkpoint":
+    if not isinstance(manifest, dict) or manifest.get("format") != "hdcaps-checkpoint":
         raise ValueError(f"{path} is not a checkpoint manifest")
+    if manifest.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {manifest.get('version')!r} "
+                         f"is not supported, expected {CHECKPOINT_VERSION}")
+    c_spec = manifest["c_spec"]
+    if type(c_spec) is not int:
+        raise ValueError(f"{path}: c_spec must be an integer, got {c_spec!r}")
     cfg = TrainConfig.from_dict(manifest["config"])
-    state = init_model(cfg, int(manifest["c_spec"]), np.random.default_rng(0))
+    state = init_model(cfg, c_spec, np.random.default_rng(0))
     flat = parameters(state)
-    if set(flat) != set(manifest["params"]):
-        raise ValueError("checkpoint parameter names do not match this model")
-    for name, fname in manifest["params"].items():
-        loaded = read_dten(os.path.join(directory, fname)).astype(np.float64)
-        if loaded.shape != flat[name].data.shape:
-            raise ValueError(
-                f"parameter {name} has shape {loaded.shape}, expected "
-                f"{flat[name].data.shape}"
-            )
-        flat[name].data = loaded
+    if manifest["params"] != list(flat):
+        raise ValueError(f"{path}: params must list this model's parameter "
+                         f"names in order")
+    params_path = os.path.join(directory, CHECKPOINT_PARAMS)
+    vector = read_dten(params_path)
+    sizes = [t.data.size for t in flat.values()]
+    if vector.shape != (sum(sizes),):
+        raise ValueError(f"{params_path} holds a vector of shape {vector.shape}, "
+                         f"expected ({sum(sizes)},)")
+    pieces = np.split(vector.astype(np.float64), np.cumsum(sizes)[:-1])
+    for tensor, piece in zip(flat.values(), pieces):
+        tensor.data = piece.reshape(tensor.data.shape)
     return state

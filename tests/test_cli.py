@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ def test_eval_report_fields_and_ranges(pipeline, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "oa=" in out and "kappa=" in out
-    data = json.load(open(report))
+    data = json.loads(Path(report).read_text())
     assert sorted(data.keys()) == ["aa", "classes", "confusion", "kappa",
                                    "oa", "per_class"]
     assert 0.0 <= data["oa"] <= 1.0
@@ -204,9 +205,11 @@ def test_eval_report_rerun_is_byte_identical(pipeline):
             "--seed", "3"]
     assert cli.main(args + ["--report", a]) == 0
     assert cli.main(args + ["--report", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
+@pytest.mark.filterwarnings(
+    "ignore:neighbor graph has .* components; embedding the largest only:UserWarning")
 def test_baseline_methods_run_and_report(pipeline, capsys):
     for method, extra in [("raw", []), ("pca", ["--dim", "4"]),
                           ("le", ["--dim", "2", "--neighbors", "12"])]:
@@ -216,7 +219,7 @@ def test_baseline_methods_run_and_report(pipeline, capsys):
                        "--report", report] + extra)
         assert rc == 0, method
         assert f"method={method}" in capsys.readouterr().out
-        data = json.load(open(report))
+        data = json.loads(Path(report).read_text())
         assert 0.0 <= data["oa"] <= 1.0
 
 
@@ -248,3 +251,38 @@ def test_eval_labels_override(pipeline, capsys, tmp_path):
                    "--train-frac", "0.2"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def replaced(obj, keys, value):
+    """obj with the entry at the path of keys set to value."""
+    if not keys:
+        return value
+    return {**obj, keys[0]: replaced(obj[keys[0]], keys[1:], value)}
+
+
+@pytest.mark.parametrize("keys,value,fragment", [
+    pytest.param((), [1, 2], "not a checkpoint manifest", id="list"),
+    pytest.param(("version",), 1, "version 1", id="version-1"),
+    pytest.param(("params",), {"caps_hsi.w": "caps_hsi.w.dten"}, "params",
+                 id="params-dict"),
+    pytest.param(("c_spec",), "8", "c_spec", id="c_spec-str"),
+    pytest.param(("config",), [1], "config", id="config-list"),
+    pytest.param(("config", "K"), "x", "'K'", id="K-str"),
+    pytest.param(("config", "lr"), "0.1", "'lr'", id="lr-str"),
+    pytest.param(("config", "K"), 1.5, "'K'", id="K-float"),
+    pytest.param(("config", "b"), True, "'b'", id="b-bool"),
+])
+def test_extract_malformed_manifest_is_exit_2(pipeline, capsys, tmp_path,
+                                              keys, value, fragment):
+    ckpt = tmp_path / "ck"
+    ckpt.mkdir()
+    src = Path(pipeline["ckpt"])
+    (ckpt / "params.dten").write_bytes((src / "params.dten").read_bytes())
+    manifest = json.loads((src / "manifest.json").read_text())
+    (ckpt / "manifest.json").write_text(json.dumps(replaced(manifest, keys, value)))
+    rc = cli.main(["extract", "--model", str(ckpt), "--data", pipeline["scene"],
+                   "--out", str(tmp_path / "f.hdcf")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err

@@ -1,5 +1,9 @@
 """Container formats, patch extraction, splits and the scene generator."""
 
+import os
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,7 +41,7 @@ def test_dten_float64_saves_as_f32(tmp_path):
 def test_dten_2x2_fixture_is_32_bytes(tmp_path):
     path = str(tmp_path / "a.dten")
     dataio.write_dten(path, np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     # 4 magic + 2 version + 1 dtype + 1 ndim + 2*4 dims + 4*4 payload
     assert len(blob) == 32
     assert blob[:4] == b"DTEN"
@@ -46,9 +50,9 @@ def test_dten_2x2_fixture_is_32_bytes(tmp_path):
 def test_dten_bad_magic(tmp_path):
     path = str(tmp_path / "a.dten")
     dataio.write_dten(path, np.zeros(2, dtype=np.float32))
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[:4] = b"XXXX"
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(FormatError) as exc:
         dataio.read_dten(path)
     assert exc.value.offset == 0
@@ -57,9 +61,9 @@ def test_dten_bad_magic(tmp_path):
 def test_dten_bad_version(tmp_path):
     path = str(tmp_path / "a.dten")
     dataio.write_dten(path, np.zeros(2, dtype=np.float32))
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[4] = 9
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(FormatError) as exc:
         dataio.read_dten(path)
     assert exc.value.offset == 4
@@ -68,9 +72,9 @@ def test_dten_bad_version(tmp_path):
 def test_dten_bad_dtype_code(tmp_path):
     path = str(tmp_path / "a.dten")
     dataio.write_dten(path, np.zeros(2, dtype=np.float32))
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[6] = 77
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(FormatError) as exc:
         dataio.read_dten(path)
     assert exc.value.offset == 6
@@ -79,13 +83,13 @@ def test_dten_bad_dtype_code(tmp_path):
 def test_dten_truncations_and_trailing(tmp_path):
     path = str(tmp_path / "a.dten")
     dataio.write_dten(path, np.zeros((2, 3), dtype=np.float32))
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     for cut in (5, 10, len(blob) - 4):
-        open(path, "wb").write(blob[:cut])
+        Path(path).write_bytes(blob[:cut])
         with pytest.raises(FormatError) as exc:
             dataio.read_dten(path)
         assert exc.value.offset == cut
-    open(path, "wb").write(blob + b"zz")
+    Path(path).write_bytes(blob + b"zz")
     with pytest.raises(FormatError) as exc:
         dataio.read_dten(path)
     assert exc.value.offset == len(blob)
@@ -109,14 +113,31 @@ def test_features_round_trip(tmp_path):
 def test_features_bad_magic_and_trailing(tmp_path):
     path = str(tmp_path / "f.hdcf")
     dataio.write_features(path, [0], [0], [1], np.zeros((1, 2), np.float32))
-    blob = open(path, "rb").read()
-    open(path, "wb").write(b"NOPE" + blob[4:])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(FormatError) as exc:
         dataio.read_features(path)
     assert exc.value.offset == 0
-    open(path, "wb").write(blob + b"x")
+    Path(path).write_bytes(blob + b"x")
     with pytest.raises(FormatError):
         dataio.read_features(path)
+
+
+def test_writers_hold_no_extra_copy_of_the_payload(tmp_path):
+    rng = np.random.default_rng(5)
+    feats = rng.standard_normal((15000, 200))
+    idx = np.arange(feats.shape[0], dtype=np.int32)
+    cases = [(dataio.write_features, (idx, idx, idx, feats)),
+             (dataio.write_dten, (rng.standard_normal((2000, 1000)),))]
+    for write, args in cases:
+        path = str(tmp_path / "out")
+        tracemalloc.start()
+        try:
+            write(path, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * os.path.getsize(path), write.__name__
 
 
 def test_scene_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,7 @@ def test_two_steps_decrease_fixed_batch_loss():
     assert hits >= 95, f"loss decreased in only {hits}/100 trials"
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_train_divergence_aborts_with_name():
     state = tiny_state(seed=13)
     params = parameters(state)
@@ -349,10 +351,11 @@ def test_checkpoint_round_trip(tmp_path):
     hsi, lidar = tiny_data(19)
     training.train(state, hsi, lidar, np.random.default_rng(3))
     save_checkpoint(state, str(tmp_path / "ckpt"))
+    assert sorted(os.listdir(tmp_path / "ckpt")) == ["manifest.json", "params.dten"]
     loaded = load_checkpoint(str(tmp_path / "ckpt"))
     src = parameters(state)
     dst = parameters(loaded)
-    assert set(src) == set(dst)
+    assert list(src) == list(dst)
     for name in src:
         np.testing.assert_array_equal(
             src[name].data.astype(np.float32), dst[name].data.astype(np.float32)
@@ -360,42 +363,48 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.config.to_dict() == state.config.to_dict()
 
 
-def dten_files(directory):
-    return sorted(f for f in os.listdir(directory) if f.endswith(".dten"))
-
-
-def test_checkpoint_overwrite_removes_stale_tensors(tmp_path):
+def test_checkpoint_overwrite_with_smaller_model(tmp_path):
     ckpt = tmp_path / "ckpt"
     save_checkpoint(tiny_state(seed=25, n_blocks=3), str(ckpt))
-    (ckpt / "notes.txt").write_text("kept")
-    (ckpt / "extra.dten").write_bytes(b"not listed")
     small = tiny_state(seed=26, n_blocks=1)
     save_checkpoint(small, str(ckpt))
-    want = sorted(name + ".dten" for name in parameters(small))
-    assert dten_files(ckpt) == sorted(want + ["extra.dten"])
-    assert (ckpt / "notes.txt").read_text() == "kept"
     loaded = load_checkpoint(str(ckpt))
     assert loaded.config.n_blocks == 1
-    assert set(parameters(loaded)) == set(parameters(small))
+    assert list(parameters(loaded)) == list(parameters(small))
+    for name, tensor in parameters(small).items():
+        np.testing.assert_array_equal(parameters(loaded)[name].data,
+                                      tensor.data.astype(np.float32))
 
 
-def test_checkpoint_overwrite_keeps_unsafe_manifest_names(tmp_path):
-    # the old manifest is read from disk; names that are not a plain
-    # *.dten file in the checkpoint directory must never be deleted
+def snapshot(root):
+    """Every path under root, mapped to its bytes (None for a directory)."""
+    return {path.relative_to(root): path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
+def test_checkpoint_save_touches_only_its_two_files(tmp_path):
+    # a version-1 layout (one file per parameter, names listed by the
+    # manifest) plus unrelated files: a save replaces manifest.json, adds
+    # params.dten and leaves every other file as it was, unread
     ckpt = tmp_path / "ckpt"
     (ckpt / "sub").mkdir(parents=True)
     (tmp_path / "outside.dten").write_bytes(b"x")
     (ckpt / "sub" / "inner.dten").write_bytes(b"x")
     (ckpt / "notes.txt").write_bytes(b"x")
     (ckpt / "dir.dten").mkdir()
-    listed = ["../outside.dten", "sub/inner.dten", "notes.txt", "dir.dten",
-              str(tmp_path / "outside.dten"), 7, None]
-    (ckpt / "manifest.json").write_text(json.dumps(
-        {"params": {f"p{i}": name for i, name in enumerate(listed)}}))
-    save_checkpoint(tiny_state(seed=27), str(ckpt))
-    for path in (tmp_path / "outside.dten", ckpt / "sub" / "inner.dten",
-                 ckpt / "notes.txt", ckpt / "dir.dten"):
-        assert path.exists(), path
+    old = {name: name + ".dten" for name in parameters(tiny_state(seed=27))}
+    for fname in old.values():
+        (ckpt / fname).write_bytes(b"old tensor")
+    old.update({"p0": "../outside.dten", "p1": "sub/inner.dten", "p2": "notes.txt"})
+    (ckpt / "manifest.json").write_text(json.dumps({
+        "format": "hdcaps-checkpoint", "version": 1, "params": old}))
+    before = snapshot(tmp_path)
+    for seed in (27, 28):
+        save_checkpoint(tiny_state(seed=seed), str(ckpt))
+        after = snapshot(tmp_path)
+        changed = {path for path in after if after[path] != before.get(path, "")}
+        assert set(before) - set(after) == set()
+        assert changed == {Path("ckpt", "manifest.json"), Path("ckpt", "params.dten")}
     load_checkpoint(str(ckpt))
 
 
@@ -406,5 +415,39 @@ def test_checkpoint_overwrite_tolerates_malformed_manifest(tmp_path, old_manifes
     (ckpt / "manifest.json").write_text(old_manifest)
     state = tiny_state(seed=28)
     save_checkpoint(state, str(ckpt))
-    assert dten_files(ckpt) == sorted(name + ".dten" for name in parameters(state))
+    assert sorted(os.listdir(ckpt)) == ["manifest.json", "params.dten"]
     load_checkpoint(str(ckpt))
+
+
+def edit_manifest(ckpt, **fields):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest.update(fields)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    return manifest
+
+
+def test_load_checkpoint_rejects_version_1(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(tiny_state(seed=29), str(ckpt))
+    edit_manifest(ckpt, version=1)
+    with pytest.raises(ValueError, match="checkpoint version 1 is not supported"):
+        load_checkpoint(str(ckpt))
+
+
+def test_load_checkpoint_rejects_wrong_length_params(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(tiny_state(seed=30), str(ckpt))
+    vector = dataio.read_dten(str(ckpt / "params.dten"))
+    size = vector.shape[0]
+    dataio.write_dten(str(ckpt / "params.dten"), vector[:-1])
+    with pytest.raises(ValueError, match=rf"\({size - 1},\).*\({size},\)"):
+        load_checkpoint(str(ckpt))
+
+
+def test_load_checkpoint_rejects_reordered_names(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(tiny_state(seed=31), str(ckpt))
+    names = json.loads((ckpt / "manifest.json").read_text())["params"]
+    edit_manifest(ckpt, params=names[1:] + names[:1])
+    with pytest.raises(ValueError, match="params must list"):
+        load_checkpoint(str(ckpt))
