@@ -194,8 +194,8 @@ def _cmd_train(args) -> int:
     from . import dataio, model, training
 
     cfg = parse_config(args.config) if args.config else TrainConfig()
-    hsi, elevation, labels = dataio.read_scene(args.data)
-    patches = dataio.extract_patches(hsi, elevation, labels, cfg.b)
+    # no name keeps the float64 scene, so it is freed once patches are cut
+    patches = dataio.extract_patches(*dataio.read_scene(args.data), cfg.b)
     rng = np.random.default_rng(cfg.seed)
     state = model.init_model(cfg, patches.c_spec, rng)
     os.makedirs(args.out, exist_ok=True)
@@ -221,8 +221,7 @@ def _cmd_extract(args) -> int:
     from . import dataio, model
 
     state = model.load_checkpoint(args.model)
-    hsi, elevation, labels = dataio.read_scene(args.data)
-    patches = dataio.extract_patches(hsi, elevation, labels, state.config.b)
+    patches = dataio.extract_patches(*dataio.read_scene(args.data), state.config.b)
     if patches.c_spec != state.c_spec:
         raise ValueError(
             f"scene has {patches.c_spec} bands but the checkpoint was trained "
@@ -243,6 +242,11 @@ def _cmd_eval(args) -> int:
         raster = dataio.read_dten(args.labels)
         if raster.ndim != 2:
             raise ValueError("label raster must be a 2-D tensor")
+        if rows.size:
+            extent = (int(rows.max()) + 1, int(cols.max()) + 1)
+            if extent[0] > raster.shape[0] or extent[1] > raster.shape[1]:
+                raise ValueError(f"label raster has shape {raster.shape} but the "
+                                 f"features need at least {extent}")
         labels = raster[rows, cols].astype(np.int32)
     return _score(args, feats, labels, "")
 
@@ -250,8 +254,7 @@ def _cmd_eval(args) -> int:
 def _cmd_baseline(args) -> int:
     from . import dataio, evaluation
 
-    hsi, elevation, labels = dataio.read_scene(args.data)
-    patches = dataio.extract_patches(hsi, elevation, labels, args.patch_size)
+    patches = dataio.extract_patches(*dataio.read_scene(args.data), args.patch_size)
     raw = evaluation.raw_patch_features(patches)
     if args.method == "raw":
         feats = raw

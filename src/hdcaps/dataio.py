@@ -21,17 +21,11 @@ failed. Every writer here, `write_json` included, writes a temp file and
 renames it over the target, so readers never observe a half-written
 file; an array is streamed from its own buffer after its header.
 
-`extract_patches` keeps the standardized spectra in whichever form is
-smaller. N labeled pixels at patch size b make an (N, b, b, C) stack of
-N*b*b*C floats; the mirror-padded scene has (H + b - 1)(W + b - 1)*C.
-When labels cover more than about 1/b^2 of the scene, as in a densely
-labeled scene, the padded float32 scene is kept once inside a
-`PatchStack`: indexing its first axis with a slice, an integer or an
-integer array gathers only the selected b x b windows, so a batch of B
-patches costs B*b*b*C floats and the whole stack is built only by
-`np.asarray`. When labels are sparser (public HSI + LiDAR ground truths
-often label a few percent of the pixels), the gathered (N, b, b, C)
-ndarray is kept instead. Both index the same way.
+`extract_patches` keeps the standardized spectra once, as the
+mirror-padded float32 scene inside a `PatchStack`: indexing its first
+axis with a slice, an integer or an integer array gathers only the
+selected b x b windows, so a batch of B patches costs B*b*b*C floats and
+the whole (N, b, b, C) stack is built only by `np.asarray`.
 """
 
 from __future__ import annotations
@@ -77,27 +71,28 @@ def _atomic_write(path: str, *chunks) -> None:
     os.replace(tmp, path)
 
 
-def _read_container(path: str, magic: bytes, header_size: int) -> bytes:
-    """The bytes of path, checked for a complete header and its magic."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < header_size:
-        raise FormatError(path, len(blob), "truncated header")
-    if blob[:4] != magic:
-        raise FormatError(path, 0, f"bad magic {blob[:4]!r}, expected {magic!r}")
-    return blob
+def _read_header(fh, path: str, magic: bytes, header_size: int):
+    """(the first header_size bytes of fh, the file's size), checked for
+    a complete header and its magic."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < header_size:
+        raise FormatError(path, size, "truncated header")
+    head = fh.read(header_size)
+    if head[:4] != magic:
+        raise FormatError(path, 0, f"bad magic {head[:4]!r}, expected {magic!r}")
+    return head, size
 
 
-def _payload(path: str, blob: bytes, offset: int, dtype: np.dtype, count: int,
-             what: str) -> np.ndarray:
-    """The count items of dtype at offset, which must end the file."""
-    end = offset + count * dtype.itemsize
-    if len(blob) < end:
-        raise FormatError(path, len(blob),
-                          f"truncated {what}: expected {end} bytes total")
-    if len(blob) > end:
+def _read_payload(fh, path: str, size: int, dtype: np.dtype, count: int,
+                  what: str) -> np.ndarray:
+    """The count items of dtype at fh's position, which must end the
+    file, read once into the returned array."""
+    end = fh.tell() + count * dtype.itemsize
+    if size < end:
+        raise FormatError(path, size, f"truncated {what}: expected {end} bytes total")
+    if size > end:
         raise FormatError(path, end, f"trailing bytes after {what}")
-    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+    return np.fromfile(fh, dtype=dtype, count=count)
 
 
 def write_json(path: str, obj) -> None:
@@ -125,21 +120,21 @@ def write_dten(path: str, array: np.ndarray) -> None:
 
 
 def read_dten(path: str) -> np.ndarray:
-    blob = _read_container(path, DTEN_MAGIC, 8)
-    version, code, ndim = struct.unpack_from("<HBB", blob, 4)
-    if version != DTEN_VERSION:
-        raise FormatError(path, 4, f"unsupported version {version}")
-    if code not in _DTYPE_CODES:
-        raise FormatError(path, 6, f"unknown dtype code {code}")
-    dims_end = 8 + 4 * ndim
-    if len(blob) < dims_end:
-        raise FormatError(path, len(blob), "truncated dimension list")
-    shape = struct.unpack_from(f"<{ndim}I", blob, 8)
-    dtype = _DTYPE_CODES[code]
-    count = 1
-    for dim in shape:
-        count *= dim
-    return _payload(path, blob, dims_end, dtype, count, "payload").reshape(shape).copy()
+    with open(path, "rb") as fh:
+        head, size = _read_header(fh, path, DTEN_MAGIC, 8)
+        version, code, ndim = struct.unpack_from("<HBB", head, 4)
+        if version != DTEN_VERSION:
+            raise FormatError(path, 4, f"unsupported version {version}")
+        if code not in _DTYPE_CODES:
+            raise FormatError(path, 6, f"unknown dtype code {code}")
+        if size < 8 + 4 * ndim:
+            raise FormatError(path, size, "truncated dimension list")
+        shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        count = 1
+        for dim in shape:
+            count *= dim
+        payload = _read_payload(fh, path, size, _DTYPE_CODES[code], count, "payload")
+    return payload.reshape(shape)
 
 
 def write_features(path: str, rows: np.ndarray, cols: np.ndarray,
@@ -159,14 +154,15 @@ def write_features(path: str, rows: np.ndarray, cols: np.ndarray,
 
 
 def read_features(path: str):
-    """Returns (rows u32, cols u32, labels i32, feats f32 (n, d))."""
-    blob = _read_container(path, HDCF_MAGIC, 12)
-    n, dim = struct.unpack_from("<II", blob, 4)
-    rec_dtype = np.dtype([("row", "<u4"), ("col", "<u4"),
-                          ("label", "<i4"), ("feat", "<f4", (dim,))])
-    rec = _payload(path, blob, 12, rec_dtype, n, "records")
-    return (rec["row"].copy(), rec["col"].copy(),
-            rec["label"].copy(), rec["feat"].copy())
+    """Returns (rows u32, cols u32, labels i32, feats f32 (n, d)), the
+    fields of one record array."""
+    with open(path, "rb") as fh:
+        head, size = _read_header(fh, path, HDCF_MAGIC, 12)
+        n, dim = struct.unpack_from("<II", head, 4)
+        rec_dtype = np.dtype([("row", "<u4"), ("col", "<u4"),
+                              ("label", "<i4"), ("feat", "<f4", (dim,))])
+        rec = _read_payload(fh, path, size, rec_dtype, n, "records")
+    return rec["row"], rec["col"], rec["label"], rec["feat"]
 
 
 def write_scene(directory: str, hsi: np.ndarray, elevation: np.ndarray,
@@ -241,15 +237,14 @@ class PatchSet:
 
     hsi: the (N, b, b, C) float32 standardized spectra, as a lazy
     PatchStack that holds one padded copy of the scene and gathers a
-    batch's windows when indexed, or, when N*b*b is below the padded
-    scene's pixel count (sparse labels), as the gathered ndarray;
+    batch's windows when indexed;
     lidar: (N, b*b, 3) float32 point sets with grid x, grid y in [-1, 1]
     and standardized elevation z; labels, rows, cols: (N,) int32. Patch
     points are ordered row-major, so the center pixel is index
     (b*b) // 2.
     """
 
-    hsi: PatchStack | np.ndarray
+    hsi: PatchStack
     lidar: np.ndarray
     labels: np.ndarray
     rows: np.ndarray
@@ -263,9 +258,7 @@ class PatchSet:
     def center_spectra(self) -> np.ndarray:
         """(N, C) standardized spectra of the patch centers."""
         r = self.b // 2
-        if isinstance(self.hsi, PatchStack):
-            return self.hsi.scene[self.rows + r, self.cols + r]
-        return self.hsi[:, r, r]
+        return self.hsi.scene[self.rows + r, self.cols + r]
 
 
 def _grid_axis(b: int) -> np.ndarray:
@@ -278,8 +271,7 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
 
     Borders are mirror-padded. Spectra are z-scored per band with moments
     computed over labeled pixels only; elevation is z-scored over the
-    whole scene. Near-constant bands divide by 1 instead of ~0. The
-    spectra are kept in the smaller of the two forms PatchSet.hsi takes.
+    whole scene. Near-constant bands divide by 1 instead of ~0.
     """
     hsi = np.asarray(hsi, dtype=np.float64)
     elevation = np.asarray(elevation, dtype=np.float64)
@@ -327,13 +319,8 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     lidar[:, :, 1] = gy.reshape(-1)
     lidar[:, :, 2] = heights
 
-    spectra = PatchStack(hsi_n, rows, cols, b)
-    if n * b * b < hsi_n.shape[0] * hsi_n.shape[1]:
-        # labels so sparse that the gathered patches are smaller than the
-        # padded scene: keep them and let the scene go
-        spectra = np.asarray(spectra)
     return PatchSet(
-        hsi=spectra, lidar=lidar,
+        hsi=PatchStack(hsi_n, rows, cols, b), lidar=lidar,
         labels=labels[mask].astype(np.int32), rows=rows, cols=cols,
         b=b, c_spec=hsi.shape[2],
     )

@@ -145,6 +145,13 @@ def predict(model: LinearClassifier, feats: np.ndarray) -> np.ndarray:
     return model.classes[np.argmax(scores, axis=1)]
 
 
+def _positive_peaks(vecs: np.ndarray) -> np.ndarray:
+    """The columns of vecs, each negated if its largest-magnitude entry
+    (the first, on ties) is negative."""
+    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(peaks < 0, -1.0, 1.0)
+
+
 def pca_fit(feats: np.ndarray, n_components: int) -> dict:
     """Principal axes via the eigendecomposition of the covariance.
 
@@ -160,11 +167,7 @@ def pca_fit(feats: np.ndarray, n_components: int) -> dict:
     cov = centered.T @ centered / max(1, n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:n_components]
-    comps = eigvecs[:, order].T  # (k, D)
-    for i in range(comps.shape[0]):
-        j = np.argmax(np.abs(comps[i]))
-        if comps[i, j] < 0:
-            comps[i] = -comps[i]
+    comps = _positive_peaks(eigvecs[:, order]).T  # (k, D)
     return {"mean": mean, "components": comps,
             "eigenvalues": eigvals[order]}
 
@@ -235,12 +238,7 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     # ascending eigenvalues; the first is the trivial constant solution
     _, vecs = scipy.linalg.eigh(lap, np.diag(deg),
                                 subset_by_index=[0, n_components])
-    vecs = vecs[:, 1:]
-    for i in range(vecs.shape[1]):
-        j = np.argmax(np.abs(vecs[:, i]))
-        if vecs[j, i] < 0:
-            vecs[:, i] = -vecs[:, i]
-    out[idx] = vecs
+    out[idx] = _positive_peaks(vecs[:, 1:])
     return out
 
 

@@ -250,6 +250,9 @@ def load_checkpoint(directory: str) -> ModelState:
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {manifest.get('version')!r} "
                          f"is not supported, expected {CHECKPOINT_VERSION}")
+    for key in ("c_spec", "config", "params"):
+        if key not in manifest:
+            raise ValueError(f"{path}: missing key {key!r}")
     c_spec = manifest["c_spec"]
     if type(c_spec) is not int:
         raise ValueError(f"{path}: c_spec must be an integer, got {c_spec!r}")

@@ -253,11 +253,28 @@ def test_eval_labels_override(pipeline, capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+def test_eval_labels_raster_smaller_than_scene_is_exit_2(pipeline, capsys, tmp_path):
+    path = str(tmp_path / "labels.dten")
+    dataio.write_dten(path, np.ones((5, 5), dtype=np.int32))
+    rc = cli.main(["eval", "--features", pipeline["feats"], "--labels", path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(5, 5)" in err and "(16, 16)" in err
+
+
+MISSING = object()
+
+
 def replaced(obj, keys, value):
-    """obj with the entry at the path of keys set to value."""
+    """obj with the entry at the path of keys set to value, or removed
+    when value is MISSING."""
     if not keys:
         return value
-    return {**obj, keys[0]: replaced(obj[keys[0]], keys[1:], value)}
+    out = {**obj, keys[0]: replaced(obj[keys[0]], keys[1:], value)}
+    if out[keys[0]] is MISSING:
+        del out[keys[0]]
+    return out
 
 
 @pytest.mark.parametrize("keys,value,fragment", [
@@ -271,6 +288,12 @@ def replaced(obj, keys, value):
     pytest.param(("config", "lr"), "0.1", "'lr'", id="lr-str"),
     pytest.param(("config", "K"), 1.5, "'K'", id="K-float"),
     pytest.param(("config", "b"), True, "'b'", id="b-bool"),
+    pytest.param(("c_spec",), MISSING, "manifest.json: missing key 'c_spec'",
+                 id="no-c_spec"),
+    pytest.param(("config",), MISSING, "manifest.json: missing key 'config'",
+                 id="no-config"),
+    pytest.param(("params",), MISSING, "manifest.json: missing key 'params'",
+                 id="no-params"),
 ])
 def test_extract_malformed_manifest_is_exit_2(pipeline, capsys, tmp_path,
                                               keys, value, fragment):

@@ -140,6 +140,23 @@ def test_writers_hold_no_extra_copy_of_the_payload(tmp_path):
         assert peak < 1.5 * os.path.getsize(path), write.__name__
 
 
+def test_readers_hold_one_copy_of_the_payload(tmp_path):
+    rng = np.random.default_rng(5)
+    feats = rng.standard_normal((15000, 200))
+    idx = np.arange(feats.shape[0], dtype=np.int32)
+    features, tensor = str(tmp_path / "f.hdcf"), str(tmp_path / "t.dten")
+    dataio.write_features(features, idx, idx, idx, feats)
+    dataio.write_dten(tensor, rng.standard_normal((2000, 1000)))
+    for read, path in ((dataio.read_features, features), (dataio.read_dten, tensor)):
+        tracemalloc.start()
+        try:
+            read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * os.path.getsize(path), read.__name__
+
+
 def test_scene_round_trip(tmp_path):
     d = str(tmp_path / "scene")
     rng = np.random.default_rng(2)
@@ -316,18 +333,18 @@ def test_patch_stack_indexing_matches_full_stack():
     np.testing.assert_array_equal(ps.center_spectra(), full[:, 2, 2, :])
 
 
-def test_extract_keeps_smaller_of_scene_and_patches():
-    # the padded 14 x 15 scene has 210 pixels: 8 patches of 5 x 5 (200
-    # pixels) are kept gathered, 9 (225 pixels) as windows of the scene
+def test_extract_returns_patch_stack_at_any_label_density():
+    # the padded 14 x 15 scene has 210 pixels: 8 patches of 5 x 5 make
+    # 200 pixels, fewer than the scene, 9 make 225, more
     rng = np.random.default_rng(8)
     hsi = rng.normal(size=(10, 11, 3))
     elev = rng.normal(size=(10, 11))
-    for n, kind in ((8, np.ndarray), (9, dataio.PatchStack)):
+    for n in (8, 9):
         labels = np.zeros(110, dtype=np.int32)
         labels[rng.choice(110, size=n, replace=False)] = 1
         labels = labels.reshape(10, 11)
         ps = dataio.extract_patches(hsi, elev, labels, b=5)
-        assert type(ps.hsi) is kind
+        assert type(ps.hsi) is dataio.PatchStack, n
         want_hsi, _ = window_oracle(hsi, elev, labels, 5)
         np.testing.assert_array_equal(np.asarray(ps.hsi), want_hsi)
         np.testing.assert_array_equal(ps.hsi[::-1], want_hsi[::-1])
