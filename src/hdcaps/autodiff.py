@@ -1,11 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Every value is float64. A :class:`Tensor` wraps an ndarray plus the
-backward closure that scatters its gradient into its parents; calling
-:func:`backward` on a scalar loss walks the graph once in reverse
-topological order. The op set is just large enough for the models in
-this package: broadcast arithmetic, batched matmul, softmax, reductions
-and shape ops, plus four fused ops that are each one graph node with a
+A :class:`Tensor` wraps an ndarray plus the backward closure that
+scatters its gradient into its parents; calling :func:`backward` on a
+scalar loss walks the graph once in reverse topological order. Values
+are float64, except that inside :func:`no_grad` a float32 array stays
+float32: an inference pass fed float32 data and parameters runs in
+single precision, while training and gradient checks run in float64.
+
+The op set is just large enough for the models in this package:
+broadcast arithmetic, batched matmul, softmax, reductions and shape
+ops, plus four fused ops that are each one graph node with a
 closed-form backward. These are the capsule squash nonlinearity
 (``squash_groups``, finite at the zero vector), the dense layer
 (``linear``), attentive context normalization (``acn``) and the
@@ -78,13 +82,18 @@ class Tensor:
 
     ``Tensor(data)`` is a trainable leaf. An op passes its inputs as
     ``parents``; its output is a graph node if grad mode is on and some
-    input is not a constant, and a constant otherwise.
+    input is not a constant, and a constant otherwise. The data is
+    float64, or float32 when a float32 array is given inside
+    :func:`no_grad`.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward", "_const")
 
     def __init__(self, data, parents=()):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if _grad_enabled or data.dtype != np.float32:
+            data = data.astype(np.float64, copy=False)
+        self.data = data
         self.grad = None
         self._backward = None
         self._parents = ()

@@ -31,8 +31,10 @@ def init_capsule_block(c_spec: int, g: int, d_cap: int, rng: np.random.Generator
 
 def extract_preliminary_batch(params: dict, patches: np.ndarray, g: int, d_cap: int) -> Tensor:
     """Batched pixel lift: (B, b, b, c_spec) patch array -> point sets
-    (B, b*b, g*d_cap). The patches are data, not a graph node."""
-    patches = np.asarray(patches, dtype=np.float64)
+    (B, b*b, g*d_cap). The patches are data, not a graph node. The dtype
+    follows the input under ``autodiff`` rules: float64, or float32 for
+    float32 patches and parameters inside ``no_grad``."""
+    patches = np.asarray(patches)
     if patches.ndim != 4:
         raise ValueError(
             f"patches must have shape (B, b, b, c_spec), got {patches.shape}"

@@ -59,6 +59,9 @@ HDCF_MAGIC = b"HDCF"
 DTEN_VERSION = 1
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<i4")}
 _STD_FLOOR = 1e-12
+# float64 bytes that one step of extract_patches' chunked passes over the
+# spectra works on
+_CHUNK_BYTES = 1 << 23
 
 
 def _atomic_write(path: str, *chunks) -> None:
@@ -265,15 +268,56 @@ def _grid_axis(b: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, b) if b > 1 else np.zeros(1)
 
 
+def _require_finite(name: str, array: np.ndarray, axes: tuple, rows: int) -> None:
+    """Raise a ValueError naming the first non-finite entry of array in
+    row-major order by its index on each of axes; array is read `rows`
+    rows at a time."""
+    for start in range(0, array.shape[0], rows):
+        chunk = array[start:start + rows]
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            index = np.unravel_index(np.argmin(finite), finite.shape)
+            where = ", ".join(f"{axis} {i}" for axis, i in
+                              zip(axes, (start + index[0], *index[1:])))
+            raise ValueError(f"{name} holds a non-finite value "
+                             f"({chunk[index]}) at {where}")
+
+
+def _band_moments(hsi: np.ndarray, mask: np.ndarray, n: int):
+    """Per-band mean and std of the n labeled pixels, gathered a block of
+    bands at a time. Each block keeps at least two bands (or the only
+    one), so numpy reduces each column of the (n, bands) block row after
+    row, as it does that column of the whole (n, C) array: the moments
+    are bit-identical to those of hsi[mask]."""
+    c_spec = hsi.shape[2]
+    # the gathered block and the std's temporary are both float64
+    blocks = min(max(1, c_spec // 2), -(-16 * n * c_spec // _CHUNK_BYTES))
+    mean = np.empty(c_spec)
+    std = np.empty(c_spec)
+    for bands in np.array_split(np.arange(c_spec), blocks):
+        sel = slice(bands[0], bands[-1] + 1)
+        labeled = np.asarray(hsi[:, :, sel][mask], dtype=np.float64)
+        mean[sel] = labeled.mean(axis=0)
+        std[sel] = labeled.std(axis=0)
+    return mean, np.where(std < _STD_FLOOR, 1.0, std)
+
+
 def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
                     labels: np.ndarray, b: int) -> PatchSet:
     """Cut one b x b patch around every labeled pixel (label > 0).
 
     Borders are mirror-padded. Spectra are z-scored per band with moments
     computed over labeled pixels only; elevation is z-scored over the
-    whole scene. Near-constant bands divide by 1 instead of ~0.
+    whole scene. Near-constant bands divide by 1 instead of ~0. A
+    non-finite spectral value raises a ValueError naming its (row, col,
+    band), a non-finite elevation one naming its (row, col).
+
+    The spectra are read in chunks of about _CHUNK_BYTES of float64, and
+    the standardized values are written a block of rows at a time
+    straight into the padded float32 scene: each is the float64
+    (x - mean) / std, cast once to float32.
     """
-    hsi = np.asarray(hsi, dtype=np.float64)
+    hsi = np.asarray(hsi)
     elevation = np.asarray(elevation, dtype=np.float64)
     labels = np.asarray(labels)
     if hsi.ndim != 3:
@@ -286,43 +330,46 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     n = int(mask.sum())
     if n == 0:
         raise ValueError("scene has no labeled pixels")
-
-    labeled = hsi[mask]
-    band_mean = labeled.mean(axis=0)
-    band_std = labeled.std(axis=0)
-    del labeled
-    band_std = np.where(band_std < _STD_FLOOR, 1.0, band_std)
-    # standardize in float64, then cast the scene once: the cast is
-    # elementwise, so gathering float32 patches from it gives the same
-    # values as casting float64 patches, without a b*b-fold float64 copy
-    hsi_n = hsi - band_mean
-    hsi_n /= band_std
-    hsi_n = hsi_n.astype(np.float32)
-    el_std = elevation.std()
-    el_n = (elevation - elevation.mean()) / (el_std if el_std >= _STD_FLOOR else 1.0)
-
+    height, width, c_spec = hsi.shape
     r = b // 2
-    if r > 0:
-        if min(hsi.shape[:2]) < r + 1:
-            raise ValueError("scene too small for the requested patch size")
-        hsi_n = np.pad(hsi_n, ((r, r), (r, r), (0, 0)), mode="reflect")
-        el_n = np.pad(el_n, r, mode="reflect")
+    if min(height, width) < r + 1:
+        raise ValueError("scene too small for the requested patch size")
+    # padded index -> scene index, mirrored as by np.pad(mode="reflect")
+    pad_rows = np.pad(np.arange(height), r, mode="reflect")
+    pad_cols = np.pad(np.arange(width), r, mode="reflect")
+    step = max(1, _CHUNK_BYTES // (8 * pad_cols.size * c_spec))
+    _require_finite("hsi", hsi, ("row", "col", "band"), step)
+    _require_finite("elevation", elevation, ("row", "col"), height)
+
+    # the points are cut before the spectra, so their float64 heights are
+    # freed before the padded scene is allocated
     rows, cols = np.nonzero(mask)
     rows = rows.astype(np.int32)
     cols = cols.astype(np.int32)
-    heights = el_n[_windows(rows, cols, b)].reshape(n, b * b)
-
+    el_std = elevation.std()
+    el_n = (elevation - elevation.mean()) / (el_std if el_std >= _STD_FLOOR else 1.0)
+    el_n = el_n[np.ix_(pad_rows, pad_cols)]
     axis = _grid_axis(b)
     gy, gx = np.meshgrid(axis, axis, indexing="ij")
     lidar = np.empty((n, b * b, 3), dtype=np.float32)
     lidar[:, :, 0] = gx.reshape(-1)
     lidar[:, :, 1] = gy.reshape(-1)
-    lidar[:, :, 2] = heights
+    lidar[:, :, 2] = el_n[_windows(rows, cols, b)].reshape(n, b * b)
+
+    band_mean, band_std = _band_moments(hsi, mask, n)
+    scene = np.empty((pad_rows.size, pad_cols.size, c_spec), dtype=np.float32)
+    for start in range(0, pad_rows.size, step):
+        block = np.asarray(hsi[np.ix_(pad_rows[start:start + step], pad_cols)],
+                           dtype=np.float64)
+        block -= band_mean
+        block /= band_std
+        scene[start:start + step] = block
+        del block  # freed before the next block is gathered
 
     return PatchSet(
-        hsi=PatchStack(hsi_n, rows, cols, b), lidar=lidar,
+        hsi=PatchStack(scene, rows, cols, b), lidar=lidar,
         labels=labels[mask].astype(np.int32), rows=rows, cols=cols,
-        b=b, c_spec=hsi.shape[2],
+        b=b, c_spec=c_spec,
     )
 
 

@@ -44,11 +44,12 @@ def fuse_features(feats_hsi: np.ndarray, feats_lidar: np.ndarray,
     """Concatenate center-pixel and mean feature rows of both branches.
 
     feats_*: (N, X, C) feature maps of a batch; center is the row index of
-    the patch's center pixel. Output is (N, 4 * C), ordered [spectral
-    center, spectral mean, lidar center, lidar mean].
+    the patch's center pixel. Output is (N, 4 * C) float64, ordered
+    [spectral center, spectral mean, lidar center, lidar mean]; float32
+    maps are averaged in float64 without a float64 copy of the maps.
     """
-    fh = np.asarray(feats_hsi, dtype=np.float64)
-    fl = np.asarray(feats_lidar, dtype=np.float64)
+    fh = np.asarray(feats_hsi)
+    fl = np.asarray(feats_lidar)
     if fh.ndim != 3 or fl.ndim != 3:
         raise ValueError(
             f"expected (N, X, C) feature maps, got {fh.shape} and {fl.shape}")
@@ -57,7 +58,9 @@ def fuse_features(feats_hsi: np.ndarray, feats_lidar: np.ndarray,
     if not 0 <= center < fh.shape[1]:
         raise ValueError("center index out of range")
     return np.concatenate(
-        [fh[:, center], fh.mean(axis=1), fl[:, center], fl.mean(axis=1)], axis=1
+        [fh[:, center], fh.mean(axis=1, dtype=np.float64),
+         fl[:, center], fl.mean(axis=1, dtype=np.float64)],
+        axis=1, dtype=np.float64,
     )
 
 

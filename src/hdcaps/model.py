@@ -18,7 +18,10 @@ attention agreement.
 The extract path (``decompose_batch`` inside ``fused_features``) encodes
 each branch once, under ``autodiff.no_grad``, and stops at the feature
 maps: the fused features read only those, so it builds no graph and
-runs no capsule aggregation.
+runs no capsule aggregation. It computes in float32, from float32
+copies of the parameters it reads; a checkpoint stores float32 values,
+so these are exactly the values a loaded checkpoint holds. Training and
+the stored parameters stay float64.
 """
 
 from __future__ import annotations
@@ -163,26 +166,44 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     return total, LossReport(*(float(t.data) for t in terms))
 
 
+def _float32(group: dict) -> dict:
+    """A parameter group with every Tensor replaced by a float32 constant
+    copy; the float64 originals are left untouched."""
+    return {key: as_tensor(value.data.astype(np.float32))
+            if isinstance(value, Tensor) else value
+            for key, value in group.items()}
+
+
 def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
                     lidar_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inference pass: the (B, X, C) encoder feature maps of the spectral
-    and the elevation branch, computed without building a graph."""
+    """Inference pass: the (B, X, C) float32 encoder feature maps of the
+    spectral and the elevation branch, computed without building a graph.
+
+    The patches, the points and the capsule block and encoder parameters
+    enter as float32, so the pass runs in single precision throughout.
+    A loaded checkpoint's parameters are float32 values, so their copies
+    are exact; ``state`` is not changed.
+    """
+    cfg = state.config
     with no_grad():
-        pts_h = extract_preliminary_batch(state.caps, hsi_patches,
-                                          state.config.G, state.config.d_cap)
-        pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float64))
-        _, feats_h = encode_batch(state.enc_hsi, pts_h)
-        _, feats_l = encode_batch(state.enc_lidar, pts_l)
+        pts_h = extract_preliminary_batch(
+            _float32(state.caps), np.asarray(hsi_patches, dtype=np.float32),
+            cfg.G, cfg.d_cap)
+        pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float32))
+        _, feats_h = encode_batch(_float32(state.enc_hsi), pts_h)
+        _, feats_l = encode_batch(_float32(state.enc_lidar), pts_l)
     return feats_h.data, feats_l.data
 
 
 def fused_features(state: ModelState, hsi_patches: np.ndarray,
                    lidar_points: np.ndarray, batch: int = 256) -> np.ndarray:
-    """Per-patch fused feature vectors, (N, 4 * C).
+    """Per-patch fused feature vectors, (N, 4 * C) float64.
 
     For each branch the center-pixel feature row and the mean feature row
     are taken from the encoder's feature map; the four pieces are
-    concatenated spectral-first. Patches are encoded `batch` at a time.
+    concatenated spectral-first. Patches are encoded `batch` at a time by
+    `decompose_batch`, in float32 from the checkpoint's own parameter
+    values, and the rows are returned as float64.
     hsi_patches may be any (N, b, b, C) stack whose first axis takes a
     slice, such as an ndarray or the lazy `dataio.PatchStack`, which then
     gathers one batch of windows at a time.
@@ -237,8 +258,8 @@ def load_checkpoint(directory: str) -> ModelState:
     """Rebuild the model saved by save_checkpoint (version 2 only).
 
     The manifest's names must equal those of the model its config builds,
-    in order, and params.dten must hold their total size; anything else
-    raises a ValueError naming what is wrong.
+    in order, and params.dten must hold their total size, every value
+    finite; anything else raises a ValueError naming what is wrong.
     """
     from .dataio import read_dten
 
@@ -269,6 +290,9 @@ def load_checkpoint(directory: str) -> ModelState:
         raise ValueError(f"{params_path} holds a vector of shape {vector.shape}, "
                          f"expected ({sum(sizes)},)")
     pieces = np.split(vector.astype(np.float64), np.cumsum(sizes)[:-1])
-    for tensor, piece in zip(flat.values(), pieces):
+    for (name, tensor), piece in zip(flat.items(), pieces):
+        if not np.isfinite(piece).all():
+            raise ValueError(f"{params_path}: parameter {name} holds "
+                             f"non-finite values")
         tensor.data = piece.reshape(tensor.data.shape)
     return state

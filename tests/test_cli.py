@@ -309,3 +309,47 @@ def test_extract_malformed_manifest_is_exit_2(pipeline, capsys, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.fixture
+def nan_scene(pipeline, tmp_path):
+    """The pipeline scene with one NaN pixel value in hsi.dten."""
+    hsi, elevation, labels = dataio.read_scene(pipeline["scene"])
+    hsi[6, 11, 3] = np.nan
+    scene = str(tmp_path / "nan_scene")
+    dataio.write_scene(scene, hsi, elevation, labels)
+    return scene
+
+
+@pytest.mark.parametrize("command", ["train", "extract", "baseline"])
+def test_nonfinite_scene_is_exit_2(pipeline, nan_scene, capsys, tmp_path, command):
+    args = {
+        "train": ["train", "--data", nan_scene, "--out", str(tmp_path / "ck"), "--quiet"],
+        "extract": ["extract", "--model", pipeline["ckpt"], "--data", nan_scene,
+                    "--out", str(tmp_path / "f.hdcf")],
+        "baseline": ["baseline", "--data", nan_scene],
+    }[command]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "non-finite" in captured.err and "row 6, col 11, band 3" in captured.err
+    assert not os.path.exists(tmp_path / "f.hdcf")
+
+
+def test_extract_nonfinite_checkpoint_is_exit_2(pipeline, capsys, tmp_path):
+    ckpt = tmp_path / "ck"
+    ckpt.mkdir()
+    src = Path(pipeline["ckpt"])
+    (ckpt / "manifest.json").write_bytes((src / "manifest.json").read_bytes())
+    params = dataio.read_dten(str(src / "params.dten"))
+    params[-1] = np.inf
+    dataio.write_dten(str(ckpt / "params.dten"), params)
+    rc = cli.main(["extract", "--model", str(ckpt), "--data", pipeline["scene"],
+                   "--out", str(tmp_path / "f.hdcf")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    last = json.loads((src / "manifest.json").read_text())["params"][-1]
+    assert str(ckpt / "params.dten") in err and last in err and "non-finite" in err
+    assert not os.path.exists(tmp_path / "f.hdcf")

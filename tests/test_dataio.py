@@ -308,6 +308,80 @@ def test_extract_peak_memory_stays_near_output():
         assert peak < 4 * hsi.nbytes + ps.lidar.nbytes, b
 
 
+@pytest.mark.parametrize("bands", [1, 2, 3, 7])
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 23])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_extract_chunked_matches_window_oracle(bands, chunk, dtype, monkeypatch):
+    # moments gathered a block of bands at a time and the scene
+    # standardized a block of rows at a time give the same bytes as the
+    # whole-scene float64 computation, in one chunk or in many
+    monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
+    rng = np.random.default_rng(30 + bands)
+    hsi = rng.normal(1.0, 3.0, size=(11, 13, bands)).astype(dtype)
+    elev = rng.normal(size=(11, 13)).astype(dtype)
+    labels = (rng.uniform(size=(11, 13)) < 0.7).astype(np.int32)
+    labels[0, 0] = labels[10, 12] = 1
+    ps = dataio.extract_patches(hsi, elev, labels, 5)
+    want_hsi, want_heights = window_oracle(hsi.astype(np.float64),
+                                           elev.astype(np.float64), labels, 5)
+    np.testing.assert_array_equal(np.asarray(ps.hsi), want_hsi)
+    np.testing.assert_array_equal(ps.lidar[:, :, 2], want_heights)
+
+
+def test_extract_peak_memory_is_output_plus_one_chunk(monkeypatch):
+    # the input scene exists before tracing starts, so the traced peak is
+    # what extract_patches adds to it: the returned padded float32 scene,
+    # points and coordinates, one chunk of float64 spectra, and per-pixel
+    # bookkeeping (mask, coordinates, elevation rasters) of at most 64
+    # bytes a pixel. A float64 standardized copy of the scene, or of its
+    # labeled pixels, would add 8 bytes per value.
+    import tracemalloc
+
+    chunk = 1 << 18
+    monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
+    hsi, elev, labels = dataio.gen_synthetic(60, 64, 4, 144, np.random.default_rng(1))
+    for b in (5, 9):
+        tracemalloc.start()
+        try:
+            ps = dataio.extract_patches(hsi, elev, labels, b=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(a.nbytes for a in (ps.hsi.scene, ps.lidar, ps.labels,
+                                         ps.rows, ps.cols))
+        assert peak < output + chunk + 64 * labels.size, b
+
+
+@pytest.mark.parametrize("where,fragment", [
+    ((3, 4, 1), "row 3, col 4, band 1"),
+    ((0, 0, 0), "row 0, col 0, band 0"),
+    ((8, 9, 2), "row 8, col 9, band 2"),
+])
+def test_extract_rejects_nonfinite_spectra(where, fragment, monkeypatch):
+    monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 10)
+    rng = np.random.default_rng(40)
+    hsi = rng.normal(size=(9, 10, 3))
+    elev = rng.normal(size=(9, 10))
+    labels = np.zeros((9, 10), dtype=np.int32)
+    labels[5, 5] = 1
+    hsi[where] = np.nan
+    # a later bad value, also an unlabeled one, does not hide the first
+    hsi[8, 9, 2] = np.inf
+    with pytest.raises(ValueError, match=f"hsi .*non-finite.* at {fragment}$"):
+        dataio.extract_patches(hsi, elev, labels, 3)
+
+
+def test_extract_rejects_nonfinite_elevation():
+    rng = np.random.default_rng(41)
+    hsi = rng.normal(size=(9, 10, 3))
+    elev = rng.normal(size=(9, 10))
+    elev[7, 2] = -np.inf
+    elev[8, 0] = np.nan
+    labels = np.ones((9, 10), dtype=np.int32)
+    with pytest.raises(ValueError, match=r"elevation .*\(-inf\) at row 7, col 2$"):
+        dataio.extract_patches(hsi, elev, labels, 3)
+
+
 def test_patch_stack_indexing_matches_full_stack():
     rng = np.random.default_rng(6)
     hsi = rng.normal(size=(9, 10, 4))

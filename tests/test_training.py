@@ -162,17 +162,77 @@ def test_decompose_batch_leaves_no_cyclic_garbage():
     assert gc.collect() == 0
 
 
+# decompose_batch computes in float32. Its largest absolute error over
+# the largest magnitude of the float64 result is bounded here by 1e-6,
+# about 8 float32 ulps at 1; the tests below measure 1.5e-7 to 4.8e-7.
+FLOAT32_REL_TOL = 1e-6
+
+
+def max_rel_err(got, want):
+    """Largest absolute difference over the largest magnitude of want."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def graph_mode_feature_maps(state, hsi, lidar):
+    """The (B, X, C) feature maps of both branches, computed in float64
+    with grad mode on."""
+    cfg = state.config
+    pts_h = extract_preliminary_batch(state.caps, np.asarray(hsi, dtype=np.float64),
+                                      cfg.G, cfg.d_cap)
+    _, want_h = encode_batch(state.enc_hsi, pts_h)
+    _, want_l = encode_batch(state.enc_lidar, ad.Tensor(lidar))
+    assert want_h._backward is not None
+    return want_h.data, want_l.data
+
+
 def test_decompose_batch_equals_graph_mode_encoder():
     state = tiny_state(seed=17, n_blocks=2)
     hsi, lidar = tiny_data(18, n=5)
     feats_h, feats_l = decompose_batch(state, hsi, lidar)
-    cfg = state.config
-    pts_h = extract_preliminary_batch(state.caps, hsi, cfg.G, cfg.d_cap)
-    _, want_h = encode_batch(state.enc_hsi, pts_h)
-    _, want_l = encode_batch(state.enc_lidar, ad.Tensor(lidar))
-    assert want_h._backward is not None
-    np.testing.assert_array_equal(feats_h, want_h.data)
-    np.testing.assert_array_equal(feats_l, want_l.data)
+    want_h, want_l = graph_mode_feature_maps(state, hsi, lidar)
+    assert max_rel_err(feats_h, want_h) <= FLOAT32_REL_TOL
+    assert max_rel_err(feats_l, want_l) <= FLOAT32_REL_TOL
+
+
+def test_decompose_batch_returns_float32_and_leaves_params_float64():
+    state = tiny_state(seed=23, n_blocks=2)
+    hsi, lidar = tiny_data(24, n=3)
+    before = clone_params(parameters(state))
+    feats_h, feats_l = decompose_batch(state, hsi, lidar)
+    assert feats_h.dtype == feats_l.dtype == np.float32
+    after = parameters(state)
+    assert list(after) == list(before)
+    for name, tensor in after.items():
+        assert tensor.data.dtype == np.float64, name
+        np.testing.assert_array_equal(tensor.data, before[name])
+
+
+def test_forward_batch_on_float32_patches_stays_float64():
+    state = tiny_state(seed=25)
+    hsi, lidar = tiny_data(26)
+    params = parameters(state)
+    training.zero_grads(params)
+    total, _ = forward_batch(state, hsi.astype(np.float32), lidar.astype(np.float32),
+                             np.random.default_rng(27))
+    assert total.data.dtype == np.float64
+    ad.backward(total)
+    for name, tensor in params.items():
+        assert tensor.data.dtype == np.float64, name
+        assert tensor.grad is not None and tensor.grad.dtype == np.float64, name
+
+
+def test_fused_features_144_bands_match_float64(tmp_path):
+    from hdcaps.evaluation import fuse_features
+
+    hsi, elev, labels = dataio.gen_synthetic(8, 9, 3, 144, np.random.default_rng(28))
+    ps = dataio.extract_patches(hsi, elev, labels, 5)
+    save_checkpoint(init_model(TrainConfig(), 144, np.random.default_rng(29)),
+                    str(tmp_path))
+    state = load_checkpoint(str(tmp_path))
+    got = fused_features(state, ps.hsi, ps.lidar, batch=32)
+    assert got.dtype == np.float64
+    want = fuse_features(*graph_mode_feature_maps(state, ps.hsi, ps.lidar), 12)
+    assert max_rel_err(got, want) <= FLOAT32_REL_TOL
 
 
 @pytest.mark.parametrize("batch", [0, -3])
