@@ -93,6 +93,23 @@ def _parse_size(text: str):
     return height, width
 
 
+def _checked(kind, valid, requirement: str):
+    """argparse type: text parsed by kind, kept if valid(value) holds."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__}, got {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _checked(int, lambda v: v >= 0, "at least 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hdcaps",
                      description="two-branch capsule feature extraction")
@@ -103,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", default="48x48", help="scene extent as HxW")
     p.add_argument("--bands", type=int, default=20)
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noise-spec", type=float, default=0.1)
     p.add_argument("--noise-elev", type=float, default=0.1)
     p.add_argument("--class-sep", type=float, default=1.2)
@@ -125,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="optional label raster overriding "
                                     "the labels stored with the features")
     p.add_argument("--train-frac", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", help="write metrics as JSON to this path")
 
     p = sub.add_parser("baseline", help="metrics for raw / PCA / embedding features")
@@ -136,13 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neighbors", type=int, default=10)
     p.add_argument("--patch-size", type=int, default=5)
     p.add_argument("--train-frac", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", help="write metrics as JSON to this path")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--seed", type=int, nargs="+", default=[0])
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--seed", type=_seed, nargs="+", default=[0])
+    p.add_argument("--samples", type=_checked(int, lambda v: v >= 1, "at least 1"),
+                   default=8)
+    p.add_argument("--tol", default=1e-4, type=_checked(
+        float, lambda v: np.isfinite(v) and v >= 0, "finite and non-negative"))
     return parser
 
 
@@ -194,7 +213,7 @@ def _cmd_train(args) -> int:
     from . import dataio, model, training
 
     cfg = parse_config(args.config) if args.config else TrainConfig()
-    # no name keeps the float64 scene, so it is freed once patches are cut
+    # no name keeps the scene, so it is freed once patches are cut
     patches = dataio.extract_patches(*dataio.read_scene(args.data), cfg.b)
     rng = np.random.default_rng(cfg.seed)
     state = model.init_model(cfg, patches.c_spec, rng)

@@ -26,6 +26,13 @@ mirror-padded float32 scene inside a `PatchStack`: indexing its first
 axis with a slice, an integer or an integer array gathers only the
 selected b x b windows, so a batch of B patches costs B*b*b*C floats and
 the whole (N, b, b, C) stack is built only by `np.asarray`.
+
+Precision: scenes and feature tables are held in the float32 they are
+stored in. Only code that computes on the values widens them, a piece at
+a time: `extract_patches` standardizes the spectra in float64 chunks,
+`evaluation.fuse_features` takes float64 means of a batch, the
+estimators in `evaluation` cast their input at entry, and training runs
+in float64.
 """
 
 from __future__ import annotations
@@ -181,9 +188,10 @@ def write_scene(directory: str, hsi: np.ndarray, elevation: np.ndarray,
 
 
 def read_scene(directory: str):
-    """Load (hsi, elevation, labels) written by write_scene."""
-    hsi = read_dten(os.path.join(directory, "hsi.dten")).astype(np.float64)
-    elevation = read_dten(os.path.join(directory, "lidar.dten")).astype(np.float64)
+    """Load (hsi, elevation, labels) written by write_scene, as stored:
+    float32, float32 and int32."""
+    hsi = read_dten(os.path.join(directory, "hsi.dten"))
+    elevation = read_dten(os.path.join(directory, "lidar.dten"))
     labels = read_dten(os.path.join(directory, "labels.dten"))
     if hsi.ndim != 3:
         raise ValueError("hsi.dten must hold a (H, W, C) tensor")
@@ -432,6 +440,11 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     """
     if n_classes < 1 or n_bands < 1 or height < 1 or width < 1:
         raise ValueError("scene dimensions, bands and classes must be positive")
+    for name, value in (("noise_spec", noise_spec), ("noise_elev", noise_elev)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    if not np.isfinite(class_sep):
+        raise ValueError(f"class_sep must be finite, got {class_sep}")
     sites = rng.uniform(0, 1, size=(n_classes, 2)) * np.array([height, width])
     yy, xx = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     d2 = (yy[..., None] - sites[:, 0]) ** 2 + (xx[..., None] - sites[:, 1]) ** 2

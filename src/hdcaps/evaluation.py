@@ -318,8 +318,13 @@ def evaluate_split(feats: np.ndarray, labels: np.ndarray,
 
     Returns a dict with oa, aa, kappa, per-class recalls (None for a
     class absent from the test rows), the confusion matrix and the class
-    list.
+    list. An empty test split raises a ValueError before any training.
     """
+    if len(test_idx) == 0:
+        raise ValueError(
+            f"the test split is empty ({len(train_idx)} train rows): a "
+            "stratified split trains on at least one pixel per class, so a "
+            "class needs 2 or more labeled pixels to be tested")
     model = train_classifier(feats[train_idx], labels[train_idx], seed=seed)
     preds = predict(model, feats[test_idx])
     mat, classes = confusion_matrix(labels[test_idx], preds,

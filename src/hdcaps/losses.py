@@ -23,8 +23,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, clip_min, div, log, matmul, tmean, tsum
-from .geometry import chamfer_batch
+from . import kernels
+from .autodiff import (Tensor, _accum, _attach, as_tensor, clip_min, div, log,
+                       matmul, tmean, tsum)
 
 __all__ = [
     "LossWeights",
@@ -102,5 +103,26 @@ def loss_kl(attn_from: Tensor, attn_to: Tensor) -> Tensor:
 
 def reconstruction_loss(points: Tensor, recon: Tensor) -> Tensor:
     """Symmetric chamfer distance between input and reconstructed points,
-    averaged over the batch."""
-    return chamfer_batch(points, recon)
+    (B, n, D) x (B, m, D) -> scalar, averaged over the batch.
+
+    The nearest-neighbor assignment is treated as locally constant, which
+    is the exact gradient away from ties.
+    """
+    if points.data.ndim != 3 or recon.data.ndim != 3:
+        raise ValueError("reconstruction_loss expects (B, n, D) tensors")
+    if (points.data.shape[0] != recon.data.shape[0]
+            or points.data.shape[2] != recon.data.shape[2]):
+        raise ValueError("batch or dimension mismatch in reconstruction_loss")
+    if points.data.shape[1] == 0 or recon.data.shape[1] == 0:
+        raise ValueError("chamfer distance of an empty point set is undefined")
+    vals, nn_pq, nn_qp = kernels.chamfer_forward(points.data, recon.data)
+    out = Tensor(vals, (points, recon))
+
+    def bw():
+        gp, gq = kernels.chamfer_backward(points.data, recon.data, nn_pq, nn_qp,
+                                          out.grad, need_p=not points._const,
+                                          need_q=not recon._const)
+        _accum(points, gp)
+        _accum(recon, gq)
+
+    return tmean(_attach(out, bw))

@@ -20,8 +20,9 @@ each branch once, under ``autodiff.no_grad``, and stops at the feature
 maps: the fused features read only those, so it builds no graph and
 runs no capsule aggregation. It computes in float32, from float32
 copies of the parameters it reads; a checkpoint stores float32 values,
-so these are exactly the values a loaded checkpoint holds. Training and
-the stored parameters stay float64.
+so these are exactly the values a loaded checkpoint holds, and the fused
+rows are returned as float32, the precision a feature file stores.
+Training and the model's parameters stay float64.
 """
 
 from __future__ import annotations
@@ -197,13 +198,14 @@ def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
 
 def fused_features(state: ModelState, hsi_patches: np.ndarray,
                    lidar_points: np.ndarray, batch: int = 256) -> np.ndarray:
-    """Per-patch fused feature vectors, (N, 4 * C) float64.
+    """Per-patch fused feature vectors, (N, 4 * C) float32.
 
     For each branch the center-pixel feature row and the mean feature row
     are taken from the encoder's feature map; the four pieces are
     concatenated spectral-first. Patches are encoded `batch` at a time by
     `decompose_batch`, in float32 from the checkpoint's own parameter
-    values, and the rows are returned as float64.
+    values; each batch's float64 `fuse_features` rows are rounded once to
+    float32.
     hsi_patches may be any (N, b, b, C) stack whose first axis takes a
     slice, such as an ndarray or the lazy `dataio.PatchStack`, which then
     gathers one batch of windows at a time.
@@ -219,7 +221,7 @@ def fused_features(state: ModelState, hsi_patches: np.ndarray,
             f"{lidar_points.shape[0]}"
         )
     center = lidar_points.shape[1] // 2
-    out = np.empty((n, 4 * state.config.C), dtype=np.float64)
+    out = np.empty((n, 4 * state.config.C), dtype=np.float32)
     for start in range(0, n, batch):
         stop = min(start + batch, n)
         feats_h, feats_l = decompose_batch(

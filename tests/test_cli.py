@@ -132,6 +132,56 @@ def test_gradcheck_impossible_tolerance_is_exit_3(capsys):
     assert "gradient check failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "-1"], "--samples"),
+    (["--tol", "nan"], "--tol"),
+    (["--tol", "inf"], "--tol"),
+    (["--tol", "-0.001"], "--tol"),
+    (["--seed", "0", "-1"], "--seed"),
+])
+def test_gradcheck_rejects_vacuous_or_bad_arguments(capsys, args, flag):
+    assert cli.main(["gradcheck", *args]) == 1
+    captured = capsys.readouterr()
+    assert "gradcheck ok" not in captured.out
+    assert captured.err.startswith("error: ") and f"argument {flag}:" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-synth", "--out", "unused"],
+    ["eval", "--features", "unused.hdcf"],
+    ["baseline", "--data", "unused"],
+])
+def test_negative_seed_is_usage_error(capsys, command):
+    assert cli.main([*command, "--seed", "-1"]) == 1
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--noise-spec", "nan"), ("--class-sep", "nan"), ("--noise-elev", "-0.5"),
+])
+def test_gen_synth_bad_noise_or_separation_is_exit_2(capsys, tmp_path, flag, value):
+    scene = tmp_path / "scene"
+    assert cli.main(["gen-synth", "--out", str(scene), "--size", "8x8",
+                     flag, value]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not scene.exists()
+
+
+@pytest.mark.parametrize("command", ["baseline", "eval"])
+def test_single_pixel_classes_empty_test_split_is_exit_2(capsys, tmp_path, command):
+    scene = str(tmp_path / "scene")
+    rng = np.random.default_rng(0)
+    dataio.write_scene(scene, rng.normal(size=(1, 2, 3)), np.zeros((1, 2)),
+                       np.array([[1, 2]]))
+    feats = str(tmp_path / "f.hdcf")
+    dataio.write_features(feats, [0, 0], [0, 1], [1, 2], rng.normal(size=(2, 4)))
+    args = {"baseline": ["baseline", "--data", scene, "--patch-size", "1"],
+            "eval": ["eval", "--features", feats]}[command]
+    assert cli.main(args) == 2
+    assert "test split is empty" in capsys.readouterr().err
+
+
 def test_divergence_is_exit_3(capsys, tmp_path, monkeypatch):
     scene = str(tmp_path / "scene")
     cli.main(["gen-synth", "--out", scene, "--size", "8x8", "--classes", "2",

@@ -123,6 +123,16 @@ def test_features_bad_magic_and_trailing(tmp_path):
         dataio.read_features(path)
 
 
+def test_features_float64_table_writes_float32_table_bytes(tmp_path):
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(50, 12))
+    idx = np.arange(50, dtype=np.int32)
+    paths = [str(tmp_path / "f64.hdcf"), str(tmp_path / "f32.hdcf")]
+    for path, table in zip(paths, (feats, feats.astype(np.float32))):
+        dataio.write_features(path, idx, idx, idx, table)
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
+
+
 def test_writers_hold_no_extra_copy_of_the_payload(tmp_path):
     rng = np.random.default_rng(5)
     feats = rng.standard_normal((15000, 200))
@@ -165,9 +175,23 @@ def test_scene_round_trip(tmp_path):
     labels = rng.integers(0, 3, size=(6, 7)).astype(np.int32)
     dataio.write_scene(d, hsi, elev, labels)
     h2, e2, l2 = dataio.read_scene(d)
-    np.testing.assert_array_equal(h2, hsi.astype(np.float64))
-    np.testing.assert_array_equal(e2, elev.astype(np.float64))
+    assert (h2.dtype, e2.dtype, l2.dtype) == (np.float32, np.float32, np.int32)
+    np.testing.assert_array_equal(h2, hsi)
+    np.testing.assert_array_equal(e2, elev)
     np.testing.assert_array_equal(l2, labels)
+
+
+def test_read_scene_holds_the_payloads_once(tmp_path):
+    d = str(tmp_path / "scene")
+    dataio.write_scene(d, *dataio.gen_synthetic(60, 64, 4, 144,
+                                                np.random.default_rng(3)))
+    tracemalloc.start()
+    try:
+        scene = dataio.read_scene(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sum(a.nbytes for a in scene)
 
 
 def test_extract_constant_cube_and_grid():
@@ -507,6 +531,18 @@ def test_gen_synthetic_noiseless_nearest_mean_100pct():
     d = ((hsi[..., None, :] - sig[None, None]) ** 2).sum(axis=-1)
     pred = d.argmin(axis=-1) + 1
     assert (pred == labels).mean() == 1.0
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"noise_spec": float("nan")}, "noise_spec"),
+    ({"noise_spec": -0.1}, "noise_spec"),
+    ({"noise_elev": float("inf")}, "noise_elev"),
+    ({"noise_elev": -1.0}, "noise_elev"),
+    ({"class_sep": float("nan")}, "class_sep"),
+])
+def test_gen_synthetic_rejects_bad_noise_and_separation(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        dataio.gen_synthetic(4, 4, 2, 3, np.random.default_rng(0), **kwargs)
 
 
 def test_gen_synthetic_rejects_bad_dims():

@@ -548,3 +548,14 @@ def test_evaluate_split_deterministic():
     b = evaluation.evaluate_split(feats, labels, train, test, seed=1)
     assert a["oa"] == b["oa"] and a["kappa"] == b["kappa"]
     np.testing.assert_array_equal(a["confusion"], b["confusion"])
+
+
+def test_evaluate_split_empty_test_split_raises_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a split with no test rows")
+
+    monkeypatch.setattr(evaluation, "train_classifier", no_training)
+    feats = np.array([[0.0], [1.0]])
+    labels = np.array([1, 2])
+    with pytest.raises(ValueError, match="test split is empty.*2 or more"):
+        evaluation.evaluate_split(feats, labels, np.arange(2), np.arange(0))

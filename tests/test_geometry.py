@@ -136,7 +136,7 @@ def test_chamfer_batch_matches_scalar():
     rng = np.random.default_rng(8)
     p = rng.normal(size=(5, 9, 3))
     q = rng.normal(size=(5, 4, 3))
-    batched = geometry.chamfer_batch(ad.Tensor(p), ad.Tensor(q))
+    batched = losses.reconstruction_loss(ad.Tensor(p), ad.Tensor(q))
     singles = np.mean([brute_chamfer(p[b], q[b]) for b in range(5)])
     assert abs(float(batched.data) - singles) < 1e-12
 
@@ -146,10 +146,10 @@ def test_chamfer_batch_gradient_fd():
     p = rng.normal(size=(2, 6, 3))
     q = rng.normal(size=(2, 5, 3))
     tp, tq = ad.Tensor(p.copy()), ad.Tensor(q.copy())
-    ad.backward(geometry.chamfer_batch(tp, tq))
+    ad.backward(losses.reconstruction_loss(tp, tq))
 
     def value():
-        return float(geometry.chamfer_batch(ad.Tensor(p), ad.Tensor(q)).data)
+        return float(losses.reconstruction_loss(ad.Tensor(p), ad.Tensor(q)).data)
 
     h = 1e-6
     for tensor, arr in ((tp, p), (tq, q)):
@@ -168,17 +168,17 @@ def test_chamfer_batch_gradient_fd():
 
 def test_chamfer_batch_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        geometry.chamfer_batch(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3, 1))))
+        losses.reconstruction_loss(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3, 1))))
     with pytest.raises(ValueError):
-        geometry.chamfer_batch(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 3, 4))))
+        losses.reconstruction_loss(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 3, 4))))
 
 
 def test_chamfer_validation():
     with pytest.raises(ValueError, match="empty point set"):
-        geometry.chamfer_batch(ad.Tensor(np.ones((1, 0, 2))), ad.Tensor(np.ones((1, 3, 2))))
+        losses.reconstruction_loss(ad.Tensor(np.ones((1, 0, 2))), ad.Tensor(np.ones((1, 3, 2))))
     with pytest.raises(ValueError, match="empty point set"):
-        geometry.chamfer_batch(ad.Tensor(np.ones((1, 3, 2))), ad.Tensor(np.ones((1, 0, 2))))
+        losses.reconstruction_loss(ad.Tensor(np.ones((1, 3, 2))), ad.Tensor(np.ones((1, 0, 2))))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        geometry.chamfer_batch(ad.Tensor(np.ones((1, 2, 2))), ad.Tensor(np.ones((1, 3, 4))))
+        losses.reconstruction_loss(ad.Tensor(np.ones((1, 2, 2))), ad.Tensor(np.ones((1, 3, 4))))
     with pytest.raises(ValueError, match="expects"):
-        geometry.chamfer_batch(ad.Tensor(np.ones((1, 3))), ad.Tensor(np.ones((1, 3, 1))))
+        losses.reconstruction_loss(ad.Tensor(np.ones((1, 3))), ad.Tensor(np.ones((1, 3, 1))))

@@ -230,9 +230,24 @@ def test_fused_features_144_bands_match_float64(tmp_path):
                     str(tmp_path))
     state = load_checkpoint(str(tmp_path))
     got = fused_features(state, ps.hsi, ps.lidar, batch=32)
-    assert got.dtype == np.float64
+    assert got.dtype == np.float32
     want = fuse_features(*graph_mode_feature_maps(state, ps.hsi, ps.lidar), 12)
     assert max_rel_err(got, want) <= FLOAT32_REL_TOL
+
+
+def test_fused_features_are_float32_rounding_of_fuse_features():
+    from hdcaps.evaluation import fuse_features
+
+    state = tiny_state(seed=30, n_blocks=2)
+    hsi, lidar = tiny_data(31, n=7)
+    got = fused_features(state, hsi, lidar, batch=3)
+    assert got.dtype == np.float32
+    want = np.concatenate([
+        fuse_features(*decompose_batch(state, hsi[i:i + 3], lidar[i:i + 3]),
+                      lidar.shape[1] // 2)
+        for i in range(0, 7, 3)])
+    assert want.dtype == np.float64
+    np.testing.assert_array_equal(got, want.astype(np.float32))
 
 
 @pytest.mark.parametrize("batch", [0, -3])
