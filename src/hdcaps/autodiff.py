@@ -2,10 +2,12 @@
 
 A :class:`Tensor` wraps an ndarray plus the backward closure that
 scatters its gradient into its parents; calling :func:`backward` on a
-scalar loss walks the graph once in reverse topological order. Values
-are float64, except that inside :func:`no_grad` a float32 array stays
-float32: an inference pass fed float32 data and parameters runs in
-single precision, while training and gradient checks run in float64.
+scalar loss walks the graph once in reverse topological order.
+
+One rule sets precision: float32 data stays float32 and any other data
+becomes float64, and an op's output takes numpy's promotion of its
+inputs. A pass fed only float32 data and parameters runs in single
+precision; training and gradient checks feed float64 and run in float64.
 
 The op set is just large enough for the models in this package:
 broadcast arithmetic, batched matmul, softmax, reductions and shape
@@ -15,18 +17,16 @@ closed-form backward. These are the capsule squash nonlinearity
 (``linear``), attentive context normalization (``acn``) and the
 attention-weighted mean that aggregates capsules (``weighted_mean``).
 
-Two kinds of values never get a gradient. A leaf that :func:`as_tensor`
-makes from a non-Tensor (input data, rotations, targets, scalar weights)
-is a constant, and so is every op output whose inputs are all
-constants; backward computes nothing for them. Inside :func:`no_grad`
-every op output is a constant: it keeps no parents and no closure, so an
-inference pass builds no graph and its intermediates are freed by
-refcount as soon as they go out of scope.
+One rule sets what the graph tracks: constants never get a gradient.
+A leaf that :func:`as_tensor` makes from a non-Tensor (input data,
+rotations, scalar weights, parameter copies) is a constant, and so is
+every op output whose inputs are all constants. A constant keeps no
+parents and no closure, so a pass whose inputs are all constants builds
+no graph and its intermediates are freed by refcount as soon as they go
+out of scope.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "backward",
-    "no_grad",
     "add",
     "sub",
     "mul",
@@ -58,52 +57,31 @@ __all__ = [
 ]
 
 
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Build no graph inside the block: every op output is a constant.
-
-    The mode is process-wide, and the mode from before the block is
-    restored on exit, also when the block raises.
-    """
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = saved
-
-
 class Tensor:
     """A node in the computation graph.
 
     ``Tensor(data)`` is a trainable leaf. An op passes its inputs as
-    ``parents``; its output is a graph node if grad mode is on and some
-    input is not a constant, and a constant otherwise. The data is
-    float64, or float32 when a float32 array is given inside
-    :func:`no_grad`.
+    ``parents``; its output is a graph node if some input is not a
+    constant, and a constant otherwise. float32 data stays float32; any
+    other data becomes float64.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward", "_const")
 
     def __init__(self, data, parents=()):
         data = np.asarray(data)
-        if _grad_enabled or data.dtype != np.float32:
+        if data.dtype != np.float32:
             data = data.astype(np.float64, copy=False)
         self.data = data
         self.grad = None
         self._backward = None
         self._parents = ()
         self._const = bool(parents)
-        if parents and _grad_enabled:
-            for p in parents:
-                if not p._const:
-                    self._parents = parents
-                    self._const = False
-                    break
+        for p in parents:
+            if not p._const:
+                self._parents = parents
+                self._const = False
+                break
 
     @property
     def shape(self):

@@ -32,8 +32,8 @@ def init_capsule_block(c_spec: int, g: int, d_cap: int, rng: np.random.Generator
 def extract_preliminary_batch(params: dict, patches: np.ndarray, g: int, d_cap: int) -> Tensor:
     """Batched pixel lift: (B, b, b, c_spec) patch array -> point sets
     (B, b*b, g*d_cap). The patches are data, not a graph node. The dtype
-    follows the input under ``autodiff`` rules: float64, or float32 for
-    float32 patches and parameters inside ``no_grad``."""
+    follows the input under ``autodiff`` rules: float32 when the patches
+    and parameters are float32, float64 otherwise."""
     patches = np.asarray(patches)
     if patches.ndim != 4:
         raise ValueError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -32,6 +33,13 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -0.5 style tokens for negative numbers,
+        # so "--tol -1e-4" would read -1e-4 as an option; admit exponents
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
@@ -151,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=32,
                    help="output dimension for pca/le")
     p.add_argument("--neighbors", type=int, default=10)
-    p.add_argument("--patch-size", type=int, default=5)
     p.add_argument("--train-frac", type=float, default=0.05)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", help="write metrics as JSON to this path")
@@ -261,19 +268,27 @@ def _cmd_eval(args) -> int:
         raster = dataio.read_dten(args.labels)
         if raster.ndim != 2:
             raise ValueError("label raster must be a 2-D tensor")
+        if raster.dtype.kind not in "iu":
+            raise ValueError(f"{args.labels}: label raster must hold integer "
+                             f"class labels, got {raster.dtype}")
         if rows.size:
             extent = (int(rows.max()) + 1, int(cols.max()) + 1)
             if extent[0] > raster.shape[0] or extent[1] > raster.shape[1]:
                 raise ValueError(f"label raster has shape {raster.shape} but the "
                                  f"features need at least {extent}")
         labels = raster[rows, cols].astype(np.int32)
-    return _score(args, feats, labels, "")
+    # as in extract_patches, label 0 marks an unlabeled pixel
+    labeled = labels > 0
+    if not labeled.any():
+        raise ValueError("no feature row has a label > 0")
+    return _score(args, feats[labeled], labels[labeled], "")
 
 
 def _cmd_baseline(args) -> int:
     from . import dataio, evaluation
 
-    patches = dataio.extract_patches(*dataio.read_scene(args.data), args.patch_size)
+    # every baseline reads only the center pixel, so 1 x 1 patches suffice
+    patches = dataio.extract_patches(*dataio.read_scene(args.data), 1)
     raw = evaluation.raw_patch_features(patches)
     if args.method == "raw":
         feats = raw

@@ -197,6 +197,9 @@ def read_scene(directory: str):
         raise ValueError("hsi.dten must hold a (H, W, C) tensor")
     if elevation.shape != hsi.shape[:2] or labels.shape != hsi.shape[:2]:
         raise ValueError("lidar/labels extents do not match hsi")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels.dten must hold integer class labels, "
+                         f"got {labels.dtype}")
     return hsi, elevation, labels
 
 

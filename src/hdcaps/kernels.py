@@ -11,9 +11,11 @@ the least exact distance, and ties in that computed distance go to the
 lowest index. The minima that make up the chamfer value are these exact
 distances, so they are never negative, the value of a set against itself
 is exactly 0, and values and indices equal those of the full
-(B, n, m, D) difference tensor without building it. The backward gathers
-each point's neighbour by fancy indexing and scatters the opposite-side
-terms with a batched one-hot matmul.
+(B, n, m, D) difference tensor without building it. The backward
+returns the gradient for q alone, because p is always a fixed target:
+it gathers each point's neighbour by fancy indexing and scatters the
+term of each point of p onto its neighbour in q with a batched one-hot
+matmul.
 """
 
 from __future__ import annotations
@@ -56,12 +58,9 @@ def chamfer_forward(p: np.ndarray, q: np.ndarray):
     return vals, nn_pq, nn_qp
 
 
-def chamfer_backward(p, q, nn_pq, nn_qp, gout, need_p=True, need_q=True):
-    """Gradient of chamfer_forward values w.r.t. both point sets.
-
-    Returns (gp, gq); a side whose need_* flag is False is returned as
-    None and costs no one-hot scatter.
-    """
+def chamfer_backward(p, q, nn_pq, nn_qp, gout):
+    """Gradient (B, m, D) of chamfer_forward values w.r.t. q; the target
+    p gets none."""
     p = np.ascontiguousarray(p, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
     gout = np.ascontiguousarray(gout, dtype=np.float64)
@@ -74,14 +73,8 @@ def chamfer_backward(p, q, nn_pq, nn_qp, gout, need_p=True, need_q=True):
     diff_qp = p[rows, nn_qp]
     np.subtract(q, diff_qp, out=diff_qp)
     diff_qp *= (gout * (2.0 / m))[:, None, None]
-    gp = gq = None
-    if need_p:
-        # to_p[b, i, j] = 1 where p[b, i] is the neighbour of q[b, j]
-        to_p = (np.arange(n)[:, None] == nn_qp[:, None, :]).astype(np.float64)
-        gp = to_p @ diff_qp
-        np.subtract(diff_pq, gp, out=gp)
-    if need_q:
-        to_q = (np.arange(m)[:, None] == nn_pq[:, None, :]).astype(np.float64)
-        gq = to_q @ diff_pq
-        np.subtract(diff_qp, gq, out=gq)
-    return gp, gq
+    # to_q[b, j, i] = 1 where q[b, j] is the neighbour of p[b, i]
+    to_q = (np.arange(m)[:, None] == nn_pq[:, None, :]).astype(np.float64)
+    gq = to_q @ diff_pq
+    np.subtract(diff_qp, gq, out=gq)
+    return gq

@@ -8,8 +8,9 @@ decomposition:
     mean_k ||R pose_k - pose_k^rot||^2
   * invariance: descriptors must not move under rotation,
     mean_k ||desc_k - desc_k^rot||^2
-  * reconstruction: symmetric chamfer distance between the input point
-    set and the decoded one.
+  * reconstruction: symmetric chamfer distance between the branch's
+    target point set, which is data and gets no gradient, and the
+    decoded one.
 
 Across branches, a KL term pulls the LiDAR attention map toward the
 spectral one so both branches segment the patch the same way:
@@ -101,28 +102,28 @@ def loss_kl(attn_from: Tensor, attn_to: Tensor) -> Tensor:
     return tmean(tmean(per_point, axis=-1))
 
 
-def reconstruction_loss(points: Tensor, recon: Tensor) -> Tensor:
-    """Symmetric chamfer distance between input and reconstructed points,
-    (B, n, D) x (B, m, D) -> scalar, averaged over the batch.
+def reconstruction_loss(target: np.ndarray, recon: Tensor) -> Tensor:
+    """Symmetric chamfer distance between the target points and the
+    reconstructed ones, (B, n, D) x (B, m, D) -> scalar, averaged over the
+    batch.
 
-    The nearest-neighbor assignment is treated as locally constant, which
-    is the exact gradient away from ties.
+    The target is data, so the gradient flows into recon only. The
+    nearest-neighbor assignment is treated as locally constant, which is
+    the exact gradient away from ties.
     """
-    if points.data.ndim != 3 or recon.data.ndim != 3:
+    target = np.asarray(target, dtype=np.float64)
+    if target.ndim != 3 or recon.data.ndim != 3:
         raise ValueError("reconstruction_loss expects (B, n, D) tensors")
-    if (points.data.shape[0] != recon.data.shape[0]
-            or points.data.shape[2] != recon.data.shape[2]):
+    if (target.shape[0] != recon.data.shape[0]
+            or target.shape[2] != recon.data.shape[2]):
         raise ValueError("batch or dimension mismatch in reconstruction_loss")
-    if points.data.shape[1] == 0 or recon.data.shape[1] == 0:
+    if target.shape[1] == 0 or recon.data.shape[1] == 0:
         raise ValueError("chamfer distance of an empty point set is undefined")
-    vals, nn_pq, nn_qp = kernels.chamfer_forward(points.data, recon.data)
-    out = Tensor(vals, (points, recon))
+    vals, nn_pq, nn_qp = kernels.chamfer_forward(target, recon.data)
+    out = Tensor(vals, (recon,))
 
     def bw():
-        gp, gq = kernels.chamfer_backward(points.data, recon.data, nn_pq, nn_qp,
-                                          out.grad, need_p=not points._const,
-                                          need_q=not recon._const)
-        _accum(points, gp)
-        _accum(recon, gq)
+        _accum(recon, kernels.chamfer_backward(target, recon.data, nn_pq, nn_qp,
+                                               out.grad))
 
     return tmean(_attach(out, bw))

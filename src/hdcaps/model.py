@@ -16,13 +16,13 @@ invariance of the descriptors and chamfer reconstruction.
 attention agreement.
 
 The extract path (``decompose_batch`` inside ``fused_features``) encodes
-each branch once, under ``autodiff.no_grad``, and stops at the feature
-maps: the fused features read only those, so it builds no graph and
-runs no capsule aggregation. It computes in float32, from float32
-copies of the parameters it reads; a checkpoint stores float32 values,
-so these are exactly the values a loaded checkpoint holds, and the fused
-rows are returned as float32, the precision a feature file stores.
-Training and the model's parameters stay float64.
+each branch once and stops at the feature maps: the fused features read
+only those, so it runs no capsule aggregation. Its inputs are all
+float32 constants (the patches, the points and copies of the parameters
+it reads), so it builds no graph and computes in float32. A checkpoint
+stores float32 values, so these copies are exactly the values a loaded
+checkpoint holds, and the fused rows are returned as float32, the
+precision a feature file stores. Training and the parameters stay float64.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, matmul, no_grad
+from .autodiff import Tensor, as_tensor, matmul
 from .capsule_block import extract_preliminary_batch, init_capsule_block
 from .config import TrainConfig
 from .decoder import decode, init_decoder
@@ -110,12 +110,12 @@ def parameters(state: ModelState) -> dict:
     return flat
 
 
-def _branch(enc: dict, dec: dict, pts: Tensor, rot: np.ndarray, target: Tensor):
+def _branch(enc: dict, dec: dict, pts: Tensor, rot: np.ndarray, target: np.ndarray):
     """One branch's share of the training loss.
 
     Encodes and aggregates pts raw and rotated by rot (B, d, d), decodes
-    the raw view and scores it against target. Returns (raw attention
-    map, equivariance, invariance, chamfer).
+    the raw view and scores it against the target points, which are
+    data. Returns (raw attention map, equivariance, invariance, chamfer).
     """
     pts_rot = matmul(pts, as_tensor(np.swapaxes(rot, -1, -2)))
     attn, feats = encode_batch(enc, pts)
@@ -135,6 +135,10 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     hsi_patches: (B, b, b, C_spec); lidar_points: (B, b*b, 3). Returns
     (total loss Tensor, LossReport). One rotation per sample per branch
     is drawn from rng, spectral first.
+
+    Both inputs are cast to float64 on entry, and that cast is what keeps
+    training in float64: ``autodiff`` would carry float32 data through
+    in float32.
     """
     cfg = state.config
     if weights is None:
@@ -145,18 +149,19 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
         raise ValueError("spectral and elevation batches must have equal length")
 
     pts_h = extract_preliminary_batch(state.caps, hsi_patches, cfg.G, cfg.d_cap)
-    pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float64))
+    lidar_points = np.asarray(lidar_points, dtype=np.float64)
+    pts_l = as_tensor(lidar_points)
     # reconstruction target of the spectral branch: the raw pixel spectra
     # as a point set, NOT the lifted capsule points (which the model could
     # collapse to make reconstruction trivial)
-    target_h = as_tensor(hsi_patches.reshape(n, -1, state.c_spec))
+    target_h = hsi_patches.reshape(n, -1, state.c_spec)
     rot_h = sample_rotations(cfg.d_h, n, rng)
     rot_l = sample_rotations(3, n, rng)
 
     attn_h, equ_h, inv_h, cham_h = _branch(state.enc_hsi, state.dec_hsi,
                                            pts_h, rot_h, target_h)
     attn_l, equ_l, inv_l, cham_l = _branch(state.enc_lidar, state.dec_lidar,
-                                           pts_l, rot_l, pts_l)
+                                           pts_l, rot_l, lidar_points)
     kl = loss_kl(attn_h, attn_l)
     total = (
         (equ_h + inv_h + cham_h) * weights.alpha
@@ -178,21 +183,20 @@ def _float32(group: dict) -> dict:
 def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
                     lidar_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference pass: the (B, X, C) float32 encoder feature maps of the
-    spectral and the elevation branch, computed without building a graph.
+    spectral and the elevation branch.
 
     The patches, the points and the capsule block and encoder parameters
-    enter as float32, so the pass runs in single precision throughout.
-    A loaded checkpoint's parameters are float32 values, so their copies
-    are exact; ``state`` is not changed.
+    enter as float32 constants, so the pass builds no graph and runs in
+    single precision throughout. A loaded checkpoint's parameters are
+    float32 values, so their copies are exact; ``state`` is not changed.
     """
     cfg = state.config
-    with no_grad():
-        pts_h = extract_preliminary_batch(
-            _float32(state.caps), np.asarray(hsi_patches, dtype=np.float32),
-            cfg.G, cfg.d_cap)
-        pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float32))
-        _, feats_h = encode_batch(_float32(state.enc_hsi), pts_h)
-        _, feats_l = encode_batch(_float32(state.enc_lidar), pts_l)
+    pts_h = extract_preliminary_batch(
+        _float32(state.caps), np.asarray(hsi_patches, dtype=np.float32),
+        cfg.G, cfg.d_cap)
+    pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float32))
+    _, feats_h = encode_batch(_float32(state.enc_hsi), pts_h)
+    _, feats_l = encode_batch(_float32(state.enc_lidar), pts_l)
     return feats_h.data, feats_l.data
 
 

@@ -1,7 +1,5 @@
 """Finite-difference and identity checks for the reverse-mode core."""
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -204,67 +202,64 @@ def test_backward_leaves_no_reference_cycles():
             gc.enable()
 
 
-# ------------------------------------------------------- no_grad, constants
+# ------------------------------------------------------------- constants
 
-def test_no_grad_ops_build_no_graph():
+def test_constant_ops_build_no_graph():
     rng = np.random.default_rng(30)
-    x = ad.Tensor(rng.normal(size=(2, 5, 4)))
-    w = ad.Tensor(rng.normal(size=(4, 3)))
-    with ad.no_grad():
-        h = ad.linear(x, w, ad.Tensor(np.zeros(3)))
-        weights = ad.reshape(ad.exp(ad.tsum(h, axis=-1)), (2, 5, 1))
-        outs = [h, weights, ad.relu(h), ad.softmax(h, axis=-2), h * x.data[..., :3],
-                h + 1.0, h - h, h / 2.0, ad.sqrt(ad.clip_min(h, 0.1)), ad.log(weights),
-                ad.squash_groups(h), ad.acn(h, weights, 1e-5),
-                ad.weighted_mean(ad.softmax(h, axis=-1), x, 1e-8), ad.matmul(x, w),
-                ad.tmean(h), ad.concat([h, h], axis=-1), ad.swapaxes(h, -1, -2)]
+    x = ad.as_tensor(rng.normal(size=(2, 5, 4)))
+    w = ad.as_tensor(rng.normal(size=(4, 3)))
+    h = ad.linear(x, w, ad.as_tensor(np.zeros(3)))
+    weights = ad.reshape(ad.exp(ad.tsum(h, axis=-1)), (2, 5, 1))
+    outs = [h, weights, ad.relu(h), ad.softmax(h, axis=-2), h * x.data[..., :3],
+            h + 1.0, h - h, h / 2.0, ad.sqrt(ad.clip_min(h, 0.1)), ad.log(weights),
+            ad.squash_groups(h), ad.acn(h, weights, 1e-5),
+            ad.weighted_mean(ad.softmax(h, axis=-1), x, 1e-8), ad.matmul(x, w),
+            ad.tmean(h), ad.concat([h, h], axis=-1), ad.swapaxes(h, -1, -2)]
     for out in outs:
-        assert out._parents == () and out._backward is None
-    # the same op outside the block is a graph node again
-    y = ad.linear(x, w)
-    assert y._parents == (x, w) and y._backward is not None
+        assert out._const and out._parents == () and out._backward is None
+    # the same op on trainable leaves is a graph node
+    x2, w2 = ad.Tensor(x.data), ad.Tensor(w.data)
+    y = ad.linear(x2, w2)
+    assert y._parents == (x2, w2) and y._backward is not None
 
 
-def test_no_grad_restores_graph_mode_after_nesting_and_errors():
-    x = ad.Tensor(np.ones(3))
-    with ad.no_grad():
-        with ad.no_grad():
-            assert ad.mul(x, 2.0)._backward is None
-        assert ad.mul(x, 2.0)._backward is None
-    assert ad.mul(x, 2.0)._backward is not None
-    with pytest.raises(RuntimeError):
-        with ad.no_grad():
-            raise RuntimeError("inside")
-    out = ad.tsum(ad.mul(x, 2.0))
-    assert out._backward is not None
-    ad.backward(out)
-    np.testing.assert_array_equal(x.grad, 2.0)
-
-
-def test_no_grad_frees_intermediates_by_refcount():
+def test_constant_ops_free_intermediates_by_refcount():
     # a graph that never runs backward is a cycle (each closure holds its
-    # own output); under no_grad there is no closure, so refcount frees it
+    # own output); ops on constants keep no closure, so refcount frees them
     import gc
     import weakref
 
-    def intermediate_survives(grad_mode):
-        x = ad.Tensor(np.ones(4))
-        with contextlib.nullcontext() if grad_mode else ad.no_grad():
-            y = ad.relu(x * 2.0)
-            alive = weakref.ref(y.data)
-            loss = ad.tsum(y)
+    def intermediate_survives(trainable):
+        x = ad.Tensor(np.ones(4)) if trainable else ad.as_tensor(np.ones(4))
+        y = ad.relu(x * 2.0)
+        alive = weakref.ref(y.data)
+        loss = ad.tsum(y)
         del y, loss
         return alive() is not None
 
     enabled = gc.isenabled()
     gc.disable()
     try:
-        assert intermediate_survives(grad_mode=True)
-        assert not intermediate_survives(grad_mode=False)
+        assert intermediate_survives(trainable=True)
+        assert not intermediate_survives(trainable=False)
     finally:
         gc.collect()
         if enabled:
             gc.enable()
+
+
+def test_float32_stays_float32_and_other_data_becomes_float64():
+    f32 = np.ones((2, 3), dtype=np.float32)
+    for leaf in (ad.Tensor(f32), ad.as_tensor(f32)):
+        assert leaf.data.dtype == np.float32
+    for data in (np.ones(3), np.ones(3, dtype=np.float16), np.arange(3), 2.0, [1, 2]):
+        assert ad.Tensor(data).data.dtype == np.float64
+        assert ad.as_tensor(data).data.dtype == np.float64
+    c = ad.as_tensor(f32)
+    assert ad.linear(c, ad.as_tensor(np.ones((3, 2), np.float32))).data.dtype == np.float32
+    # a float64 operand promotes the output, as in numpy
+    assert ad.add(c, ad.as_tensor(np.ones(3))).data.dtype == np.float64
+    assert ad.mul(ad.Tensor(f32), np.ones(3)).data.dtype == np.float64
 
 
 def test_constants_get_no_gradient(monkeypatch):
@@ -281,15 +276,16 @@ def test_constants_get_no_gradient(monkeypatch):
     flat = ad.reshape(x, (10, 4))
     assert flat._const and flat._parents == () and flat._backward is None
 
-    def loss(x_leaf, w, b, rot_leaf, target_leaf, shift_leaf):
+    def loss(x_leaf, w, b, rot_leaf, shift_leaf):
         h = ad.matmul(ad.linear(x_leaf, w, b), rot_leaf) + shift_leaf
-        return ad.mul(losses.reconstruction_loss(target_leaf, h), 0.5)
+        return ad.mul(losses.reconstruction_loss(target, h), 0.5)
 
-    arrays = (data, rot, target, shift)
+    arrays = (data, rot, shift)
     consts = [ad.as_tensor(a) for a in arrays]
     out = loss(consts[0], w, b, *consts[1:])
-    # linear, matmul, mul and chamfer compute no gradient for a constant;
-    # add hands its constant operand one, which _accum drops
+    # linear, matmul and mul compute no gradient for a constant, and the
+    # chamfer target is data; add hands its constant operand one, which
+    # _accum drops
     computed_for = []
 
     def recording_accum(t, g, real=ad._accum):
@@ -300,7 +296,7 @@ def test_constants_get_no_gradient(monkeypatch):
     for module in (ad, losses):
         monkeypatch.setattr(module, "_accum", recording_accum)
     ad.backward(out)
-    assert [t for t in computed_for if t._const] == [consts[3]]
+    assert [t for t in computed_for if t._const] == [consts[2]]
     assert all(c.grad is None for c in consts)
     monkeypatch.undo()
     # the parameter gradients equal those with the data as trainable leaves

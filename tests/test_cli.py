@@ -147,6 +147,14 @@ def test_gradcheck_rejects_vacuous_or_bad_arguments(capsys, args, flag):
     assert captured.err.startswith("error: ") and f"argument {flag}:" in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1e-4", "-1E+2", "-.5e1"])
+def test_negative_exponent_value_reaches_range_check(capsys, value):
+    # pins the parser's negative-number pattern, a private argparse attribute
+    assert cli.main(["gradcheck", "--tol", value]) == 1
+    assert (f"argument --tol: must be finite and non-negative, got '{value}'"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", [
     ["gen-synth", "--out", "unused"],
     ["eval", "--features", "unused.hdcf"],
@@ -159,6 +167,7 @@ def test_negative_seed_is_usage_error(capsys, command):
 
 @pytest.mark.parametrize("flag, value", [
     ("--noise-spec", "nan"), ("--class-sep", "nan"), ("--noise-elev", "-0.5"),
+    ("--noise-elev", "-1e-3"),
 ])
 def test_gen_synth_bad_noise_or_separation_is_exit_2(capsys, tmp_path, flag, value):
     scene = tmp_path / "scene"
@@ -176,7 +185,7 @@ def test_single_pixel_classes_empty_test_split_is_exit_2(capsys, tmp_path, comma
                        np.array([[1, 2]]))
     feats = str(tmp_path / "f.hdcf")
     dataio.write_features(feats, [0, 0], [0, 1], [1, 2], rng.normal(size=(2, 4)))
-    args = {"baseline": ["baseline", "--data", scene, "--patch-size", "1"],
+    args = {"baseline": ["baseline", "--data", scene],
             "eval": ["eval", "--features", feats]}[command]
     assert cli.main(args) == 2
     assert "test split is empty" in capsys.readouterr().err
@@ -311,6 +320,61 @@ def test_eval_labels_raster_smaller_than_scene_is_exit_2(pipeline, capsys, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "(5, 5)" in err and "(16, 16)" in err
+
+
+def test_eval_labels_scores_only_labeled_rows(pipeline, capsys, tmp_path):
+    _, _, labels = dataio.read_scene(pipeline["scene"])
+    raster = labels.copy()
+    raster[:, :8] = 0
+    path = str(tmp_path / "labels.dten")
+    dataio.write_dten(path, raster)
+    report = str(tmp_path / "rep.json")
+    rc = cli.main(["eval", "--features", pipeline["feats"], "--labels", path,
+                   "--train-frac", "0.2", "--report", report])
+    assert rc == 0
+    data = json.loads(Path(report).read_text())
+    assert data["classes"] == sorted(set(np.unique(raster)) - {0})
+    # every test row is one of the right half's pixels
+    assert 0 < np.sum(data["confusion"]) < (raster > 0).sum()
+
+
+@pytest.mark.parametrize("fill, fragment", [
+    (np.float32(2.7), "integer class labels, got float32"),
+    (np.int32(0), "no feature row has a label > 0"),
+], ids=["float", "unlabeled"])
+def test_eval_labels_float_or_unlabeled_raster_is_exit_2(pipeline, capsys, tmp_path,
+                                                          fill, fragment):
+    path = str(tmp_path / "labels.dten")
+    raster = np.full((16, 16), fill)
+    raster[0, 0] = np.nan if raster.dtype == np.float32 else 0
+    dataio.write_dten(path, raster)
+    rc = cli.main(["eval", "--features", pipeline["feats"], "--labels", path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["train", "extract", "baseline"])
+def test_float_scene_labels_are_exit_2(pipeline, capsys, tmp_path, command):
+    scene = tmp_path / "scene"
+    scene.mkdir()
+    src = Path(pipeline["scene"])
+    for name in ("hsi.dten", "lidar.dten"):
+        (scene / name).write_bytes((src / name).read_bytes())
+    _, _, labels = dataio.read_scene(str(src))
+    dataio.write_dten(str(scene / "labels.dten"), labels.astype(np.float32))
+    args = {
+        "train": ["train", "--data", str(scene), "--out", str(tmp_path / "ck"),
+                  "--quiet"],
+        "extract": ["extract", "--model", pipeline["ckpt"], "--data", str(scene),
+                    "--out", str(tmp_path / "f.hdcf")],
+        "baseline": ["baseline", "--data", str(scene)],
+    }[command]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "labels.dten must hold integer class labels, got float32" in err
+    assert not os.path.exists(tmp_path / "ck")
 
 
 MISSING = object()

@@ -172,7 +172,7 @@ def test_reconstruction_loss_matches_chamfer():
     rng = np.random.default_rng(8)
     p = rng.normal(size=(7, 3))
     q = rng.normal(size=(5, 3))
-    got = losses.reconstruction_loss(ad.Tensor(p[None]), ad.Tensor(q[None]))
+    got = losses.reconstruction_loss(p[None], ad.Tensor(q[None]))
     assert float(got.data) == kernels.chamfer_forward(p[None], q[None])[0][0]
 
 

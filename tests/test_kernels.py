@@ -15,16 +15,14 @@ def oracle_forward(p, q):
 
 
 def oracle_backward(p, q, nn_pq, nn_qp, gout):
-    """Per-point scatter of the chamfer gradient with np.subtract.at."""
+    """Per-point scatter of the chamfer gradient for q with np.subtract.at."""
     bsz, n, _ = p.shape
     m = q.shape[1]
     rows = np.arange(bsz)[:, None]
     diff_pq = (p - q[rows, nn_pq]) * (gout * (2.0 / n))[:, None, None]
-    diff_qp = (q - p[rows, nn_qp]) * (gout * (2.0 / m))[:, None, None]
-    gp, gq = diff_pq.copy(), diff_qp.copy()
+    gq = (q - p[rows, nn_qp]) * (gout * (2.0 / m))[:, None, None]
     np.subtract.at(gq, (rows, nn_pq), diff_pq)
-    np.subtract.at(gp, (rows, nn_qp), diff_qp)
-    return gp, gq
+    return gq
 
 
 def random_pair(rng, bsz=None):
@@ -53,23 +51,9 @@ def test_backward_matches_oracle():
         p, q = random_pair(rng)
         gout = rng.normal(size=p.shape[0])
         _, nn_pq, nn_qp = oracle_forward(p, q)
-        gp, gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout)
-        ref_gp, ref_gq = oracle_backward(p, q, nn_pq, nn_qp, gout)
-        np.testing.assert_allclose(gp, ref_gp, rtol=1e-12, atol=1e-13)
+        gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout)
+        ref_gq = oracle_backward(p, q, nn_pq, nn_qp, gout)
         np.testing.assert_allclose(gq, ref_gq, rtol=1e-12, atol=1e-13)
-
-
-def test_backward_skips_unneeded_side():
-    rng = np.random.default_rng(2)
-    p, q = random_pair(rng, bsz=3)
-    gout = rng.normal(size=3)
-    _, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
-    gp, gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout)
-    only_q = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout, need_p=False)
-    only_p = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout, need_q=False)
-    assert only_q[0] is None and only_p[1] is None
-    np.testing.assert_array_equal(only_q[1], gq)
-    np.testing.assert_array_equal(only_p[0], gp)
 
 
 def test_tie_break_lowest_index():
@@ -105,24 +89,22 @@ def test_dispatch_accepts_noncontiguous():
     np.testing.assert_array_equal(vals, ref)
     np.testing.assert_array_equal(nn_pq, ref_pq)
     np.testing.assert_array_equal(nn_qp, ref_qp)
-    gp, gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, np.ones(3))
-    ref_gp, ref_gq = oracle_backward(np.ascontiguousarray(p), q, nn_pq, nn_qp, np.ones(3))
-    np.testing.assert_allclose(gp, ref_gp, rtol=1e-12, atol=1e-13)
+    gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, np.ones(3))
+    ref_gq = oracle_backward(np.ascontiguousarray(p), q, nn_pq, nn_qp, np.ones(3))
     np.testing.assert_allclose(gq, ref_gq, rtol=1e-12, atol=1e-13)
 
 
 def test_backward_is_gradient_of_forward():
-    # directional finite difference through the public kernels
+    # directional finite difference in q through the public kernels
     rng = np.random.default_rng(3)
     p, q = random_pair(rng, bsz=2)
     vals, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
     gout = np.ones(2)
-    gp, gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout)
+    gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout)
     h = 1e-7
-    dp = rng.normal(size=p.shape)
     dq = rng.normal(size=q.shape)
-    vp, _, _ = kernels.chamfer_forward(p + h * dp, q + h * dq)
-    vm, _, _ = kernels.chamfer_forward(p - h * dp, q - h * dq)
+    vp, _, _ = kernels.chamfer_forward(p, q + h * dq)
+    vm, _, _ = kernels.chamfer_forward(p, q - h * dq)
     numeric = (vp - vm).sum() / (2.0 * h)
-    analytic = float((gp * dp).sum() + (gq * dq).sum())
+    analytic = float((gq * dq).sum())
     assert abs(numeric - analytic) < 1e-4
