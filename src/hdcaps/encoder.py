@@ -14,9 +14,12 @@ makes the blocks mix information between points while staying
 order-equivariant. The attention logits
 carry no bias (a shared offset cannot survive the softmax over points)
 and the linear map sits after the normalization so its bias is not
-cancelled by the mean subtraction. Two linear heads then produce the
-attention map A (rows softmaxed over the K capsules, so each point
-carries a distribution over capsules) and the feature map F.
+cancelled by the mean subtraction. Two linear heads read the final
+hidden map: ``encode_batch`` applies the feature head and returns the
+hidden map with the feature map F, and ``attention_map`` turns the
+hidden map into the attention map A (rows softmaxed over the K capsules,
+so each point carries a distribution over capsules). Training needs
+both; the extract path reads only F and never builds A.
 
 Aggregation turns (A, F, P) into capsule poses (attention-weighted point
 centroids, rotation-equivariant) and descriptors (attention-weighted
@@ -35,7 +38,7 @@ import numpy as np
 from .autodiff import Tensor, acn, linear, relu, softmax, weighted_mean
 from .capsule_block import fan_uniform
 
-__all__ = ["init_encoder", "encode_batch", "aggregate"]
+__all__ = ["init_encoder", "encode_batch", "attention_map", "aggregate"]
 
 ACN_EPS = 1e-5
 AGG_EPS = 1e-8
@@ -62,7 +65,7 @@ def init_encoder(d_in: int, h: int, n_blocks: int, k: int, c: int,
 
 
 def encode_batch(params: dict, points: Tensor) -> tuple[Tensor, Tensor]:
-    """(B, X, D) point sets -> attention maps (B, X, K) and features (B, X, C)."""
+    """(B, X, D) point sets -> hidden maps (B, X, H) and features (B, X, C)."""
     if points.data.shape[-1] != params["lift_w"].data.shape[0]:
         raise ValueError(
             f"points are {points.data.shape[-1]}-D but the encoder expects "
@@ -73,9 +76,12 @@ def encode_batch(params: dict, points: Tensor) -> tuple[Tensor, Tensor]:
         weights = softmax(linear(h, params[f"b{i}_att_w"]), axis=-2)
         z = acn(h, weights, ACN_EPS)
         h = h + relu(linear(z, params[f"b{i}_lin_w"], params[f"b{i}_lin_b"]))
-    attn = softmax(linear(h, params["att_w"], params["att_b"]), axis=-1)
-    feats = linear(h, params["feat_w"], params["feat_b"])
-    return attn, feats
+    return h, linear(h, params["feat_w"], params["feat_b"])
+
+
+def attention_map(params: dict, hidden: Tensor) -> Tensor:
+    """(B, X, H) hidden maps from ``encode_batch`` -> attention maps (B, X, K)."""
+    return softmax(linear(hidden, params["att_w"], params["att_b"]), axis=-1)
 
 
 def aggregate(attn: Tensor, feats: Tensor, points: Tensor) -> tuple[Tensor, Tensor]:

@@ -17,7 +17,8 @@ attention agreement.
 
 The extract path (``decompose_batch`` inside ``fused_features``) encodes
 each branch once and stops at the feature maps: the fused features read
-only those, so it runs no capsule aggregation. Its inputs are all
+only those, so it skips the attention head and runs no capsule
+aggregation. Its inputs are all
 float32 constants (the patches, the points and copies of the parameters
 it reads), so it builds no graph and computes in float32. A checkpoint
 stores float32 values, so these copies are exactly the values a loaded
@@ -37,7 +38,7 @@ from .autodiff import Tensor, as_tensor, matmul
 from .capsule_block import extract_preliminary_batch, init_capsule_block
 from .config import TrainConfig
 from .decoder import decode, init_decoder
-from .encoder import aggregate, encode_batch, init_encoder
+from .encoder import aggregate, attention_map, encode_batch, init_encoder
 from .geometry import sample_rotations
 from .losses import (
     LossReport,
@@ -118,13 +119,31 @@ def _branch(enc: dict, dec: dict, pts: Tensor, rot: np.ndarray, target: np.ndarr
     data. Returns (raw attention map, equivariance, invariance, chamfer).
     """
     pts_rot = matmul(pts, as_tensor(np.swapaxes(rot, -1, -2)))
-    attn, feats = encode_batch(enc, pts)
-    attn_rot, feats_rot = encode_batch(enc, pts_rot)
+    hidden, feats = encode_batch(enc, pts)
+    hidden_rot, feats_rot = encode_batch(enc, pts_rot)
+    attn = attention_map(enc, hidden)
+    attn_rot = attention_map(enc, hidden_rot)
     poses, desc = aggregate(attn, feats, pts)
     poses_rot, desc_rot = aggregate(attn_rot, feats_rot, pts_rot)
     recon = decode(dec, poses, desc)
     return (attn, loss_equivariance(rot, poses, poses_rot),
             loss_invariance(desc, desc_rot), reconstruction_loss(target, recon))
+
+
+def _check_batch(hsi_patches, lidar_points) -> None:
+    """Raise a ValueError unless hsi_patches (B, b, b, C) and lidar_points
+    (B, b*b, 3) hold the same B patches of the same b*b pixels. Reads only
+    the two ``shape`` attributes."""
+    hs, ls = tuple(hsi_patches.shape), tuple(lidar_points.shape)
+    if len(hs) != 4 or len(ls) != 3:
+        raise ValueError(f"hsi_patches must be (B, b, b, C) and lidar_points "
+                         f"(B, b*b, 3), got {hs} and {ls}")
+    if hs[0] != ls[0]:
+        raise ValueError(f"hsi_patches has {hs[0]} patches but lidar_points "
+                         f"has {ls[0]}")
+    if hs[1] * hs[2] != ls[1]:
+        raise ValueError(f"hsi_patches are {hs[1]}x{hs[2]} windows but "
+                         f"lidar_points has {ls[1]} points per patch")
 
 
 def forward_batch(state: ModelState, hsi_patches: np.ndarray,
@@ -144,12 +163,11 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     if weights is None:
         weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
     hsi_patches = np.asarray(hsi_patches, dtype=np.float64)
+    lidar_points = np.asarray(lidar_points, dtype=np.float64)
+    _check_batch(hsi_patches, lidar_points)
     n = hsi_patches.shape[0]
-    if lidar_points.shape[0] != n:
-        raise ValueError("spectral and elevation batches must have equal length")
 
     pts_h = extract_preliminary_batch(state.caps, hsi_patches, cfg.G, cfg.d_cap)
-    lidar_points = np.asarray(lidar_points, dtype=np.float64)
     pts_l = as_tensor(lidar_points)
     # reconstruction target of the spectral branch: the raw pixel spectra
     # as a point set, NOT the lifted capsule points (which the model could
@@ -183,18 +201,21 @@ def _float32(group: dict) -> dict:
 def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
                     lidar_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference pass: the (B, X, C) float32 encoder feature maps of the
-    spectral and the elevation branch.
+    spectral and the elevation branch. The attention head is skipped:
+    nothing on this path reads the attention maps.
 
     The patches, the points and the capsule block and encoder parameters
     enter as float32 constants, so the pass builds no graph and runs in
     single precision throughout. A loaded checkpoint's parameters are
     float32 values, so their copies are exact; ``state`` is not changed.
     """
+    hsi_patches = np.asarray(hsi_patches, dtype=np.float32)
+    lidar_points = np.asarray(lidar_points, dtype=np.float32)
+    _check_batch(hsi_patches, lidar_points)
     cfg = state.config
-    pts_h = extract_preliminary_batch(
-        _float32(state.caps), np.asarray(hsi_patches, dtype=np.float32),
-        cfg.G, cfg.d_cap)
-    pts_l = as_tensor(np.asarray(lidar_points, dtype=np.float32))
+    pts_h = extract_preliminary_batch(_float32(state.caps), hsi_patches,
+                                      cfg.G, cfg.d_cap)
+    pts_l = as_tensor(lidar_points)
     _, feats_h = encode_batch(_float32(state.enc_hsi), pts_h)
     _, feats_l = encode_batch(_float32(state.enc_lidar), pts_l)
     return feats_h.data, feats_l.data
@@ -218,12 +239,8 @@ def fused_features(state: ModelState, hsi_patches: np.ndarray,
 
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
+    _check_batch(hsi_patches, lidar_points)
     n = hsi_patches.shape[0]
-    if lidar_points.shape[0] != n:
-        raise ValueError(
-            f"hsi_patches has {n} patches but lidar_points has "
-            f"{lidar_points.shape[0]}"
-        )
     center = lidar_points.shape[1] // 2
     out = np.empty((n, 4 * state.config.C), dtype=np.float32)
     for start in range(0, n, batch):

@@ -23,11 +23,15 @@ from hdcaps.config import TrainConfig
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # calls of each wrapped layer in one forward_batch: two branches, each
-# encoded raw and rotated, one decoder per branch, one KL across them
+# encoded raw and rotated, one decoder per branch, one KL across them.
+# perfbench does not time the attention head on its own (its forward falls
+# into forward_batch's own time, its backward into the unattributed
+# backward time), so it is counted here but is no layertrace target.
 FORWARD_CALLS = {
     "extract_preliminary_batch": 1,
     "sample_rotations": 2,
     "encode_batch": 4,
+    "attention_map": 4,
     "aggregate": 4,
     "decode": 2,
     "loss_equivariance": 2,
@@ -35,14 +39,16 @@ FORWARD_CALLS = {
     "loss_kl": 1,
     "reconstruction_loss": 2,
 }
+UNTRACED = {"attention_map"}
 
 # calls in one fused_features over 3 batches: one graph-free decompose
-# per batch, which lifts the spectra once and encodes each branch once
-# and aggregates nothing
+# per batch, which lifts the spectra once and encodes each branch once,
+# and builds no attention head and aggregates nothing
 EXTRACT_CALLS = {
     "decompose_batch": 3,
     "extract_preliminary_batch": 3,
     "encode_batch": 6,
+    "attention_map": 0,
     "aggregate": 0,
 }
 
@@ -54,7 +60,8 @@ def test_layertrace_targets_resolve(monkeypatch):
     missing = [(mod, attr) for mod, attr, _ in TARGETS
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
-    assert {attr for mod, attr, _ in TARGETS if mod == "hdcaps.model"} >= set(FORWARD_CALLS)
+    traced = {attr for mod, attr, _ in TARGETS if mod == "hdcaps.model"}
+    assert traced >= set(FORWARD_CALLS) - UNTRACED
 
 
 def count_model_calls(monkeypatch, names):

@@ -22,7 +22,9 @@ def acn(feats, weights):
 
 
 def encode(params, points):
-    attn, feats = encoder.encode_batch(params, ad.Tensor(points[None]))
+    """Attention and feature maps of one (X, D) point set, as a batch of one."""
+    hidden, feats = encoder.encode_batch(params, ad.Tensor(points[None]))
+    attn = encoder.attention_map(params, hidden)
     return attn.data[0], feats.data[0]
 
 
@@ -233,7 +235,8 @@ def test_encoder_param_gradients_fd():
     cf = rng.normal(size=(6, 2))
 
     def loss():
-        a, f = encoder.encode_batch(params, ad.as_tensor(pts[None]))
+        hidden, f = encoder.encode_batch(params, ad.as_tensor(pts[None]))
+        a = encoder.attention_map(params, hidden)
         return ad.tsum(ad.mul(a, ca[None])) + ad.tsum(ad.mul(f, cf[None]))
 
     out = loss()

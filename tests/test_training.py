@@ -175,7 +175,9 @@ def max_rel_err(got, want):
 
 def graph_mode_feature_maps(state, hsi, lidar):
     """The (B, X, C) feature maps of both branches, computed in float64
-    with grad mode on."""
+    from the float64 parameters, so the encoder builds a graph. Like
+    decompose_batch, it stops at the feature maps and builds no
+    attention head."""
     cfg = state.config
     pts_h = extract_preliminary_batch(state.caps, np.asarray(hsi, dtype=np.float64),
                                       cfg.G, cfg.d_cap)
@@ -263,6 +265,23 @@ def test_fused_features_rejects_mismatched_lengths():
     hsi, lidar = tiny_data(22, n=4)
     with pytest.raises(ValueError, match=r"4 patches.*3"):
         fused_features(state, hsi, lidar[:3])
+
+
+def call_forward(state, hsi, lidar):
+    return forward_batch(state, hsi, lidar, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("run", [call_forward, decompose_batch])
+@pytest.mark.parametrize("n_lidar, x_lidar, message", [
+    (3, 9, r"hsi_patches has 5 patches but lidar_points has 3"),
+    (5, 16, r"3x3 windows but lidar_points has 16 points per patch"),
+])
+def test_batch_rejects_mismatched_shapes(run, n_lidar, x_lidar, message):
+    state = tiny_state(seed=25)
+    hsi, _ = tiny_data(26, n=5)
+    lidar = np.random.default_rng(27).standard_normal((n_lidar, x_lidar, 3))
+    with pytest.raises(ValueError, match=message):
+        run(state, hsi, lidar)
 
 
 def test_batch_of_one_step_equals_single_pair_step():
