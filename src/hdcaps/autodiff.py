@@ -4,10 +4,13 @@ A :class:`Tensor` wraps an ndarray plus the backward closure that
 scatters its gradient into its parents; calling :func:`backward` on a
 scalar loss walks the graph once in reverse topological order.
 
-One rule sets precision: float32 data stays float32 and any other data
-becomes float64, and an op's output takes numpy's promotion of its
-inputs. A pass fed only float32 data and parameters runs in single
-precision; training and gradient checks feed float64 and run in float64.
+One rule sets precision: the parameters' dtype decides. float32 data
+stays float32 and any other data becomes float64; an op's output takes
+numpy's promotion of its inputs, and a Python scalar operand of
+``add`` / ``sub`` / ``mul`` / ``div`` takes the other operand's dtype, so
+a loss weight or a mean's 1/n never widens a float32 pass. The model's
+parameters are float32, so training and extraction run in single
+precision; ``training.grad_check`` widens its own model to float64.
 
 The op set is just large enough for the models in this package:
 broadcast arithmetic, batched matmul, softmax, reductions and shape
@@ -19,7 +22,7 @@ attention-weighted mean that aggregates capsules (``weighted_mean``).
 
 One rule sets what the graph tracks: constants never get a gradient.
 A leaf that :func:`as_tensor` makes from a non-Tensor (input data,
-rotations, scalar weights, parameter copies) is a constant, and so is
+rotations, scalar weights, parameter arrays) is a constant, and so is
 every op output whose inputs are all constants. A constant keeps no
 parents and no closure, so a pass whose inputs are all constants builds
 no graph and its intermediates are freed by refcount as soon as they go
@@ -196,8 +199,19 @@ def backward(root: Tensor) -> None:
             node._backward = None
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a Python scalar takes the other's dtype."""
+    if isinstance(a, (int, float)):
+        b = as_tensor(b)
+        return as_tensor(np.asarray(a, dtype=b.data.dtype)), b
+    a = as_tensor(a)
+    if isinstance(b, (int, float)):
+        return a, as_tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, as_tensor(b)
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data + b.data, (a, b))
 
     def bw():
@@ -208,7 +222,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data - b.data, (a, b))
 
     def bw():
@@ -219,7 +233,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data * b.data, (a, b))
 
     def bw():
@@ -232,7 +246,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data / b.data, (a, b))
 
     def bw():
@@ -287,7 +301,7 @@ def linear(x, w, b=None) -> Tensor:
         if not w._const:
             _accum(w, x.data.reshape(-1, d_in).T @ g2)
         if b is not None and not b._const:
-            _accum(b, np.ones(g2.shape[0]) @ g2)
+            _accum(b, np.ones(g2.shape[0], g2.dtype) @ g2)
         if not x._const:
             _accum(x, g * w.data[:, 0] if d_out == 1 else g @ w.data.T)
 
@@ -468,7 +482,7 @@ def acn(h, w, eps: float) -> Tensor:
     def bw():
         g = out.grad
         r = 1.0 / std
-        ones = np.ones((1, g.shape[-2]))
+        ones = np.ones((1, g.shape[-2]), g.dtype)
         sg = ones @ g
         sgy = np.einsum("...xh,...xh->...h", g, y)[..., None, :]
         dw = (0.5 * (sgy * var * r * r).sum(axis=-1, keepdims=True)
@@ -495,7 +509,7 @@ def weighted_mean(attn, values, eps: float) -> Tensor:
     dattn = values g'^T - sum_D(g' out).
     """
     attn, values = as_tensor(attn), as_tensor(values)
-    den = (np.ones(attn.data.shape[-2]) @ attn.data)[..., None] + eps
+    den = (np.ones(attn.data.shape[-2], attn.data.dtype) @ attn.data)[..., None] + eps
     out = Tensor((attn.data.swapaxes(-1, -2) @ values.data) / den, (attn, values))
 
     def bw():

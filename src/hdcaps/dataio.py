@@ -30,9 +30,11 @@ the whole (N, b, b, C) stack is built only by `np.asarray`.
 Precision: scenes and feature tables are held in the float32 they are
 stored in. Only code that computes on the values widens them, a piece at
 a time: `extract_patches` standardizes the spectra in float64 chunks,
-`evaluation.fuse_features` takes float64 means of a batch, the
-estimators in `evaluation` cast their input at entry, and training runs
-in float64.
+`evaluation.fuse_features` takes float64 means of a batch, and the
+estimators in `evaluation` cast their input at entry. The model takes
+its precision from its parameters' dtype, float32, so training and
+extraction read the float32 patches as they are; only
+`training.grad_check` runs in float64.
 """
 
 from __future__ import annotations

@@ -16,8 +16,17 @@ class FormatError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite value; names the offending tensor."""
+    """Training produced a non-finite value.
 
-    def __init__(self, tensor_name, reason="value is not finite"):
+    Names the offending tensor and, when an epoch is given, the epoch and
+    the step within it at which the value appeared.
+    """
+
+    def __init__(self, tensor_name, reason="value is not finite",
+                 epoch=None, step=None):
         self.tensor_name = tensor_name
-        super().__init__(f"training diverged: {reason} (tensor: {tensor_name})")
+        self.epoch = epoch
+        self.step = step
+        where = "" if epoch is None else f" at epoch {epoch}, step {step}"
+        super().__init__(f"training diverged{where}: {reason} "
+                         f"(tensor: {tensor_name})")

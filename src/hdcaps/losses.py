@@ -78,7 +78,7 @@ def loss_equivariance(rot: np.ndarray, poses: Tensor, rotated_poses: Tensor) -> 
     rot is a (B, D, D) constant; gradients flow into both (B, K, D) pose
     sets.
     """
-    rot_t = as_tensor(np.swapaxes(np.asarray(rot, dtype=np.float64), -1, -2))
+    rot_t = as_tensor(np.swapaxes(rot, -1, -2))
     return _mean_sq_rows(matmul(poses, rot_t) - rotated_poses)
 
 
@@ -107,11 +107,11 @@ def reconstruction_loss(target: np.ndarray, recon: Tensor) -> Tensor:
     reconstructed ones, (B, n, D) x (B, m, D) -> scalar, averaged over the
     batch.
 
-    The target is data, so the gradient flows into recon only. The
-    nearest-neighbor assignment is treated as locally constant, which is
-    the exact gradient away from ties.
+    The target is data, taken in recon's dtype, so the gradient flows
+    into recon only. The nearest-neighbor assignment is treated as locally
+    constant, which is the exact gradient away from ties.
     """
-    target = np.asarray(target, dtype=np.float64)
+    target = np.asarray(target, dtype=recon.data.dtype)
     if target.ndim != 3 or recon.data.ndim != 3:
         raise ValueError("reconstruction_loss expects (B, n, D) tensors")
     if (target.shape[0] != recon.data.shape[0]

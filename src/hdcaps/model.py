@@ -15,15 +15,20 @@ invariance of the descriptors and chamfer reconstruction.
 ``forward_batch`` runs it once per branch and adds cross-branch
 attention agreement.
 
+Precision: the parameters' dtype decides. ``init_model`` makes float32
+parameters (drawn in float64 and rounded once), a checkpoint stores them
+as float32, and ``forward_batch`` and ``decompose_batch`` cast their
+batch to the parameters' dtype, so training and extraction both run in
+float32. Only ``training.grad_check`` widens its own small model to
+float64, so that its finite differences mean something.
+
 The extract path (``decompose_batch`` inside ``fused_features``) encodes
 each branch once and stops at the feature maps: the fused features read
 only those, so it skips the attention head and runs no capsule
-aggregation. Its inputs are all
-float32 constants (the patches, the points and copies of the parameters
-it reads), so it builds no graph and computes in float32. A checkpoint
-stores float32 values, so these copies are exactly the values a loaded
-checkpoint holds, and the fused rows are returned as float32, the
-precision a feature file stores. Training and the parameters stay float64.
+aggregation. Every input it gives ``autodiff`` is a constant (the
+patches, the points and constant leaves sharing the parameters' arrays),
+so it builds no graph, and the fused rows are returned as float32, the
+precision a feature file stores.
 """
 
 from __future__ import annotations
@@ -91,7 +96,12 @@ def init_model(cfg: TrainConfig, c_spec: int, rng: np.random.Generator) -> Model
     # elevation decoder reconstructs in pose space and anchors on the pose
     dec_hsi = init_decoder(cfg.C, d_h, c_spec, cfg.m, cfg.H, rng, anchored=False)
     dec_lidar = init_decoder(cfg.C, 3, 3, cfg.m, cfg.H, rng, anchored=True)
-    return ModelState(cfg, c_spec, caps, enc_hsi, enc_lidar, dec_hsi, dec_lidar)
+    state = ModelState(cfg, c_spec, caps, enc_hsi, enc_lidar, dec_hsi, dec_lidar)
+    # drawn in float64 and rounded once, so the generator's stream and the
+    # checkpoint of an untrained model do not depend on the working dtype
+    for tensor in parameters(state).values():
+        tensor.data = tensor.data.astype(np.float32)
+    return state
 
 
 def parameters(state: ModelState) -> dict:
@@ -155,15 +165,17 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     (total loss Tensor, LossReport). One rotation per sample per branch
     is drawn from rng, spectral first.
 
-    Both inputs are cast to float64 on entry, and that cast is what keeps
-    training in float64: ``autodiff`` would carry float32 data through
-    in float32.
+    The parameters' dtype decides the precision: the batch and the
+    rotations are cast to it on entry, so the whole pass and its backward
+    run in float32 for a model from ``init_model`` or ``load_checkpoint``
+    and in float64 for the widened model of ``training.grad_check``.
     """
     cfg = state.config
     if weights is None:
         weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
-    hsi_patches = np.asarray(hsi_patches, dtype=np.float64)
-    lidar_points = np.asarray(lidar_points, dtype=np.float64)
+    dtype = state.caps["w"].data.dtype
+    hsi_patches = np.asarray(hsi_patches, dtype=dtype)
+    lidar_points = np.asarray(lidar_points, dtype=dtype)
     _check_batch(hsi_patches, lidar_points)
     n = hsi_patches.shape[0]
 
@@ -173,8 +185,8 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     # as a point set, NOT the lifted capsule points (which the model could
     # collapse to make reconstruction trivial)
     target_h = hsi_patches.reshape(n, -1, state.c_spec)
-    rot_h = sample_rotations(cfg.d_h, n, rng)
-    rot_l = sample_rotations(3, n, rng)
+    rot_h = sample_rotations(cfg.d_h, n, rng).astype(dtype)
+    rot_l = sample_rotations(3, n, rng).astype(dtype)
 
     attn_h, equ_h, inv_h, cham_h = _branch(state.enc_hsi, state.dec_hsi,
                                            pts_h, rot_h, target_h)
@@ -190,34 +202,35 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     return total, LossReport(*(float(t.data) for t in terms))
 
 
-def _float32(group: dict) -> dict:
-    """A parameter group with every Tensor replaced by a float32 constant
-    copy; the float64 originals are left untouched."""
-    return {key: as_tensor(value.data.astype(np.float32))
-            if isinstance(value, Tensor) else value
+def _constants(group: dict) -> dict:
+    """A parameter group with every Tensor replaced by a constant leaf
+    that shares its array, so a pass over it builds no graph."""
+    return {key: as_tensor(value.data) if isinstance(value, Tensor) else value
             for key, value in group.items()}
 
 
 def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
                     lidar_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inference pass: the (B, X, C) float32 encoder feature maps of the
-    spectral and the elevation branch. The attention head is skipped:
-    nothing on this path reads the attention maps.
+    """Inference pass: the (B, X, C) encoder feature maps of the spectral
+    and the elevation branch, in the parameters' dtype (float32 for a
+    model from ``init_model`` or ``load_checkpoint``). The attention head
+    is skipped: nothing on this path reads the attention maps.
 
-    The patches, the points and the capsule block and encoder parameters
-    enter as float32 constants, so the pass builds no graph and runs in
-    single precision throughout. A loaded checkpoint's parameters are
-    float32 values, so their copies are exact; ``state`` is not changed.
+    The patches and points are cast to the parameters' dtype and enter as
+    constants, and so do the capsule block and encoder parameters, as
+    leaves that share the parameter arrays; the pass builds no graph and
+    ``state`` is not changed.
     """
-    hsi_patches = np.asarray(hsi_patches, dtype=np.float32)
-    lidar_points = np.asarray(lidar_points, dtype=np.float32)
+    dtype = state.caps["w"].data.dtype
+    hsi_patches = np.asarray(hsi_patches, dtype=dtype)
+    lidar_points = np.asarray(lidar_points, dtype=dtype)
     _check_batch(hsi_patches, lidar_points)
     cfg = state.config
-    pts_h = extract_preliminary_batch(_float32(state.caps), hsi_patches,
+    pts_h = extract_preliminary_batch(_constants(state.caps), hsi_patches,
                                       cfg.G, cfg.d_cap)
     pts_l = as_tensor(lidar_points)
-    _, feats_h = encode_batch(_float32(state.enc_hsi), pts_h)
-    _, feats_l = encode_batch(_float32(state.enc_lidar), pts_l)
+    _, feats_h = encode_batch(_constants(state.enc_hsi), pts_h)
+    _, feats_l = encode_batch(_constants(state.enc_lidar), pts_l)
     return feats_h.data, feats_l.data
 
 
@@ -228,9 +241,8 @@ def fused_features(state: ModelState, hsi_patches: np.ndarray,
     For each branch the center-pixel feature row and the mean feature row
     are taken from the encoder's feature map; the four pieces are
     concatenated spectral-first. Patches are encoded `batch` at a time by
-    `decompose_batch`, in float32 from the checkpoint's own parameter
-    values; each batch's float64 `fuse_features` rows are rounded once to
-    float32.
+    `decompose_batch`, in the parameters' dtype; each batch's float64
+    `fuse_features` rows are rounded once to float32.
     hsi_patches may be any (N, b, b, C) stack whose first axis takes a
     slice, such as an ndarray or the lazy `dataio.PatchStack`, which then
     gathers one batch of windows at a time.
@@ -255,8 +267,9 @@ def save_checkpoint(state: ModelState, directory: str) -> None:
     """Write a checkpoint directory of two files.
 
     params.dten holds every parameter's values, concatenated in
-    ``parameters(state)`` order as one (P,) float32 vector, so a reloaded
-    model matches the trained one to single precision. manifest.json,
+    ``parameters(state)`` order as one (P,) float32 vector, the dtype the
+    parameters are kept in, so a reloaded model equals the saved one
+    exactly. manifest.json,
     written after it, holds the format, version 2, the config, c_spec and
     the ordered list of parameter names. Other files in the directory are
     left as they are.
@@ -312,7 +325,7 @@ def load_checkpoint(directory: str) -> ModelState:
     if vector.shape != (sum(sizes),):
         raise ValueError(f"{params_path} holds a vector of shape {vector.shape}, "
                          f"expected ({sum(sizes)},)")
-    pieces = np.split(vector.astype(np.float64), np.cumsum(sizes)[:-1])
+    pieces = np.split(vector, np.cumsum(sizes)[:-1])
     for (name, tensor), piece in zip(flat.items(), pieces):
         if not np.isfinite(piece).all():
             raise ValueError(f"{params_path}: parameter {name} holds "

@@ -4,6 +4,9 @@ Everything is driven by a single seeded Generator so a given (data,
 config, seed) triple reproduces the same parameter trajectory exactly:
 the generator is consumed in a fixed order (init, then per-step
 rotations, then per-epoch shuffles).
+
+Training runs in the parameters' dtype, float32, and so do the Adam
+moments; ``grad_check`` widens its own model to float64.
 """
 
 from __future__ import annotations
@@ -61,16 +64,22 @@ def adam_step(params: dict, opt: AdamState, lr: float,
 
 def train_step(state: ModelState, opt: AdamState, params: dict,
                hsi_batch: np.ndarray, lidar_batch: np.ndarray,
-               rng: np.random.Generator, weights: LossWeights):
-    """Forward, backward, Adam update. Returns the LossReport."""
+               rng: np.random.Generator, weights: LossWeights,
+               epoch: int | None = None, step: int | None = None):
+    """Forward, backward, Adam update. Returns the LossReport.
+
+    A non-finite loss or gradient raises a DivergenceError that names
+    the tensor and the given epoch and step.
+    """
     zero_grads(params)
     total, report = forward_batch(state, hsi_batch, lidar_batch, rng, weights)
     if not np.isfinite(report.total):
-        raise DivergenceError("total loss", "training loss is not finite")
+        raise DivergenceError("total loss", "training loss is not finite",
+                              epoch, step)
     backward(total)
     for name, tensor in params.items():
         if tensor.grad is not None and not np.all(np.isfinite(tensor.grad)):
-            raise DivergenceError(name, "gradient is not finite")
+            raise DivergenceError(name, "gradient is not finite", epoch, step)
     cfg = state.config
     adam_step(params, opt, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     return report
@@ -82,7 +91,9 @@ def train(state: ModelState, hsi_patches: np.ndarray, lidar_points: np.ndarray,
     """Train for config.epochs epochs of shuffled minibatches.
 
     Returns one dict of mean loss components per epoch; optionally
-    appends the same rows to a CSV file at log_path. hsi_patches may be
+    appends the same rows to a CSV file at log_path. A divergence raises
+    a DivergenceError naming the epoch and the step within it, both
+    counted from 0 as in the log's epoch column. hsi_patches may be
     any (N, b, b, C) stack whose first axis takes an integer index array,
     such as an ndarray or the lazy `dataio.PatchStack`, which then
     gathers one minibatch of windows at a time.
@@ -113,6 +124,7 @@ def train(state: ModelState, hsi_patches: np.ndarray, lidar_points: np.ndarray,
                 report = train_step(
                     state, opt, params,
                     hsi_patches[idx], lidar_points[idx], rng, weights,
+                    epoch=epoch, step=n_batches,
                 )
                 for key, value in report.as_dict().items():
                     sums[key] += value
@@ -134,7 +146,9 @@ def train(state: ModelState, hsi_patches: np.ndarray, lidar_points: np.ndarray,
 def grad_check(seed: int = 0, n_samples: int = 8):
     """Compare analytic gradients against central finite differences.
 
-    Builds a small two-branch model, runs one forward/backward on a
+    Builds a small two-branch model and widens its parameters to float64,
+    so the whole check runs in float64 and its errors measure the
+    gradients, not float32 roundoff. It runs one forward/backward on a
     random batch, then for n_samples randomly chosen entries of every
     parameter tensor recomputes the derivative as
     (f(x + h) - f(x - h)) / (2 h) and reports the relative error
@@ -151,6 +165,8 @@ def grad_check(seed: int = 0, n_samples: int = 8):
     rng = np.random.default_rng(seed)
     state = init_model(cfg, c_spec, rng)
     params = parameters(state)
+    for tensor in params.values():
+        tensor.data = tensor.data.astype(np.float64)
 
     x = cfg.b * cfg.b
     hsi = rng.standard_normal((cfg.batch, cfg.b, cfg.b, c_spec))

@@ -262,6 +262,20 @@ def test_float32_stays_float32_and_other_data_becomes_float64():
     assert ad.mul(ad.Tensor(f32), np.ones(3)).data.dtype == np.float64
 
 
+def test_python_scalar_takes_the_other_operands_dtype():
+    # under NEP 50 a 0-d float64 array widens a float32 array, so a
+    # Python scalar must not become one: it takes the other operand's dtype
+    x = ad.Tensor(np.ones(3, dtype=np.float32))
+    for out in (x + 1.0, 1.0 + x, x - 2, 2 - x, x * 0.5, 0.5 * x, x / 3.0,
+                ad.div(3.0, x), -x, ad.tmean(x), ad.mul(x, np.float64(0.1))):
+        assert out.data.dtype == np.float32
+        assert all(p.data.dtype == np.float32 for p in out._parents)
+    assert (ad.Tensor(np.ones(3)) * 0.5).data.dtype == np.float64
+    loss = ad.tsum(x * 0.5 + 1.0)
+    ad.backward(loss)
+    assert x.grad.dtype == np.float32
+
+
 def test_constants_get_no_gradient(monkeypatch):
     rng = np.random.default_rng(31)
     data = rng.normal(size=(2, 5, 4))

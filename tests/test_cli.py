@@ -197,13 +197,15 @@ def test_divergence_is_exit_3(capsys, tmp_path, monkeypatch):
               "--bands", "4"])
 
     def explode(*args, **kwargs):
-        raise DivergenceError("enc_hsi.lift_w")
+        raise DivergenceError("enc_hsi.lift_w", "gradient is not finite",
+                              epoch=2, step=7)
 
     monkeypatch.setattr("hdcaps.training.train", explode)
     rc = cli.main(["train", "--data", scene, "--out", str(tmp_path / "ck"),
                    "--quiet"])
     assert rc == 3
-    assert "diverged" in capsys.readouterr().err
+    assert ("error: training diverged at epoch 2, step 7: gradient is not "
+            "finite (tensor: enc_hsi.lift_w)") in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- pipeline

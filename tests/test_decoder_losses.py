@@ -39,10 +39,13 @@ def tiny_batch(seed):
 
 
 def weighted_terms(rep, w):
-    """The three branch terms of a LossReport, mixed by the LossWeights w."""
-    return ((rep.equ_hsi + rep.inv_hsi + rep.cham_hsi) * w.alpha
-            + (rep.equ_lidar + rep.inv_lidar + rep.cham_lidar) * w.beta
-            + rep.kl * w.gamma)
+    """The three branch terms of a LossReport, mixed by the LossWeights w
+    in forward_batch's order and in its float32, the parameters' dtype."""
+    t = {name: np.float32(value) for name, value in rep.as_dict().items()}
+    alpha, beta, gamma = np.float32(w.alpha), np.float32(w.beta), np.float32(w.gamma)
+    return float((t["equ_hsi"] + t["inv_hsi"] + t["cham_hsi"]) * alpha
+                 + (t["equ_lidar"] + t["inv_lidar"] + t["cham_lidar"]) * beta
+                 + t["kl"] * gamma)
 
 
 def zeroed(params):
@@ -183,17 +186,13 @@ def test_total_loss_weighted_combination():
     state, hsi, lidar = tiny_batch(6)
     total, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1))
     assert float(total.data) == rep.total
-    np.testing.assert_allclose(rep.total, 0.5 * (rep.equ_hsi + rep.inv_hsi + rep.cham_hsi)
-                               + 0.5 * (rep.equ_lidar + rep.inv_lidar + rep.cham_lidar)
-                               + 0.1 * rep.kl, rtol=1e-15)
+    assert rep.total == weighted_terms(rep, w)
     _, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1),
                            losses.LossWeights(0.0, 0.0, 0.0))
     assert rep.total == 0.0
     custom = losses.LossWeights(alpha=0.25, beta=0.5, gamma=0.1)
     _, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1), custom)
-    np.testing.assert_allclose(rep.total, 0.25 * (rep.equ_hsi + rep.inv_hsi + rep.cham_hsi)
-                               + 0.5 * (rep.equ_lidar + rep.inv_lidar + rep.cham_lidar)
-                               + 0.1 * rep.kl, rtol=1e-15)
+    assert rep.total == weighted_terms(rep, custom)
 
 
 def test_total_loss_exact_weighted_identity_random():

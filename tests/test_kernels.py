@@ -25,58 +25,120 @@ def oracle_backward(p, q, nn_pq, nn_qp, gout):
     return gq
 
 
-def random_pair(rng, bsz=None):
+def random_pair(rng, bsz=None, dtype=np.float64):
     bsz = int(rng.integers(1, 6)) if bsz is None else bsz
     n, m = rng.integers(1, 31, size=2)
     d = int(rng.integers(1, 145))
-    return rng.normal(size=(bsz, n, d)), rng.normal(size=(bsz, m, d))
+    return (rng.normal(size=(bsz, n, d)).astype(dtype),
+            rng.normal(size=(bsz, m, d)).astype(dtype))
 
 
-def test_forward_matches_oracle():
+# backward tolerance (rtol, atol) against the per-point scatter: the
+# one-hot matmul sums a point's terms in another order
+BACKWARD_TOL = {np.float64: (1e-12, 1e-13), np.float32: (1e-5, 1e-6)}
+
+
+def check_forward_matches_oracle(dtype):
     # the minima are recomputed with the oracle's own formula, so indices
     # and values agree exactly, not just up to roundoff
     rng = np.random.default_rng(0)
     for _ in range(100):
-        p, q = random_pair(rng)
+        p, q = random_pair(rng, dtype=dtype)
         vals, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
         ref_vals, ref_pq, ref_qp = oracle_forward(p, q)
+        assert vals.dtype == dtype
         np.testing.assert_array_equal(nn_pq, ref_pq)
         np.testing.assert_array_equal(nn_qp, ref_qp)
         np.testing.assert_array_equal(vals, ref_vals)
 
 
-def test_backward_matches_oracle():
+def test_forward_matches_oracle():
+    check_forward_matches_oracle(np.float64)
+
+
+def test_forward_matches_oracle_float32():
+    check_forward_matches_oracle(np.float32)
+
+
+def check_backward_matches_oracle(dtype):
     rng = np.random.default_rng(1)
+    rtol, atol = BACKWARD_TOL[dtype]
     for _ in range(100):
-        p, q = random_pair(rng)
-        gout = rng.normal(size=p.shape[0])
+        p, q = random_pair(rng, dtype=dtype)
+        gout = rng.normal(size=p.shape[0]).astype(dtype)
         _, nn_pq, nn_qp = oracle_forward(p, q)
         gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout)
         ref_gq = oracle_backward(p, q, nn_pq, nn_qp, gout)
-        np.testing.assert_allclose(gq, ref_gq, rtol=1e-12, atol=1e-13)
+        assert gq.dtype == dtype
+        np.testing.assert_allclose(gq, ref_gq, rtol=rtol, atol=atol)
 
 
-def test_tie_break_lowest_index():
+def test_backward_matches_oracle():
+    check_backward_matches_oracle(np.float64)
+
+
+def test_backward_matches_oracle_float32():
+    check_backward_matches_oracle(np.float32)
+
+
+def check_tie_break_lowest_index(dtype):
     # two equally-near neighbors: index 0 wins
-    p = np.array([[[0.0, 0.0]]])
-    q = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
+    p = np.array([[[0.0, 0.0]]], dtype=dtype)
+    q = np.array([[[1.0, 0.0], [-1.0, 0.0]]], dtype=dtype)
     _, nn_pq, _ = kernels.chamfer_forward(p, q)
     assert nn_pq[0, 0] == 0
     # a duplicated point is nearest to every point of the other set; the
     # matmul may round its two copies differently, the exact sums may not
     rng = np.random.default_rng(4)
     for _ in range(200):
-        p, q = random_pair(rng)
+        p, q = random_pair(rng, dtype=dtype)
         bsz, m, d = q.shape
         if m < 2:
             continue
         lo, hi = np.sort(rng.choice(m, size=2, replace=False))
         q[:, hi] = q[:, lo]
-        p = q[:, lo][:, None, :] + 1e-3 * rng.normal(size=p.shape)
+        p = q[:, lo][:, None, :] + (1e-3 * rng.normal(size=p.shape)).astype(dtype)
         _, nn_pq, _ = kernels.chamfer_forward(p, q)
         assert (nn_pq == lo).all()
         _, _, nn_qp = kernels.chamfer_forward(q, p)
         assert (nn_qp == lo).all()
+
+
+def test_tie_break_lowest_index():
+    check_tie_break_lowest_index(np.float64)
+
+
+def test_tie_break_lowest_index_float32():
+    check_tie_break_lowest_index(np.float32)
+
+
+def test_float32_near_tie_finds_exact_neighbour():
+    # two points of q differ by a few float32 ulps in one coordinate, far
+    # less than the float32 roundoff of the matmul distances; the kernel
+    # must still pick the neighbour that the exact distances pick
+    rng = np.random.default_rng(5)
+    expansion_misses = 0
+    for _ in range(300):
+        p, q = random_pair(rng, dtype=np.float32)
+        bsz, m, d = q.shape
+        if m < 2:
+            continue
+        lo, hi = rng.choice(m, size=2, replace=False)
+        k = int(rng.integers(d))
+        q[:, hi] = q[:, lo]
+        q[:, hi, k] += np.spacing(q[:, lo, k]) * rng.integers(-3, 4, size=bsz)
+        p = q[:, lo][:, None, :] + (1e-2 * rng.normal(size=p.shape)).astype(np.float32)
+        vals, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
+        ref_vals, ref_pq, ref_qp = oracle_forward(p, q)
+        np.testing.assert_array_equal(nn_pq, ref_pq)
+        np.testing.assert_array_equal(nn_qp, ref_qp)
+        np.testing.assert_array_equal(vals, ref_vals)
+        pp = np.einsum("bnd,bnd->bn", p, p)
+        qq = np.einsum("bmd,bmd->bm", q, q)
+        expanded = pp[:, :, None] + qq[:, None, :] - 2.0 * (p @ q.transpose(0, 2, 1))
+        expansion_misses += int((expanded.argmin(axis=2) != ref_pq).any())
+    # the matmul distances alone would have picked wrongly in some cases
+    assert expansion_misses > 0
 
 
 def test_dispatch_accepts_noncontiguous():
@@ -94,13 +156,16 @@ def test_dispatch_accepts_noncontiguous():
     np.testing.assert_allclose(gq, ref_gq, rtol=1e-12, atol=1e-13)
 
 
-def test_backward_is_gradient_of_forward():
-    # directional finite difference in q through the public kernels
+def check_backward_is_gradient_of_forward(dtype):
+    # directional finite difference in q through the public kernels, in
+    # float64 on the same points; the analytic gradient comes in dtype
     rng = np.random.default_rng(3)
-    p, q = random_pair(rng, bsz=2)
+    p, q = random_pair(rng, bsz=2, dtype=dtype)
     vals, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
-    gout = np.ones(2)
+    gout = np.ones(2, dtype=dtype)
     gq = kernels.chamfer_backward(p, q, nn_pq, nn_qp, gout)
+    assert gq.dtype == dtype
+    p, q = p.astype(np.float64), q.astype(np.float64)
     h = 1e-7
     dq = rng.normal(size=q.shape)
     vp, _, _ = kernels.chamfer_forward(p, q + h * dq)
@@ -108,3 +173,11 @@ def test_backward_is_gradient_of_forward():
     numeric = (vp - vm).sum() / (2.0 * h)
     analytic = float((gq * dq).sum())
     assert abs(numeric - analytic) < 1e-4
+
+
+def test_backward_is_gradient_of_forward():
+    check_backward_is_gradient_of_forward(np.float64)
+
+
+def test_backward_is_gradient_of_forward_float32():
+    check_backward_is_gradient_of_forward(np.float32)

@@ -10,9 +10,10 @@ import pytest
 
 from hdcaps import autodiff as ad
 from hdcaps import dataio, training
-from hdcaps.capsule_block import extract_preliminary_batch
+from hdcaps.capsule_block import extract_preliminary_batch, init_capsule_block
 from hdcaps.config import TrainConfig
-from hdcaps.encoder import encode_batch
+from hdcaps.decoder import init_decoder
+from hdcaps.encoder import encode_batch, init_encoder
 from hdcaps.errors import DivergenceError
 from hdcaps.losses import LossReport, LossWeights
 from hdcaps.model import (
@@ -106,10 +107,13 @@ def test_report_total_is_weighted_combination():
     hsi, lidar = tiny_data(7)
     w = LossWeights(0.3, 0.6, 0.2)
     _, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1), w)
-    want = (0.3 * (rep.equ_hsi + rep.inv_hsi + rep.cham_hsi)
-            + 0.6 * (rep.equ_lidar + rep.inv_lidar + rep.cham_lidar)
-            + 0.2 * rep.kl)
-    np.testing.assert_allclose(rep.total, want, rtol=1e-12)
+    # the terms and weights are float32, the parameters' dtype, and are
+    # combined in float32, so the same float32 sum reproduces the total
+    t = {name: np.float32(value) for name, value in rep.as_dict().items()}
+    want = ((t["equ_hsi"] + t["inv_hsi"] + t["cham_hsi"]) * np.float32(0.3)
+            + (t["equ_lidar"] + t["inv_lidar"] + t["cham_lidar"]) * np.float32(0.6)
+            + t["kl"] * np.float32(0.2))
+    assert rep.total == float(want)
 
 
 def test_train_deterministic_final_params():
@@ -175,9 +179,9 @@ def max_rel_err(got, want):
 
 def graph_mode_feature_maps(state, hsi, lidar):
     """The (B, X, C) feature maps of both branches, computed in float64
-    from the float64 parameters, so the encoder builds a graph. Like
-    decompose_batch, it stops at the feature maps and builds no
-    attention head."""
+    from the trainable float32 parameters, which float64 inputs widen, so
+    the encoder builds a graph. Like decompose_batch, it stops at the
+    feature maps and builds no attention head."""
     cfg = state.config
     pts_h = extract_preliminary_batch(state.caps, np.asarray(hsi, dtype=np.float64),
                                       cfg.G, cfg.d_cap)
@@ -196,31 +200,48 @@ def test_decompose_batch_equals_graph_mode_encoder():
     assert max_rel_err(feats_l, want_l) <= FLOAT32_REL_TOL
 
 
-def test_decompose_batch_returns_float32_and_leaves_params_float64():
+def test_decompose_batch_returns_float32_and_leaves_params_unchanged():
     state = tiny_state(seed=23, n_blocks=2)
     hsi, lidar = tiny_data(24, n=3)
-    before = clone_params(parameters(state))
+    before = parameters(state)
+    arrays = {name: tensor.data for name, tensor in before.items()}
+    values = clone_params(before)
     feats_h, feats_l = decompose_batch(state, hsi, lidar)
     assert feats_h.dtype == feats_l.dtype == np.float32
     after = parameters(state)
     assert list(after) == list(before)
     for name, tensor in after.items():
-        assert tensor.data.dtype == np.float64, name
-        np.testing.assert_array_equal(tensor.data, before[name])
+        assert tensor.data is arrays[name] and tensor.grad is None, name
+        assert tensor.data.dtype == np.float32, name
+        np.testing.assert_array_equal(tensor.data, values[name])
 
 
-def test_forward_batch_on_float32_patches_stays_float64():
-    state = tiny_state(seed=25)
-    hsi, lidar = tiny_data(26)
+@pytest.mark.parametrize("c_spec, over", [
+    (4, {}),
+    (144, dict({name: getattr(TrainConfig(), name) for name in TINY}, batch=3)),
+], ids=["tiny", "144-bands"])
+def test_train_step_leaks_no_float64(c_spec, over):
+    # float64 data (the default of rng.standard_normal) goes in; every
+    # node of the graph, constants included, every gradient and the Adam
+    # moments must come out in the parameters' float32
+    state = tiny_state(seed=25, c_spec=c_spec, **over)
+    cfg = state.config
+    hsi, lidar = tiny_data(26, n=cfg.batch, b=cfg.b, c_spec=c_spec)
     params = parameters(state)
-    training.zero_grads(params)
-    total, _ = forward_batch(state, hsi.astype(np.float32), lidar.astype(np.float32),
-                             np.random.default_rng(27))
-    assert total.data.dtype == np.float64
+    total, _ = forward_batch(state, hsi, lidar, np.random.default_rng(27))
+    nodes = ad._topo(total)
+    assert {node.data.dtype for node in nodes} == {np.dtype(np.float32)}
     ad.backward(total)
+    assert all(node.grad is None or node.grad.dtype == np.float32 for node in nodes)
     for name, tensor in params.items():
-        assert tensor.data.dtype == np.float64, name
-        assert tensor.grad is not None and tensor.grad.dtype == np.float64, name
+        assert tensor.data.dtype == np.float32, name
+        assert tensor.grad is not None and tensor.grad.dtype == np.float32, name
+    opt = training.AdamState()
+    training.train_step(state, opt, params, hsi, lidar, np.random.default_rng(28),
+                        LossWeights())
+    for name, tensor in params.items():
+        assert tensor.data.dtype == np.float32, name
+        assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
 
 
 def test_fused_features_144_bands_match_float64(tmp_path):
@@ -333,8 +354,33 @@ def test_train_divergence_aborts_with_name():
     params = parameters(state)
     params["enc_hsi.lift_w"].data[0, 0] = np.inf
     hsi, lidar = tiny_data(14)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match=r"at epoch 0, step 0: ") as info:
         training.train(state, hsi, lidar, np.random.default_rng(0))
+    assert (info.value.epoch, info.value.step) == (0, 0)
+
+
+def test_train_divergence_names_epoch_and_step(monkeypatch):
+    # a finite first epoch, then a non-finite loss at the second step of
+    # the second epoch: the error says where, counted from 0
+    state = tiny_state(seed=13, epochs=3)
+    hsi, lidar = tiny_data(14, n=6)
+    calls = []
+    real_forward = training.forward_batch
+
+    def forward(*args, **kwargs):
+        total, report = real_forward(*args, **kwargs)
+        calls.append(report)
+        if len(calls) == 5:
+            report.total = float("nan")
+        return total, report
+
+    monkeypatch.setattr(training, "forward_batch", forward)
+    with pytest.raises(DivergenceError) as info:
+        training.train(state, hsi, lidar, np.random.default_rng(0))
+    err = info.value
+    assert (err.tensor_name, err.epoch, err.step) == ("total loss", 1, 1)
+    assert str(err) == ("training diverged at epoch 1, step 1: training loss "
+                        "is not finite (tensor: total loss)")
 
 
 def test_train_rejects_empty_or_mismatched():
@@ -398,7 +444,9 @@ def test_grad_check_detects_corruption(monkeypatch):
 
 def test_zero_weights_random_biases_near_linear():
     # with every weight matrix zeroed the loss is nearly linear in each
-    # parameter, so finite differences and analytic gradients agree tightly
+    # parameter, so finite differences and analytic gradients agree
+    # tightly; the parameters are float64, as in grad_check, so the whole
+    # pass runs in float64
     state = tiny_state(seed=20)
     params = parameters(state)
     rng = np.random.default_rng(21)
@@ -407,7 +455,7 @@ def test_zero_weights_random_biases_near_linear():
         if leaf == "b" or leaf.endswith("_b") or leaf in ("b1", "b2"):
             tensor.data = 0.1 * rng.standard_normal(tensor.data.shape)
         else:
-            tensor.data = np.zeros_like(tensor.data)
+            tensor.data = np.zeros(tensor.data.shape)
     hsi, lidar = tiny_data(22, n=2)
     weights = LossWeights()
 
@@ -451,10 +499,39 @@ def test_checkpoint_round_trip(tmp_path):
     dst = parameters(loaded)
     assert list(src) == list(dst)
     for name in src:
-        np.testing.assert_array_equal(
-            src[name].data.astype(np.float32), dst[name].data.astype(np.float32)
-        )
+        assert src[name].data.dtype == dst[name].data.dtype == np.float32, name
+        np.testing.assert_array_equal(src[name].data, dst[name].data)
     assert loaded.config.to_dict() == state.config.to_dict()
+
+
+def test_init_model_is_float32_rounding_of_float64_draws(tmp_path):
+    # init_model draws in float64, in the order below, then rounds once;
+    # so the generator's stream and an untrained checkpoint's bytes are
+    # those of the float64 draws written as float32
+    cfg = TrainConfig(**TINY)
+    c_spec, d_h = 4, cfg.d_h
+    rng = np.random.default_rng(32)
+    groups = [
+        init_capsule_block(c_spec, cfg.G, cfg.d_cap, rng),
+        init_encoder(d_h, cfg.H, cfg.n_blocks, cfg.K, cfg.C, rng),
+        init_encoder(3, cfg.H, cfg.n_blocks, cfg.K, cfg.C, rng),
+        init_decoder(cfg.C, d_h, c_spec, cfg.m, cfg.H, rng, anchored=False),
+        init_decoder(cfg.C, 3, 3, cfg.m, cfg.H, rng, anchored=True),
+    ]
+    draws = [value.data for group in groups for value in group.values()
+             if isinstance(value, ad.Tensor)]
+    assert all(d.dtype == np.float64 for d in draws)
+    state = init_model(cfg, c_spec, np.random.default_rng(32))
+    params = list(parameters(state).values())
+    assert len(params) == len(draws)
+    for tensor, draw in zip(params, draws):
+        assert tensor.data.dtype == np.float32
+        np.testing.assert_array_equal(tensor.data, draw.astype(np.float32))
+    save_checkpoint(state, str(tmp_path / "ckpt"))
+    dataio.write_dten(str(tmp_path / "draws.dten"),
+                      np.concatenate([d.reshape(-1) for d in draws]))
+    assert ((tmp_path / "ckpt" / "params.dten").read_bytes()
+            == (tmp_path / "draws.dten").read_bytes())
 
 
 def test_checkpoint_overwrite_with_smaller_model(tmp_path):
@@ -466,8 +543,7 @@ def test_checkpoint_overwrite_with_smaller_model(tmp_path):
     assert loaded.config.n_blocks == 1
     assert list(parameters(loaded)) == list(parameters(small))
     for name, tensor in parameters(small).items():
-        np.testing.assert_array_equal(parameters(loaded)[name].data,
-                                      tensor.data.astype(np.float32))
+        np.testing.assert_array_equal(parameters(loaded)[name].data, tensor.data)
 
 
 def snapshot(root):
