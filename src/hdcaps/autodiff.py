@@ -290,7 +290,9 @@ def linear(x, w, b=None) -> Tensor:
         parents = (x, w)
     else:
         b = as_tensor(b)
-        y = y + b.data
+        # y is the GEMM's fresh output: add in place unless b widens it
+        y = y.astype(np.result_type(y, b.data), copy=False)
+        y += b.data
         parents = (x, w, b)
     out = Tensor(y, parents)
 

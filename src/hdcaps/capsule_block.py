@@ -4,6 +4,11 @@ Every pixel's spectrum goes through one shared linear map, is split into G
 groups of length d_cap, and each group is squashed. A b x b patch thus
 becomes b*b points in G*d_cap dimensions, in row-major pixel order, so
 point index p downstream always refers to pixel p of the patch.
+
+The lift is per pixel: a pixel's point depends on its own spectrum
+only, not on the patch around it. Lifting each pixel of a scene once
+and cutting windows from the result is therefore exact, and is what
+``model.fused_features`` does; training lifts each batch's patches.
 """
 
 from __future__ import annotations

@@ -217,12 +217,14 @@ def _windows(rows, cols, b: int):
 
 
 class PatchStack:
-    """The (N, b, b, C) float32 stack of standardized spectral patches,
+    """The (N, b, b, C) stack of b x b windows of a padded scene,
     gathered from the scene on demand.
 
-    scene: the standardized scene mirror-padded by b // 2 on both spatial
-    axes, (H + b - 1, W + b - 1, C) float32, the only copy of the spectra;
-    rows, cols: (N,) scene coordinates of the patch centers. Patch i is
+    scene: an (H + b - 1, W + b - 1, C) array padded by b // 2 on both
+    spatial axes: in a PatchSet, the standardized float32 spectra,
+    mirror-padded, the only copy of them; in `model.fused_features`, the
+    capsule lift of those spectra (C = d_h). rows, cols: (N,) scene
+    coordinates of the patch centers. Patch i is
     scene[rows[i]:rows[i] + b, cols[i]:cols[i] + b]. Indexing the first
     axis with an integer, a slice or an integer array gathers just those
     patches; `np.asarray` gathers all N.

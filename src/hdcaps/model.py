@@ -22,13 +22,17 @@ batch to the parameters' dtype, so training and extraction both run in
 float32. Only ``training.grad_check`` widens its own small model to
 float64, so that its finite differences mean something.
 
-The extract path (``decompose_batch`` inside ``fused_features``) encodes
-each branch once and stops at the feature maps: the fused features read
-only those, so it skips the attention head and runs no capsule
-aggregation. Every input it gives ``autodiff`` is a constant (the
-patches, the points and constant leaves sharing the parameters' arrays),
-so it builds no graph, and the fused rows are returned as float32, the
-precision a feature file stores.
+The extract path (``fused_features``) lifts each spectral pixel once:
+the capsule lift is per pixel, so ``extract_preliminary_batch`` runs
+over blocks of the scene's pixels that some window covers, and each
+batch then gathers its b x b windows of d_h-wide capsule points from the
+lifted scene instead of its b x b x C_spec windows of spectra.
+``decompose_batch`` encodes each branch once and stops at the feature
+maps: the fused features read only those, so it skips the attention
+head and runs no capsule aggregation. Every input it gives ``autodiff``
+is a constant (the lifted windows, the points and constant leaves
+sharing the parameters' arrays), so it builds no graph, and the fused
+rows are returned as float32, the precision a feature file stores.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ __all__ = [
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARAMS = "params.dten"
 CHECKPOINT_VERSION = 2
+# spectra read per capsule lift call on the extract path: small blocks
+# keep the lift's temporaries from growing the heap (on the 144-band
+# perfbench `extract` scene, 1 MB blocks raised its peak RSS by 0-5 MB)
+_LIFT_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -140,19 +148,20 @@ def _branch(enc: dict, dec: dict, pts: Tensor, rot: np.ndarray, target: np.ndarr
             loss_invariance(desc, desc_rot), reconstruction_loss(target, recon))
 
 
-def _check_batch(hsi_patches, lidar_points) -> None:
+def _check_batch(hsi_patches, lidar_points, name: str = "hsi_patches") -> None:
     """Raise a ValueError unless hsi_patches (B, b, b, C) and lidar_points
-    (B, b*b, 3) hold the same B patches of the same b*b pixels. Reads only
-    the two ``shape`` attributes."""
+    (B, b*b, 3) hold the same B patches of the same b*b pixels; messages
+    call the first argument `name`. Reads only the two ``shape``
+    attributes."""
     hs, ls = tuple(hsi_patches.shape), tuple(lidar_points.shape)
     if len(hs) != 4 or len(ls) != 3:
-        raise ValueError(f"hsi_patches must be (B, b, b, C) and lidar_points "
+        raise ValueError(f"{name} must be (B, b, b, C) and lidar_points "
                          f"(B, b*b, 3), got {hs} and {ls}")
     if hs[0] != ls[0]:
-        raise ValueError(f"hsi_patches has {hs[0]} patches but lidar_points "
+        raise ValueError(f"{name} has {hs[0]} patches but lidar_points "
                          f"has {ls[0]}")
     if hs[1] * hs[2] != ls[1]:
-        raise ValueError(f"hsi_patches are {hs[1]}x{hs[2]} windows but "
+        raise ValueError(f"{name} are {hs[1]}x{hs[2]} windows but "
                          f"lidar_points has {ls[1]} points per patch")
 
 
@@ -209,56 +218,96 @@ def _constants(group: dict) -> dict:
             for key, value in group.items()}
 
 
-def decompose_batch(state: ModelState, hsi_patches: np.ndarray,
+def decompose_batch(state: ModelState, lifted_patches: np.ndarray,
                     lidar_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference pass: the (B, X, C) encoder feature maps of the spectral
     and the elevation branch, in the parameters' dtype (float32 for a
     model from ``init_model`` or ``load_checkpoint``). The attention head
     is skipped: nothing on this path reads the attention maps.
 
-    The patches and points are cast to the parameters' dtype and enter as
-    constants, and so do the capsule block and encoder parameters, as
-    leaves that share the parameter arrays; the pass builds no graph and
-    ``state`` is not changed.
+    lifted_patches: (B, b, b, d_h) windows of capsule points, the output
+    of ``extract_preliminary_batch`` for the patches' pixels, as
+    ``fused_features`` gathers them from its lifted scene; lidar_points:
+    (B, b*b, 3). Both are cast to the parameters' dtype and enter as
+    constants, and so do the encoder parameters, as leaves that share the
+    parameter arrays; the pass builds no graph and ``state`` is not
+    changed.
     """
     dtype = state.caps["w"].data.dtype
-    hsi_patches = np.asarray(hsi_patches, dtype=dtype)
+    lifted_patches = np.asarray(lifted_patches, dtype=dtype)
     lidar_points = np.asarray(lidar_points, dtype=dtype)
-    _check_batch(hsi_patches, lidar_points)
-    cfg = state.config
-    pts_h = extract_preliminary_batch(_constants(state.caps), hsi_patches,
-                                      cfg.G, cfg.d_cap)
+    _check_batch(lifted_patches, lidar_points, "lifted_patches")
+    n, b0, b1, d_h = lifted_patches.shape
+    pts_h = as_tensor(lifted_patches.reshape(n, b0 * b1, d_h))
     pts_l = as_tensor(lidar_points)
     _, feats_h = encode_batch(_constants(state.enc_hsi), pts_h)
     _, feats_l = encode_batch(_constants(state.enc_lidar), pts_l)
     return feats_h.data, feats_l.data
 
 
-def fused_features(state: ModelState, hsi_patches: np.ndarray,
-                   lidar_points: np.ndarray, batch: int = 256) -> np.ndarray:
+def _lift(state: ModelState, scene: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """The capsule lift of the covered pixels of scene (H, W, C_spec): an
+    (H, W, d_h) array in the parameters' dtype, zero where covered
+    (H, W) is False. Rows are lifted a block of about _LIFT_BLOCK_BYTES
+    of spectra at a time, one ``extract_preliminary_batch`` call on the
+    covered pixels of each block that has any."""
+    cfg = state.config
+    caps = _constants(state.caps)
+    dtype = caps["w"].data.dtype
+    height, width, c_spec = scene.shape
+    lifted = np.zeros((height, width, cfg.d_h), dtype=dtype)
+    step = max(1, _LIFT_BLOCK_BYTES // (width * c_spec * scene.itemsize))
+    for start in range(0, height, step):
+        rows = slice(start, start + step)
+        mask = covered[rows]
+        pixels = np.asarray(scene[rows][mask], dtype=dtype)
+        if pixels.shape[0]:
+            points = extract_preliminary_batch(caps, pixels[None, :, None],
+                                               cfg.G, cfg.d_cap)
+            lifted[rows][mask] = points.data[0]
+    return lifted
+
+
+def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray,
+                   batch: int = 256) -> np.ndarray:
     """Per-patch fused feature vectors, (N, 4 * C) float32.
 
     For each branch the center-pixel feature row and the mean feature row
     are taken from the encoder's feature map; the four pieces are
-    concatenated spectral-first. Patches are encoded `batch` at a time by
-    `decompose_batch`, in the parameters' dtype; each batch's float64
-    `fuse_features` rows are rounded once to float32.
-    hsi_patches may be any (N, b, b, C) stack whose first axis takes a
-    slice, such as an ndarray or the lazy `dataio.PatchStack`, which then
-    gathers one batch of windows at a time.
+    concatenated spectral-first.
+
+    hsi_patches is a lazy `dataio.PatchStack` or an (N, b, b, C) array.
+    Each spectral pixel is lifted once, in the parameters' dtype: of a
+    PatchStack, the pixels of its padded scene that some window covers,
+    of an array, every pixel. The lift is per pixel, so this equals
+    lifting every window on its own. Patches are then encoded `batch` at
+    a time by `decompose_batch` on their (batch, b, b, d_h) windows of
+    the lifted pixels; each batch's float64 `fuse_features` rows are
+    rounded once to float32.
     """
+    from .dataio import PatchStack, _windows
     from .evaluation import fuse_features
 
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
     _check_batch(hsi_patches, lidar_points)
     n = hsi_patches.shape[0]
-    center = lidar_points.shape[1] // 2
     out = np.empty((n, 4 * state.config.C), dtype=np.float32)
+    if isinstance(hsi_patches, PatchStack):
+        rows, cols, b = hsi_patches.rows, hsi_patches.cols, hsi_patches.b
+        covered = np.zeros(hsi_patches.scene.shape[:2], dtype=bool)
+        covered[_windows(rows, cols, b)] = True
+        lifted = PatchStack(_lift(state, hsi_patches.scene, covered), rows, cols, b)
+    else:
+        patches = np.asarray(hsi_patches)
+        pixels = patches.reshape(-1, *patches.shape[2:])
+        lifted = _lift(state, pixels, np.ones(pixels.shape[:2], dtype=bool))
+        lifted = lifted.reshape(patches.shape[:3] + (state.config.d_h,))
+    center = lidar_points.shape[1] // 2
     for start in range(0, n, batch):
         stop = min(start + batch, n)
         feats_h, feats_l = decompose_batch(
-            state, hsi_patches[start:stop], lidar_points[start:stop])
+            state, lifted[start:stop], lidar_points[start:stop])
         out[start:stop] = fuse_features(feats_h, feats_l, center)
     return out
 

@@ -258,6 +258,8 @@ def test_float32_stays_float32_and_other_data_becomes_float64():
     c = ad.as_tensor(f32)
     assert ad.linear(c, ad.as_tensor(np.ones((3, 2), np.float32))).data.dtype == np.float32
     # a float64 operand promotes the output, as in numpy
+    assert ad.linear(c, ad.as_tensor(np.ones((3, 2), np.float32)),
+                     ad.as_tensor(np.ones(2))).data.dtype == np.float64
     assert ad.add(c, ad.as_tensor(np.ones(3))).data.dtype == np.float64
     assert ad.mul(ad.Tensor(f32), np.ones(3)).data.dtype == np.float64
 

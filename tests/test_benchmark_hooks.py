@@ -41,12 +41,12 @@ FORWARD_CALLS = {
 }
 UNTRACED = {"attention_map"}
 
-# calls in one fused_features over 3 batches: one graph-free decompose
-# per batch, which lifts the spectra once and encodes each branch once,
-# and builds no attention head and aggregates nothing
+# calls in one fused_features over 3 batches: the 5 x 3 x 3 pixels are
+# lifted in one block, then one graph-free decompose per batch encodes
+# each branch once, and builds no attention head and aggregates nothing
 EXTRACT_CALLS = {
     "decompose_batch": 3,
-    "extract_preliminary_batch": 3,
+    "extract_preliminary_batch": 1,
     "encode_batch": 6,
     "attention_map": 0,
     "aggregate": 0,

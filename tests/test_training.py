@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hdcaps import autodiff as ad
-from hdcaps import dataio, training
+from hdcaps import dataio, model, training
 from hdcaps.capsule_block import extract_preliminary_batch, init_capsule_block
 from hdcaps.config import TrainConfig
 from hdcaps.decoder import init_decoder
@@ -41,6 +41,17 @@ def tiny_data(seed, n=4, b=3, c_spec=4):
     hsi = rng.standard_normal((n, b, b, c_spec))
     lidar = rng.standard_normal((n, b * b, 3))
     return hsi, lidar
+
+
+def lift(state, hsi):
+    """The (B, b, b, d_h) capsule points of patches hsi (B, b, b, C), each
+    window lifted on its own by extract_preliminary_batch in float32, as
+    constants, so no graph is built."""
+    cfg = state.config
+    hsi = np.asarray(hsi, dtype=np.float32)
+    caps = {key: ad.as_tensor(tensor.data) for key, tensor in state.caps.items()}
+    pts = extract_preliminary_batch(caps, hsi, cfg.G, cfg.d_cap)
+    return pts.data.reshape(hsi.shape[:3] + (cfg.d_h,))
 
 
 def clone_params(params):
@@ -160,8 +171,9 @@ def test_decompose_batch_leaves_no_cyclic_garbage():
 
     state = tiny_state(seed=15)
     hsi, lidar = tiny_data(16)
+    lifted = lift(state, hsi)
     gc.collect()
-    feats = decompose_batch(state, hsi, lidar)
+    feats = decompose_batch(state, lifted, lidar)
     del feats
     assert gc.collect() == 0
 
@@ -194,7 +206,7 @@ def graph_mode_feature_maps(state, hsi, lidar):
 def test_decompose_batch_equals_graph_mode_encoder():
     state = tiny_state(seed=17, n_blocks=2)
     hsi, lidar = tiny_data(18, n=5)
-    feats_h, feats_l = decompose_batch(state, hsi, lidar)
+    feats_h, feats_l = decompose_batch(state, lift(state, hsi), lidar)
     want_h, want_l = graph_mode_feature_maps(state, hsi, lidar)
     assert max_rel_err(feats_h, want_h) <= FLOAT32_REL_TOL
     assert max_rel_err(feats_l, want_l) <= FLOAT32_REL_TOL
@@ -206,7 +218,7 @@ def test_decompose_batch_returns_float32_and_leaves_params_unchanged():
     before = parameters(state)
     arrays = {name: tensor.data for name, tensor in before.items()}
     values = clone_params(before)
-    feats_h, feats_l = decompose_batch(state, hsi, lidar)
+    feats_h, feats_l = decompose_batch(state, lift(state, hsi), lidar)
     assert feats_h.dtype == feats_l.dtype == np.float32
     after = parameters(state)
     assert list(after) == list(before)
@@ -266,11 +278,83 @@ def test_fused_features_are_float32_rounding_of_fuse_features():
     got = fused_features(state, hsi, lidar, batch=3)
     assert got.dtype == np.float32
     want = np.concatenate([
-        fuse_features(*decompose_batch(state, hsi[i:i + 3], lidar[i:i + 3]),
+        fuse_features(*decompose_batch(state, lift(state, hsi[i:i + 3]),
+                                       lidar[i:i + 3]),
                       lidar.shape[1] // 2)
         for i in range(0, 7, 3)])
     assert want.dtype == np.float64
     np.testing.assert_array_equal(got, want.astype(np.float32))
+
+
+def per_window_features(state, hsi, lidar, batch):
+    """fused_features computed by lifting every window on its own: each
+    batch's raw windows go through extract_preliminary_batch, then
+    decompose_batch and fuse_features."""
+    from hdcaps.evaluation import fuse_features
+
+    center = lidar.shape[1] // 2
+    return np.concatenate([
+        fuse_features(*decompose_batch(state, lift(state, hsi[i:i + batch]),
+                                       lidar[i:i + batch]), center)
+        for i in range(0, len(lidar), batch)]).astype(np.float32)
+
+
+def labelled_scene(case, c_spec):
+    """A 9 x 10 scene, every pixel labelled ("full") or three ("sparse"),
+    one of them in a corner, so its window reads the padding on two
+    sides, and two whose windows overlap."""
+    hsi, elev, labels = dataio.gen_synthetic(9, 10, 3, c_spec,
+                                             np.random.default_rng(33))
+    if case == "full":
+        return hsi, elev, np.ones_like(labels)
+    labels = np.zeros_like(labels)
+    labels[0, 9] = labels[6, 2] = 1
+    labels[4, 5] = 2
+    return hsi, elev, labels
+
+
+SCENE_CASES = [("full", 3, 6), ("full", 5, 6), ("sparse", 5, 6), ("full", 5, 144)]
+
+
+def scene_state(b, c_spec):
+    if c_spec == 144:
+        return init_model(TrainConfig(), c_spec, np.random.default_rng(34))
+    return tiny_state(seed=34, c_spec=c_spec, b=b, n_blocks=2)
+
+
+@pytest.mark.parametrize("stack", ["lazy", "dense"])
+@pytest.mark.parametrize("case, b, c_spec", SCENE_CASES)
+def test_fused_features_equal_per_window_lift(monkeypatch, case, b, c_spec, stack):
+    hsi, elev, labels = labelled_scene(case, c_spec)
+    ps = dataio.extract_patches(hsi, elev, labels, b)
+    patches = ps.hsi if stack == "lazy" else np.asarray(ps.hsi)
+    state = scene_state(b, c_spec)
+    want = per_window_features(state, ps.hsi, ps.lidar, 4)
+    np.testing.assert_array_equal(fused_features(state, patches, ps.lidar, batch=4), want)
+    # one row of pixels per lift block: the blocks stitch to the same scene
+    monkeypatch.setattr(model, "_LIFT_BLOCK_BYTES", 1)
+    np.testing.assert_array_equal(fused_features(state, patches, ps.lidar, batch=4), want)
+
+
+@pytest.mark.parametrize("case", ["full", "sparse"])
+def test_fused_features_lifts_each_covered_pixel_once(monkeypatch, case):
+    b = 5
+    hsi, elev, labels = labelled_scene(case, 6)
+    ps = dataio.extract_patches(hsi, elev, labels, b)
+    covered = {(row + i, col + j) for row, col in zip(ps.rows, ps.cols)
+               for i in range(b) for j in range(b)}
+    pixels = []
+    real = model.extract_preliminary_batch
+
+    def counting(params, patches, g, d_cap):
+        pixels.append(int(np.prod(np.shape(patches)[:3])))
+        return real(params, patches, g, d_cap)
+
+    monkeypatch.setattr(model, "extract_preliminary_batch", counting)
+    fused_features(scene_state(b, 6), ps.hsi, ps.lidar, batch=2)
+    assert sum(pixels) == len(covered)
+    # the scene fits one lift block: one call, not one per batch of 2
+    assert len(pixels) == 1
 
 
 @pytest.mark.parametrize("batch", [0, -3])
@@ -300,6 +384,9 @@ def call_forward(state, hsi, lidar):
 def test_batch_rejects_mismatched_shapes(run, n_lidar, x_lidar, message):
     state = tiny_state(seed=25)
     hsi, _ = tiny_data(26, n=5)
+    if run is decompose_batch:
+        hsi = lift(state, hsi)
+        message = message.replace("hsi_patches", "lifted_patches")
     lidar = np.random.default_rng(27).standard_normal((n_lidar, x_lidar, 3))
     with pytest.raises(ValueError, match=message):
         run(state, hsi, lidar)
