@@ -1,14 +1,15 @@
-"""Per-pixel capsule lift: spectral patches -> point sets in feature space.
+"""Per-pixel capsule lift: pixel spectra -> points in feature space.
 
 Every pixel's spectrum goes through one shared linear map, is split into G
-groups of length d_cap, and each group is squashed. A b x b patch thus
-becomes b*b points in G*d_cap dimensions, in row-major pixel order, so
-point index p downstream always refers to pixel p of the patch.
+groups of length d_cap, and each group is squashed, giving one point in
+G*d_cap dimensions. The lift takes any leading shape: training passes a
+batch's (B, b*b, C_spec) patch pixels in row-major order, so point index
+p downstream always refers to pixel p of the patch.
 
 The lift is per pixel: a pixel's point depends on its own spectrum
 only, not on the patch around it. Lifting each pixel of a scene once
 and cutting windows from the result is therefore exact, and is what
-``model.fused_features`` does; training lifts each batch's patches.
+``model.fused_features`` does.
 """
 
 from __future__ import annotations
@@ -34,24 +35,18 @@ def init_capsule_block(c_spec: int, g: int, d_cap: int, rng: np.random.Generator
     }
 
 
-def extract_preliminary_batch(params: dict, patches: np.ndarray, g: int, d_cap: int) -> Tensor:
-    """Batched pixel lift: (B, b, b, c_spec) patch array -> point sets
-    (B, b*b, g*d_cap). The patches are data, not a graph node. The dtype
-    follows the input under ``autodiff`` rules: float32 when the patches
-    and parameters are float32, float64 otherwise."""
-    patches = np.asarray(patches)
-    if patches.ndim != 4:
-        raise ValueError(
-            f"patches must have shape (B, b, b, c_spec), got {patches.shape}"
-        )
-    bsz, b0, b1, c_spec = patches.shape
+def extract_preliminary_batch(params: dict, pixels: np.ndarray, g: int, d_cap: int) -> Tensor:
+    """Batched pixel lift: (..., c_spec) spectra -> (..., g*d_cap) points.
+    The pixels are data, not a graph node. The dtype follows the input
+    under ``autodiff`` rules: float32 when the pixels and parameters are
+    float32, float64 otherwise."""
+    pixels = np.asarray(pixels)
+    c_spec = pixels.shape[-1]
     if params["w"].data.shape[0] != c_spec:
         raise ValueError(
-            f"patch has {c_spec} bands but the block was built for "
+            f"pixels have {c_spec} bands but the block was built for "
             f"{params['w'].data.shape[0]}"
         )
-    x = reshape(patches, (bsz, b0 * b1, c_spec))
-    lifted = linear(x, params["w"], params["b"])
-    groups = reshape(lifted, (bsz, b0 * b1, g, d_cap))
-    return reshape(squash_groups(groups), (bsz, b0 * b1, g * d_cap))
-
+    groups = reshape(linear(pixels, params["w"], params["b"]),
+                     pixels.shape[:-1] + (g, d_cap))
+    return reshape(squash_groups(groups), pixels.shape[:-1] + (g * d_cap,))

@@ -222,8 +222,9 @@ class PatchStack:
 
     scene: an (H + b - 1, W + b - 1, C) array padded by b // 2 on both
     spatial axes: in a PatchSet, the standardized float32 spectra,
-    mirror-padded, the only copy of them; in `model.fused_features`, the
-    capsule lift of those spectra (C = d_h). rows, cols: (N,) scene
+    mirror-padded, the only copy of them; in `model.fused_features`, which
+    takes only this form of spectral patches, the capsule lift of the
+    covered pixels of those spectra (C = d_h). rows, cols: (N,) scene
     coordinates of the patch centers. Patch i is
     scene[rows[i]:rows[i] + b, cols[i]:cols[i] + b]. Indexing the first
     axis with an integer, a slice or an integer array gathers just those

@@ -188,9 +188,11 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     median length of the kNN edges that join distinct rows (1 if there
     are none). Solves the generalized problem
     L y = lambda D y and returns the eigenvectors for the n_components
-    smallest nonzero eigenvalues. If the graph is disconnected, only the
-    largest component is embedded; other rows are zero and a warning is
-    issued.
+    smallest nonzero eigenvalues. Components are taken of the weighted
+    graph, so an edge whose weight underflows to 0 joins nothing and a row
+    far from all others is a component of its own. If the graph is
+    disconnected, only the largest component is embedded; other rows are
+    zero and a warning is issued.
     """
     x = np.asarray(feats, dtype=np.float64)
     n = x.shape[0]
@@ -222,7 +224,9 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
         sigma = 1.0
     weights = np.where(adj, np.exp(-d2 / (sigma * sigma)), 0.0)
 
-    n_comp, comp_labels = connected_components(adj, directed=False)
+    # components of the graph the Laplacian is built from: a row whose
+    # weights all underflow has degree 0, which D must not hold
+    n_comp, comp_labels = connected_components(weights > 0, directed=False)
     out = np.zeros((n, n_components))
     if n_comp > 1:
         warnings.warn(

@@ -22,11 +22,13 @@ batch to the parameters' dtype, so training and extraction both run in
 float32. Only ``training.grad_check`` widens its own small model to
 float64, so that its finite differences mean something.
 
-The extract path (``fused_features``) lifts each spectral pixel once:
-the capsule lift is per pixel, so ``extract_preliminary_batch`` runs
-over blocks of the scene's pixels that some window covers, and each
-batch then gathers its b x b windows of d_h-wide capsule points from the
-lifted scene instead of its b x b x C_spec windows of spectra.
+The extract path (``fused_features``) takes the lazy
+``dataio.PatchStack`` of a ``PatchSet`` and lifts each spectral pixel
+once: the capsule lift is per pixel, so ``extract_preliminary_batch``
+runs over blocks of the padded scene's pixels that some window covers,
+and each batch of ``_EXTRACT_BATCH`` patches then gathers its b x b
+windows of d_h-wide capsule points from the lifted scene instead of its
+b x b x C_spec windows of spectra.
 ``decompose_batch`` encodes each branch once and stops at the feature
 maps: the fused features read only those, so it skips the attention
 head and runs no capsule aggregation. Every input it gives ``autodiff``
@@ -76,6 +78,8 @@ CHECKPOINT_VERSION = 2
 # keep the lift's temporaries from growing the heap (on the 144-band
 # perfbench `extract` scene, 1 MB blocks raised its peak RSS by 0-5 MB)
 _LIFT_BLOCK_BYTES = 1 << 18
+# patches encoded per decompose_batch call on the extract path
+_EXTRACT_BATCH = 256
 
 
 @dataclass
@@ -188,12 +192,12 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     _check_batch(hsi_patches, lidar_points)
     n = hsi_patches.shape[0]
 
-    pts_h = extract_preliminary_batch(state.caps, hsi_patches, cfg.G, cfg.d_cap)
-    pts_l = as_tensor(lidar_points)
     # reconstruction target of the spectral branch: the raw pixel spectra
     # as a point set, NOT the lifted capsule points (which the model could
     # collapse to make reconstruction trivial)
     target_h = hsi_patches.reshape(n, -1, state.c_spec)
+    pts_h = extract_preliminary_batch(state.caps, target_h, cfg.G, cfg.d_cap)
+    pts_l = as_tensor(lidar_points)
     rot_h = sample_rotations(cfg.d_h, n, rng).astype(dtype)
     rot_l = sample_rotations(3, n, rng).astype(dtype)
 
@@ -262,53 +266,45 @@ def _lift(state: ModelState, scene: np.ndarray, covered: np.ndarray) -> np.ndarr
         mask = covered[rows]
         pixels = np.asarray(scene[rows][mask], dtype=dtype)
         if pixels.shape[0]:
-            points = extract_preliminary_batch(caps, pixels[None, :, None],
-                                               cfg.G, cfg.d_cap)
-            lifted[rows][mask] = points.data[0]
+            lifted[rows][mask] = extract_preliminary_batch(
+                caps, pixels, cfg.G, cfg.d_cap).data
     return lifted
 
 
-def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray,
-                   batch: int = 256) -> np.ndarray:
+def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> np.ndarray:
     """Per-patch fused feature vectors, (N, 4 * C) float32.
 
     For each branch the center-pixel feature row and the mean feature row
     are taken from the encoder's feature map; the four pieces are
     concatenated spectral-first.
 
-    hsi_patches is a lazy `dataio.PatchStack` or an (N, b, b, C) array.
-    Each spectral pixel is lifted once, in the parameters' dtype: of a
-    PatchStack, the pixels of its padded scene that some window covers,
-    of an array, every pixel. The lift is per pixel, so this equals
-    lifting every window on its own. Patches are then encoded `batch` at
-    a time by `decompose_batch` on their (batch, b, b, d_h) windows of
-    the lifted pixels; each batch's float64 `fuse_features` rows are
-    rounded once to float32.
+    hsi_patches is the lazy `dataio.PatchStack` of a `PatchSet` (its
+    ``hsi``); any other type raises a TypeError. The pixels of its padded
+    scene that some window covers are lifted once, in the parameters'
+    dtype; the lift is per pixel, so this equals lifting every window on
+    its own. Patches are then encoded `_EXTRACT_BATCH` at a time by
+    `decompose_batch` on their (batch, b, b, d_h) windows of the lifted
+    pixels; each batch's float64 `fuse_features` rows are rounded once to
+    float32.
     """
     from .dataio import PatchStack, _windows
     from .evaluation import fuse_features
 
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
+    if not isinstance(hsi_patches, PatchStack):
+        raise TypeError(f"hsi_patches must be a dataio.PatchStack (pass "
+                        f"PatchSet.hsi), got {type(hsi_patches).__name__}")
     _check_batch(hsi_patches, lidar_points)
     n = hsi_patches.shape[0]
     out = np.empty((n, 4 * state.config.C), dtype=np.float32)
-    if isinstance(hsi_patches, PatchStack):
-        rows, cols, b = hsi_patches.rows, hsi_patches.cols, hsi_patches.b
-        covered = np.zeros(hsi_patches.scene.shape[:2], dtype=bool)
-        covered[_windows(rows, cols, b)] = True
-        lifted = PatchStack(_lift(state, hsi_patches.scene, covered), rows, cols, b)
-    else:
-        patches = np.asarray(hsi_patches)
-        pixels = patches.reshape(-1, *patches.shape[2:])
-        lifted = _lift(state, pixels, np.ones(pixels.shape[:2], dtype=bool))
-        lifted = lifted.reshape(patches.shape[:3] + (state.config.d_h,))
+    rows, cols, b = hsi_patches.rows, hsi_patches.cols, hsi_patches.b
+    covered = np.zeros(hsi_patches.scene.shape[:2], dtype=bool)
+    covered[_windows(rows, cols, b)] = True
+    lifted = PatchStack(_lift(state, hsi_patches.scene, covered), rows, cols, b)
     center = lidar_points.shape[1] // 2
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        feats_h, feats_l = decompose_batch(
-            state, lifted[start:stop], lidar_points[start:stop])
-        out[start:stop] = fuse_features(feats_h, feats_l, center)
+    for start in range(0, n, _EXTRACT_BATCH):
+        batch = slice(start, start + _EXTRACT_BATCH)
+        feats_h, feats_l = decompose_batch(state, lifted[batch], lidar_points[batch])
+        out[batch] = fuse_features(feats_h, feats_l, center)
     return out
 
 

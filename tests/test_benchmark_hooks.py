@@ -4,12 +4,14 @@ perfbench's layer tracer and its timed pieces replace functions by module
 attribute (for example ``hdcaps.model.encode_batch``). If a layer stops
 being looked up that way, its time silently moves into the untimed rest
 of the step, so these tests pin both the names and the call counts of one
-``forward_batch`` and of one ``fused_features``. The last test runs
+``forward_batch`` and of one ``fused_features``, and the other names that
+perfbench reads from hdcaps. The last test runs
 perfbench's self-test, so a source change that moves its reference
 outputs fails here rather than as failed operations in a benchmark run.
 """
 
 import importlib
+import inspect
 import subprocess
 import sys
 from collections import Counter
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hdcaps import model
+from hdcaps import autodiff, dataio, evaluation, kernels, model
 from hdcaps.config import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,9 +43,10 @@ FORWARD_CALLS = {
 }
 UNTRACED = {"attention_map"}
 
-# calls in one fused_features over 3 batches: the 5 x 3 x 3 pixels are
-# lifted in one block, then one graph-free decompose per batch encodes
-# each branch once, and builds no attention head and aggregates nothing
+# calls in one fused_features over 3 batches: the covered pixels of the
+# small scene are lifted in one block, then one graph-free decompose per
+# batch encodes each branch once, and builds no attention head and
+# aggregates nothing
 EXTRACT_CALLS = {
     "decompose_batch": 3,
     "extract_preliminary_batch": 1,
@@ -95,11 +98,26 @@ def test_fused_features_calls_layers_through_model(monkeypatch):
     cfg = TrainConfig(K=2, C=3, b=3, H=8, n_blocks=1, m=2, G=2, d_cap=2, batch=2)
     rng = np.random.default_rng(1)
     state = model.init_model(cfg, 4, rng)
-    hsi = rng.standard_normal((5, 3, 3, 4))
+    scene = rng.standard_normal((7, 7, 4)).astype(np.float32)
+    hsi = dataio.PatchStack(scene, np.arange(5), np.arange(5), 3)
     lidar = rng.standard_normal((5, 9, 3))
-    feats = model.fused_features(state, hsi, lidar, batch=2)
+    monkeypatch.setattr(model, "_EXTRACT_BATCH", 2)
+    feats = model.fused_features(state, hsi, lidar)
     assert feats.shape == (5, 4 * cfg.C)
     assert {name: calls[name] for name in EXTRACT_CALLS} == EXTRACT_CALLS
+
+
+def test_names_perfbench_reads_outside_its_targets():
+    # run.py::environment records the flag in every BENCH file
+    assert isinstance(kernels.NUMBA_ENABLED, bool)
+    # run.py::_arg_key keys each timed call by its arguments' `.shape`, so
+    # the two branches' `aggregate` calls of a train step are told apart
+    assert autodiff.Tensor(np.zeros((2, 3), np.float32)).shape == (2, 3)
+    # layertrace.py::_count_chamfer reads the bound arguments `p` and `q`
+    assert {"p", "q"} <= set(inspect.signature(kernels.chamfer_forward).parameters)
+    # layertrace.py::_count_classifier reads `feats`, `labels` and `epochs`
+    params = inspect.signature(evaluation.train_classifier).parameters
+    assert {"feats", "labels", "epochs"} <= set(params)
 
 
 def test_perfbench_selftest_passes():

@@ -365,6 +365,17 @@ def test_eigenmaps_disconnected_graph_warns_and_zeroes_small_component():
     assert np.any(emb[:21] != 0.0)
 
 
+def test_eigenmaps_row_whose_weights_all_underflow_is_its_own_component():
+    # row 0 has kNN edges, but exp(-d^2 / sigma^2) of each is 0: degree 0
+    x = np.random.default_rng(0).standard_normal((200, 5))
+    x[0] += 1000.0
+    with pytest.warns(UserWarning, match="2 components"):
+        emb = evaluation.laplacian_eigenmaps(x, 4, 10)
+    assert np.all(np.isfinite(emb))
+    assert np.all(emb[0] == 0.0)
+    assert np.all(np.any(emb[1:] != 0.0, axis=0))
+
+
 def test_eigenmaps_component_too_small_raises():
     quad = np.array([[0.0], [0.1], [10.0], [10.1]])
     with warnings.catch_warnings():

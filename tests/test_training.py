@@ -48,10 +48,19 @@ def lift(state, hsi):
     window lifted on its own by extract_preliminary_batch in float32, as
     constants, so no graph is built."""
     cfg = state.config
-    hsi = np.asarray(hsi, dtype=np.float32)
     caps = {key: ad.as_tensor(tensor.data) for key, tensor in state.caps.items()}
-    pts = extract_preliminary_batch(caps, hsi, cfg.G, cfg.d_cap)
-    return pts.data.reshape(hsi.shape[:3] + (cfg.d_h,))
+    return extract_preliminary_batch(caps, np.asarray(hsi, dtype=np.float32),
+                                     cfg.G, cfg.d_cap).data
+
+
+def tiny_stack(seed, n=4, b=3, c_spec=4):
+    """The PatchSet hsi and lidar of n labelled pixels of a random 5 x 6
+    scene with c_spec bands."""
+    hsi, elev, _ = dataio.gen_synthetic(5, 6, 2, c_spec, np.random.default_rng(seed))
+    labels = np.zeros(hsi.shape[:2], dtype=np.int32)
+    labels.reshape(-1)[:n] = 1
+    ps = dataio.extract_patches(hsi, elev, labels, b)
+    return ps.hsi, ps.lidar
 
 
 def clone_params(params):
@@ -146,7 +155,8 @@ def test_train_and_fused_features_same_on_lazy_and_dense_stack():
     for stack in (ps.hsi, dense):
         state = tiny_state(seed=4, epochs=2, batch=5)
         history = training.train(state, stack, ps.lidar, np.random.default_rng(4))
-        feats = fused_features(state, stack, ps.lidar, batch=7)
+        # fused_features takes only the PatchStack: both models read it
+        feats = fused_features(state, ps.hsi, ps.lidar)
         runs.append((history, clone_params(parameters(state)), feats))
     (hist_a, params_a, feats_a), (hist_b, params_b, feats_b) = runs
     assert hist_a == hist_b
@@ -195,7 +205,8 @@ def graph_mode_feature_maps(state, hsi, lidar):
     the encoder builds a graph. Like decompose_batch, it stops at the
     feature maps and builds no attention head."""
     cfg = state.config
-    pts_h = extract_preliminary_batch(state.caps, np.asarray(hsi, dtype=np.float64),
+    hsi = np.asarray(hsi, dtype=np.float64)
+    pts_h = extract_preliminary_batch(state.caps, hsi.reshape(len(hsi), -1, state.c_spec),
                                       cfg.G, cfg.d_cap)
     _, want_h = encode_batch(state.enc_hsi, pts_h)
     _, want_l = encode_batch(state.enc_lidar, ad.Tensor(lidar))
@@ -256,7 +267,7 @@ def test_train_step_leaks_no_float64(c_spec, over):
         assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
 
 
-def test_fused_features_144_bands_match_float64(tmp_path):
+def test_fused_features_144_bands_match_float64(monkeypatch, tmp_path):
     from hdcaps.evaluation import fuse_features
 
     hsi, elev, labels = dataio.gen_synthetic(8, 9, 3, 144, np.random.default_rng(28))
@@ -264,18 +275,20 @@ def test_fused_features_144_bands_match_float64(tmp_path):
     save_checkpoint(init_model(TrainConfig(), 144, np.random.default_rng(29)),
                     str(tmp_path))
     state = load_checkpoint(str(tmp_path))
-    got = fused_features(state, ps.hsi, ps.lidar, batch=32)
+    monkeypatch.setattr(model, "_EXTRACT_BATCH", 32)
+    got = fused_features(state, ps.hsi, ps.lidar)
     assert got.dtype == np.float32
     want = fuse_features(*graph_mode_feature_maps(state, ps.hsi, ps.lidar), 12)
     assert max_rel_err(got, want) <= FLOAT32_REL_TOL
 
 
-def test_fused_features_are_float32_rounding_of_fuse_features():
+def test_fused_features_are_float32_rounding_of_fuse_features(monkeypatch):
     from hdcaps.evaluation import fuse_features
 
     state = tiny_state(seed=30, n_blocks=2)
-    hsi, lidar = tiny_data(31, n=7)
-    got = fused_features(state, hsi, lidar, batch=3)
+    hsi, lidar = tiny_stack(31, n=7)
+    monkeypatch.setattr(model, "_EXTRACT_BATCH", 3)
+    got = fused_features(state, hsi, lidar)
     assert got.dtype == np.float32
     want = np.concatenate([
         fuse_features(*decompose_batch(state, lift(state, hsi[i:i + 3]),
@@ -322,18 +335,17 @@ def scene_state(b, c_spec):
     return tiny_state(seed=34, c_spec=c_spec, b=b, n_blocks=2)
 
 
-@pytest.mark.parametrize("stack", ["lazy", "dense"])
 @pytest.mark.parametrize("case, b, c_spec", SCENE_CASES)
-def test_fused_features_equal_per_window_lift(monkeypatch, case, b, c_spec, stack):
+def test_fused_features_equal_per_window_lift(monkeypatch, case, b, c_spec):
     hsi, elev, labels = labelled_scene(case, c_spec)
     ps = dataio.extract_patches(hsi, elev, labels, b)
-    patches = ps.hsi if stack == "lazy" else np.asarray(ps.hsi)
     state = scene_state(b, c_spec)
     want = per_window_features(state, ps.hsi, ps.lidar, 4)
-    np.testing.assert_array_equal(fused_features(state, patches, ps.lidar, batch=4), want)
+    monkeypatch.setattr(model, "_EXTRACT_BATCH", 4)
+    np.testing.assert_array_equal(fused_features(state, ps.hsi, ps.lidar), want)
     # one row of pixels per lift block: the blocks stitch to the same scene
     monkeypatch.setattr(model, "_LIFT_BLOCK_BYTES", 1)
-    np.testing.assert_array_equal(fused_features(state, patches, ps.lidar, batch=4), want)
+    np.testing.assert_array_equal(fused_features(state, ps.hsi, ps.lidar), want)
 
 
 @pytest.mark.parametrize("case", ["full", "sparse"])
@@ -346,28 +358,28 @@ def test_fused_features_lifts_each_covered_pixel_once(monkeypatch, case):
     pixels = []
     real = model.extract_preliminary_batch
 
-    def counting(params, patches, g, d_cap):
-        pixels.append(int(np.prod(np.shape(patches)[:3])))
-        return real(params, patches, g, d_cap)
+    def counting(params, spectra, g, d_cap):
+        pixels.append(int(np.prod(np.shape(spectra)[:-1])))
+        return real(params, spectra, g, d_cap)
 
     monkeypatch.setattr(model, "extract_preliminary_batch", counting)
-    fused_features(scene_state(b, 6), ps.hsi, ps.lidar, batch=2)
+    monkeypatch.setattr(model, "_EXTRACT_BATCH", 2)
+    fused_features(scene_state(b, 6), ps.hsi, ps.lidar)
     assert sum(pixels) == len(covered)
     # the scene fits one lift block: one call, not one per batch of 2
     assert len(pixels) == 1
 
 
-@pytest.mark.parametrize("batch", [0, -3])
-def test_fused_features_rejects_nonpositive_batch(batch):
+def test_fused_features_rejects_ndarray_patches():
     state = tiny_state(seed=19)
-    hsi, lidar = tiny_data(20)
-    with pytest.raises(ValueError, match="batch"):
-        fused_features(state, hsi, lidar, batch=batch)
+    hsi, lidar = tiny_stack(20)
+    with pytest.raises(TypeError, match=r"PatchStack \(pass PatchSet.hsi\), got ndarray"):
+        fused_features(state, np.asarray(hsi), lidar)
 
 
 def test_fused_features_rejects_mismatched_lengths():
     state = tiny_state(seed=21)
-    hsi, lidar = tiny_data(22, n=4)
+    hsi, lidar = tiny_stack(22, n=4)
     with pytest.raises(ValueError, match=r"4 patches.*3"):
         fused_features(state, hsi, lidar[:3])
 
