@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-synth, train, extract, eval, baseline, gradcheck.
-Exit codes: 0 success, 1 usage/config error, 2 malformed or missing
-data, 3 numeric failure (divergence or a failed gradient check).
+Exit codes: 0 success, 1 usage/config error, 2 data that is missing,
+malformed or cannot be written, 3 numeric failure (divergence or a
+failed gradient check).
 Diagnostics go to stderr as a single line. Metric reports are JSON with
 fields oa, aa, kappa, per_class and confusion; all output files are
 written atomically.
@@ -305,7 +306,7 @@ def _cmd_gradcheck(args) -> int:
 
     worst = 0.0
     for seed in args.seed:
-        max_rel, _ = grad_check(seed=seed, n_samples=args.samples)
+        max_rel = grad_check(seed=seed, n_samples=args.samples)
         print(f"seed={seed} max_rel_err={max_rel:.3e}")
         worst = max(worst, max_rel)
     if worst > args.tol:
@@ -337,7 +338,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -75,12 +75,18 @@ _CHUNK_BYTES = 1 << 23
 
 def _atomic_write(path: str, *chunks) -> None:
     """Write the chunks (bytes, or C-contiguous arrays written from their
-    own buffers) to path + ".tmp", then rename it over path."""
+    own buffers) to path + ".tmp", then rename it over path. If the write
+    or the rename raises, the temp file is removed and the error re-raised."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _read_header(fh, path: str, magic: bytes, header_size: int):
@@ -167,13 +173,15 @@ def write_features(path: str, rows: np.ndarray, cols: np.ndarray,
 
 def read_features(path: str):
     """Returns (rows u32, cols u32, labels i32, feats f32 (n, d)), the
-    fields of one record array."""
+    fields of one record array. A non-finite feature raises a ValueError
+    naming the file, its record and its dimension."""
     with open(path, "rb") as fh:
         head, size = _read_header(fh, path, HDCF_MAGIC, 12)
         n, dim = struct.unpack_from("<II", head, 4)
         rec_dtype = np.dtype([("row", "<u4"), ("col", "<u4"),
                               ("label", "<i4"), ("feat", "<f4", (dim,))])
         rec = _read_payload(fh, path, size, rec_dtype, n, "records")
+    _require_finite(path, rec["feat"], ("record", "dimension"), max(1, n))
     return rec["row"], rec["col"], rec["label"], rec["feat"]
 
 
@@ -238,10 +246,6 @@ class PatchStack:
         self.cols = cols
         self.b = b
         self.shape = (rows.shape[0], b, b, scene.shape[2])
-        self.dtype = scene.dtype
-
-    def __len__(self) -> int:
-        return self.shape[0]
 
     def __getitem__(self, key) -> np.ndarray:
         return self.scene[_windows(self.rows[key], self.cols[key], self.b)]
@@ -336,8 +340,9 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     hsi = np.asarray(hsi)
     elevation = np.asarray(elevation, dtype=np.float64)
     labels = np.asarray(labels)
-    if hsi.ndim != 3:
-        raise ValueError("hsi must have shape (H, W, C)")
+    if hsi.ndim != 3 or hsi.shape[2] == 0:
+        raise ValueError(f"hsi must have shape (H, W, C) with at least one "
+                         f"band, got {hsi.shape}")
     if elevation.shape != hsi.shape[:2] or labels.shape != hsi.shape[:2]:
         raise ValueError("elevation and labels must match the scene extent")
     if b < 1 or b % 2 == 0:
@@ -424,8 +429,7 @@ def _fourier_mixture(rng: np.random.Generator, count: int, n_bands: int,
 
 def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
                   rng: np.random.Generator, noise_spec: float = 0.1,
-                  noise_elev: float = 0.1, class_sep: float = 1.2,
-                  return_truth: bool = False):
+                  noise_elev: float = 0.1, class_sep: float = 1.2):
     """Random scene with paired spectra, elevation and dense labels.
 
     Classes form Voronoi cells around random sites. Spectral signatures
@@ -443,8 +447,7 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     identity survives even in features that only see the magnitude of
     the standardized elevation.
 
-    Returns (hsi, elevation, labels) and, with return_truth, a dict of
-    the generating parameters.
+    Returns (hsi, elevation, labels).
     """
     if n_classes < 1 or n_bands < 1 or height < 1 or width < 1:
         raise ValueError("scene dimensions, bands and classes must be positive")
@@ -489,9 +492,4 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     elevation = offsets[class_map] + terrain + rng.normal(
         0.0, noise_elev, size=(height, width)
     )
-
-    if return_truth:
-        truth = {"sites": sites, "signatures": signatures, "gains": gains,
-                 "offsets": offsets, "class_map": class_map}
-        return hsi, elevation, labels, truth
     return hsi, elevation, labels

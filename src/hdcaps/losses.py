@@ -20,7 +20,7 @@ and renormalized before the log.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class LossReport:
     cham_lidar: float
     kl: float
     total: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _mean_sq_rows(diff: Tensor) -> Tensor:

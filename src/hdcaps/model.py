@@ -288,6 +288,10 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
     float32.
     """
     from .dataio import PatchStack, _windows
+    # imported per call, not at module level: perfbench times
+    # `evaluation.fuse_features` by replacing that module attribute, and a
+    # name bound once at import would call the unwrapped function, moving
+    # its time into the untimed rest of a pass
     from .evaluation import fuse_features
 
     if not isinstance(hsi_patches, PatchStack):

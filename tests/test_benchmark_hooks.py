@@ -46,7 +46,8 @@ UNTRACED = {"attention_map"}
 # calls in one fused_features over 3 batches: the covered pixels of the
 # small scene are lifted in one block, then one graph-free decompose per
 # batch encodes each branch once, and builds no attention head and
-# aggregates nothing
+# aggregates nothing; `evaluation.fuse_features`, which perfbench also
+# wraps, fuses each batch once
 EXTRACT_CALLS = {
     "decompose_batch": 3,
     "extract_preliminary_batch": 1,
@@ -67,8 +68,9 @@ def test_layertrace_targets_resolve(monkeypatch):
     assert traced >= set(FORWARD_CALLS) - UNTRACED
 
 
-def count_model_calls(monkeypatch, names):
-    """Wrap each named hdcaps.model attribute; returns the call Counter."""
+def count_calls(monkeypatch, names, module=model):
+    """Wrap each named attribute of module, hdcaps.model by default;
+    returns the call Counter."""
     calls = Counter()
 
     def counting(name, fn):
@@ -78,12 +80,12 @@ def count_model_calls(monkeypatch, names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
 
 
 def test_forward_batch_calls_layers_through_model(monkeypatch):
-    calls = count_model_calls(monkeypatch, FORWARD_CALLS)
+    calls = count_calls(monkeypatch, FORWARD_CALLS)
     cfg = TrainConfig(K=2, C=3, b=3, H=8, n_blocks=1, m=2, G=2, d_cap=2, batch=2)
     rng = np.random.default_rng(0)
     state = model.init_model(cfg, 4, rng)
@@ -94,7 +96,7 @@ def test_forward_batch_calls_layers_through_model(monkeypatch):
 
 
 def test_fused_features_calls_layers_through_model(monkeypatch):
-    calls = count_model_calls(monkeypatch, EXTRACT_CALLS)
+    calls = count_calls(monkeypatch, EXTRACT_CALLS)
     cfg = TrainConfig(K=2, C=3, b=3, H=8, n_blocks=1, m=2, G=2, d_cap=2, batch=2)
     rng = np.random.default_rng(1)
     state = model.init_model(cfg, 4, rng)
@@ -102,9 +104,11 @@ def test_fused_features_calls_layers_through_model(monkeypatch):
     hsi = dataio.PatchStack(scene, np.arange(5), np.arange(5), 3)
     lidar = rng.standard_normal((5, 9, 3))
     monkeypatch.setattr(model, "_EXTRACT_BATCH", 2)
+    fused = count_calls(monkeypatch, ["fuse_features"], evaluation)
     feats = model.fused_features(state, hsi, lidar)
     assert feats.shape == (5, 4 * cfg.C)
     assert {name: calls[name] for name in EXTRACT_CALLS} == EXTRACT_CALLS
+    assert fused["fuse_features"] == 3
 
 
 def test_names_perfbench_reads_outside_its_targets():

@@ -177,6 +177,38 @@ def test_gen_synth_bad_noise_or_separation_is_exit_2(capsys, tmp_path, flag, val
     assert not scene.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-synth", "train"])
+def test_output_directory_that_is_a_file_is_exit_2(pipeline, capsys, tmp_path,
+                                                   command):
+    out = write(tmp_path / "taken", "keep")
+    args = {"gen-synth": ["gen-synth", "--out", out, "--size", "8x8"],
+            "train": ["train", "--data", pipeline["scene"], "--out", out,
+                      "--quiet"]}[command]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert out in captured.err
+    assert os.listdir(tmp_path) == ["taken"]
+    assert Path(out).read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["baseline", "eval"])
+def test_report_path_that_is_a_directory_is_exit_2(pipeline, capsys, tmp_path,
+                                                   command):
+    report = tmp_path / "report"
+    report.mkdir()
+    args = {"baseline": ["baseline", "--data", pipeline["scene"]],
+            "eval": ["eval", "--features", pipeline["feats"]]}[command]
+    assert cli.main(args + ["--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(report) in captured.err
+    # the temp file of the failed atomic write is removed
+    assert os.listdir(tmp_path) == ["report"] and os.listdir(report) == []
+
+
 @pytest.mark.parametrize("command", ["baseline", "eval"])
 def test_single_pixel_classes_empty_test_split_is_exit_2(capsys, tmp_path, command):
     scene = str(tmp_path / "scene")
@@ -357,6 +389,17 @@ def test_eval_labels_float_or_unlabeled_raster_is_exit_2(pipeline, capsys, tmp_p
     assert fragment in err
 
 
+def stage_args(command, pipeline, scene, tmp_path):
+    """Arguments that run command, one of the three stages that read a
+    scene, on the scene directory, writing under tmp_path."""
+    return {
+        "train": ["train", "--data", scene, "--out", str(tmp_path / "ck"), "--quiet"],
+        "extract": ["extract", "--model", pipeline["ckpt"], "--data", scene,
+                    "--out", str(tmp_path / "f.hdcf")],
+        "baseline": ["baseline", "--data", scene],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["train", "extract", "baseline"])
 def test_float_scene_labels_are_exit_2(pipeline, capsys, tmp_path, command):
     scene = tmp_path / "scene"
@@ -366,14 +409,7 @@ def test_float_scene_labels_are_exit_2(pipeline, capsys, tmp_path, command):
         (scene / name).write_bytes((src / name).read_bytes())
     _, _, labels = dataio.read_scene(str(src))
     dataio.write_dten(str(scene / "labels.dten"), labels.astype(np.float32))
-    args = {
-        "train": ["train", "--data", str(scene), "--out", str(tmp_path / "ck"),
-                  "--quiet"],
-        "extract": ["extract", "--model", pipeline["ckpt"], "--data", str(scene),
-                    "--out", str(tmp_path / "f.hdcf")],
-        "baseline": ["baseline", "--data", str(scene)],
-    }[command]
-    assert cli.main(args) == 2
+    assert cli.main(stage_args(command, pipeline, str(scene), tmp_path)) == 2
     err = capsys.readouterr().err
     assert "labels.dten must hold integer class labels, got float32" in err
     assert not os.path.exists(tmp_path / "ck")
@@ -439,18 +475,43 @@ def nan_scene(pipeline, tmp_path):
 
 @pytest.mark.parametrize("command", ["train", "extract", "baseline"])
 def test_nonfinite_scene_is_exit_2(pipeline, nan_scene, capsys, tmp_path, command):
-    args = {
-        "train": ["train", "--data", nan_scene, "--out", str(tmp_path / "ck"), "--quiet"],
-        "extract": ["extract", "--model", pipeline["ckpt"], "--data", nan_scene,
-                    "--out", str(tmp_path / "f.hdcf")],
-        "baseline": ["baseline", "--data", nan_scene],
-    }[command]
-    assert cli.main(args) == 2
+    assert cli.main(stage_args(command, pipeline, nan_scene, tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "non-finite" in captured.err and "row 6, col 11, band 3" in captured.err
     assert not os.path.exists(tmp_path / "f.hdcf")
+
+
+@pytest.mark.parametrize("command", ["train", "extract", "baseline"])
+def test_zero_band_scene_is_exit_2(pipeline, capsys, tmp_path, command):
+    hsi, elevation, labels = dataio.read_scene(pipeline["scene"])
+    scene = str(tmp_path / "no_bands")
+    dataio.write_scene(scene, hsi[:, :, :0], elevation, labels)
+    assert cli.main(stage_args(command, pipeline, scene, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "at least one band" in captured.err and "(16, 16, 0)" in captured.err
+    assert not os.path.exists(tmp_path / "ck")
+    assert not os.path.exists(tmp_path / "f.hdcf")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_eval_nonfinite_feature_is_exit_2(capsys, tmp_path, value):
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((200, 8)).astype(np.float32)
+    feats[37, 5] = value
+    path = str(tmp_path / "f.hdcf")
+    n = np.arange(200)
+    dataio.write_features(path, n // 20, n % 20, n % 3 + 1, feats)
+    report = tmp_path / "r.json"
+    assert cli.main(["eval", "--features", path, "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert path in captured.err and "record 37, dimension 5" in captured.err
+    assert not report.exists()
 
 
 def test_extract_nonfinite_checkpoint_is_exit_2(pipeline, capsys, tmp_path):

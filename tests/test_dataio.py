@@ -123,6 +123,13 @@ def test_features_bad_magic_and_trailing(tmp_path):
         dataio.read_features(path)
 
 
+def test_failed_write_leaves_no_file(tmp_path):
+    path = str(tmp_path / "t.dten")
+    with pytest.raises(TypeError):
+        dataio._atomic_write(path, b"DTEN", object())
+    assert os.listdir(tmp_path) == []
+
+
 def test_features_float64_table_writes_float32_table_bytes(tmp_path):
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(50, 12))
@@ -277,6 +284,8 @@ def test_extract_rejections():
         dataio.extract_patches(hsi, np.zeros((4, 5)), labels, b=3)
     with pytest.raises(ValueError):
         dataio.extract_patches(hsi, elev, np.zeros((5, 5), np.int32), b=3)
+    with pytest.raises(ValueError, match=r"at least one band, got \(5, 5, 0\)"):
+        dataio.extract_patches(hsi[:, :, :0], elev, labels, b=3)
 
 
 def window_oracle(hsi, elev, labels, b):
@@ -310,7 +319,7 @@ def test_extract_gather_matches_window_oracle(b):
         labels[i, j] = 2
     ps = dataio.extract_patches(hsi, elev, labels, b)
     want_hsi, want_heights = window_oracle(hsi, elev, labels, b)
-    assert ps.hsi.dtype == np.float32 and ps.hsi.shape == want_hsi.shape
+    assert ps.hsi.scene.dtype == np.float32 and ps.hsi.shape == want_hsi.shape
     np.testing.assert_array_equal(ps.hsi, want_hsi)
     np.testing.assert_array_equal(ps.lidar[:, :, 2], want_heights)
 
@@ -415,8 +424,8 @@ def test_patch_stack_indexing_matches_full_stack():
     ps = dataio.extract_patches(hsi, elev, labels, b=5)
     full = np.asarray(ps.hsi)
     n = len(ps)
-    assert len(ps.hsi) == n and ps.hsi.shape == full.shape == (n, 5, 5, 4)
-    assert ps.hsi.dtype == full.dtype == np.float32
+    assert ps.hsi.shape == full.shape == (n, 5, 5, 4)
+    assert ps.hsi.scene.dtype == full.dtype == np.float32
     keys = [slice(None), slice(3, 11), slice(None, None, -2), slice(n, n),
             slice(4, 4), np.array([n - 1, 0, 7, 7, 2, 0]), np.array([], dtype=np.int64),
             rng.permutation(n), 5, -1]
@@ -524,10 +533,14 @@ def test_gen_synthetic_shapes_and_labels():
 
 
 def test_gen_synthetic_noiseless_nearest_mean_100pct():
-    hsi, _, labels, truth = dataio.gen_synthetic(
+    hsi, _, labels = dataio.gen_synthetic(
         64, 64, 4, 16, np.random.default_rng(1), noise_spec=0.0,
-        noise_elev=0.0, return_truth=True)
-    sig = truth["signatures"]
+        noise_elev=0.0)
+    assert set(np.unique(labels)) == {1, 2, 3, 4}
+    # without spectral noise every pixel of a class is the class's
+    # signature, so the class mean is that signature
+    sig = np.stack([hsi[labels == c].mean(axis=0) for c in range(1, 5)])
+    np.testing.assert_allclose(hsi, sig[labels - 1], rtol=1e-12)
     d = ((hsi[..., None, :] - sig[None, None]) ** 2).sum(axis=-1)
     pred = d.argmin(axis=-1) + 1
     assert (pred == labels).mean() == 1.0

@@ -1,5 +1,7 @@
 """Decoder conditioning modes and the self-supervision loss terms."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def tiny_batch(seed):
 def weighted_terms(rep, w):
     """The three branch terms of a LossReport, mixed by the LossWeights w
     in forward_batch's order and in its float32, the parameters' dtype."""
-    t = {name: np.float32(value) for name, value in rep.as_dict().items()}
+    t = {name: np.float32(value) for name, value in asdict(rep).items()}
     alpha, beta, gamma = np.float32(w.alpha), np.float32(w.beta), np.float32(w.gamma)
     return float((t["equ_hsi"] + t["inv_hsi"] + t["cham_hsi"]) * alpha
                  + (t["equ_lidar"] + t["inv_lidar"] + t["cham_lidar"]) * beta
