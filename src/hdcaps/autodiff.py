@@ -31,9 +31,17 @@ every op output whose inputs are all constants. A constant keeps no
 parents and no closure, so a pass whose inputs are all constants builds
 no graph and its intermediates are freed by refcount as soon as they go
 out of scope.
+
+An op joins the graph through ``_op``: it gives its forward value and one
+local gradient function per parent, and ``_op`` alone skips a constant
+parent and sums each gradient down to its parent's shape. ``acn``, whose
+two gradients share their sums, attaches its own closure with the same
+constant rule.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -120,16 +128,7 @@ def as_tensor(x) -> Tensor:
     return const
 
 
-def _attach(out: Tensor, bw) -> Tensor:
-    """Give an op's output its backward closure if it is a graph node."""
-    if out._parents:
-        out._backward = bw
-    return out
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t._const:
-        return
     # grads are never mutated in place, so sharing memory with a view is fine
     if t.grad is None:
         t.grad = g
@@ -148,6 +147,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def _op(value, parents, *grads) -> Tensor:
+    """The op's output; its backward hands each non-constant parent
+    grads[i] of the output gradient, summed down to that parent's shape."""
+    out = Tensor(value, parents)
+    if out._parents:
+        # a partial allocates fewer objects than a nested closure, which
+        # halves the garbage collections of a train step
+        out._backward = functools.partial(_backprop, out, grads)
+    return out
+
+
+def _backprop(out: Tensor, grads) -> None:
+    for p, grad in zip(out._parents, grads):
+        if not p._const:
+            _accum(p, _unbroadcast(grad(out.grad), p.data.shape))
 
 
 def _topo(root: Tensor) -> list:
@@ -194,48 +210,23 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data + b.data, (a, b))
-
-    def bw():
-        _accum(a, _unbroadcast(out.grad, a.data.shape))
-        _accum(b, _unbroadcast(out.grad, b.data.shape))
-
-    return _attach(out, bw)
+    return _op(a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data - b.data, (a, b))
-
-    def bw():
-        _accum(a, _unbroadcast(out.grad, a.data.shape))
-        _accum(b, _unbroadcast(-out.grad, b.data.shape))
-
-    return _attach(out, bw)
+    return _op(a.data - b.data, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data * b.data, (a, b))
-
-    def bw():
-        if not a._const:
-            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        if not b._const:
-            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
-
-    return _attach(out, bw)
+    return _op(a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data / b.data, (a, b))
-
-    def bw():
-        _accum(a, _unbroadcast(out.grad / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
-
-    return _attach(out, bw)
+    return _op(a.data / b.data, (a, b), lambda g: g / b.data,
+               lambda g: -g * a.data / (b.data * b.data))
 
 
 def matmul(a, b) -> Tensor:
@@ -243,15 +234,8 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def bw():
-        if not a._const:
-            _accum(a, _unbroadcast(out.grad @ b.data.swapaxes(-1, -2), a.data.shape))
-        if not b._const:
-            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ out.grad, b.data.shape))
-
-    return _attach(out, bw)
+    return _op(a.data @ b.data, (a, b), lambda g: g @ b.data.swapaxes(-1, -2),
+               lambda g: a.data.swapaxes(-1, -2) @ g)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -267,29 +251,19 @@ def linear(x, w, b=None) -> Tensor:
             f"linear expects x (..., Din) and w (Din, Dout), got "
             f"{x.data.shape} and {w.data.shape}"
         )
+    d_in, d_out = w.data.shape
     y = x.data @ w.data
-    if b is None:
-        parents = (x, w)
-    else:
+    parents = (x, w)
+    if b is not None:
         b = as_tensor(b)
         # y is the GEMM's fresh output: add in place unless b widens it
         y = y.astype(np.result_type(y, b.data), copy=False)
         y += b.data
         parents = (x, w, b)
-    out = Tensor(y, parents)
-
-    def bw():
-        g = out.grad
-        d_in, d_out = w.data.shape
-        g2 = g.reshape(-1, d_out)
-        if not w._const:
-            _accum(w, x.data.reshape(-1, d_in).T @ g2)
-        if b is not None and not b._const:
-            _accum(b, np.ones(g2.shape[0], g2.dtype) @ g2)
-        if not x._const:
-            _accum(x, g * w.data[:, 0] if d_out == 1 else g @ w.data.T)
-
-    return _attach(out, bw)
+    return _op(y, parents,
+               lambda g: g * w.data[:, 0] if d_out == 1 else g @ w.data.T,
+               lambda g: x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out),
+               lambda g: np.ones(g.size // d_out, g.dtype) @ g.reshape(-1, d_out))
 
 
 def relu(a) -> Tensor:
@@ -298,32 +272,19 @@ def relu(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data), (a,))
-
-    def bw():
-        _accum(a, out.grad * out.data)
-
-    return _attach(out, bw)
+    y = np.exp(a.data)
+    return _op(y, (a,), lambda g: g * y)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.data), (a,))
-
-    def bw():
-        _accum(a, out.grad / a.data)
-
-    return _attach(out, bw)
+    return _op(np.log(a.data), (a,), lambda g: g / a.data)
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.sqrt(a.data), (a,))
-
-    def bw():
-        _accum(a, out.grad * 0.5 / out.data)
-
-    return _attach(out, bw)
+    y = np.sqrt(a.data)
+    return _op(y, (a,), lambda g: g * 0.5 / y)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -331,26 +292,15 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, (a,))
-
-    def bw():
-        g = out.grad
-        _accum(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
-
-    return _attach(out, bw)
+    return _op(y, (a,), lambda g: (g - (g * y).sum(axis=axis, keepdims=True)) * y)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-
-    def bw():
-        g = out.grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _attach(out, bw)
+    squeezed = axis is not None and not keepdims
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+               lambda g: np.broadcast_to(np.expand_dims(g, axis) if squeezed else g,
+                                         a.data.shape))
 
 
 def tmean(a, axis: int | None = None) -> Tensor:
@@ -361,46 +311,26 @@ def tmean(a, axis: int | None = None) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), (a,))
-
-    def bw():
-        _accum(a, out.grad.reshape(a.data.shape))
-
-    return _attach(out, bw)
+    return _op(a.data.reshape(shape), (a,), lambda g: g.reshape(a.data.shape))
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.swapaxes(ax1, ax2), (a,))
-
-    def bw():
-        _accum(a, out.grad.swapaxes(ax1, ax2))
-
-    return _attach(out, bw)
+    return _op(a.data.swapaxes(ax1, ax2), (a,), lambda g: g.swapaxes(ax1, ax2))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw():
-        for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
-            _accum(t, g)
-
-    return _attach(out, bw)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return _op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+               *(lambda g, i=i: np.split(g, splits, axis=axis)[i]
+                 for i in range(len(tensors))))
 
 
 def clip_min(a, lo: float) -> Tensor:
     """Elementwise max(a, lo); gradient passes only where a was above the floor."""
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, lo), (a,))
-
-    def bw():
-        _accum(a, out.grad * (a.data > lo))
-
-    return _attach(out, bw)
+    return _op(np.maximum(a.data, lo), (a,), lambda g: g * (a.data > lo))
 
 
 def squash_groups(a, eps: float = 1e-8) -> Tensor:
@@ -419,14 +349,13 @@ def squash_groups(a, eps: float = 1e-8) -> Tensor:
     r = np.sqrt(n2)
     u = (1.0 + n2) * (r + eps)
     s = n2 / u
-    out = Tensor(a.data * s, (a,))
 
-    def bw():
+    def grad(g):
         ds = ((r + eps) - 0.5 * r * (1.0 + n2)) / (u * u)
-        inner = np.sum(out.grad * a.data, axis=-1, keepdims=True)
-        _accum(a, out.grad * s + 2.0 * a.data * ds * inner)
+        inner = np.sum(g * a.data, axis=-1, keepdims=True)
+        return g * s + 2.0 * a.data * ds * inner
 
-    return _attach(out, bw)
+    return _op(a.data * s, (a,), grad)
 
 
 def acn(h, w, eps: float) -> Tensor:
@@ -442,6 +371,10 @@ def acn(h, w, eps: float) -> Tensor:
 
     where the sums over the points and over H are GEMVs or einsum
     contractions rather than broadcast temporaries.
+
+    Unlike every other op it attaches its own closure, not through
+    ``_op``: both gradients share sum_x g, sum_x(g y) and r, which two
+    gradient functions would each recompute.
     """
     h, w = as_tensor(h), as_tensor(w)
     wsum = w.data.sum(axis=-2, keepdims=True)
@@ -458,19 +391,23 @@ def acn(h, w, eps: float) -> Tensor:
         ones = np.ones((1, g.shape[-2]), g.dtype)
         sg = ones @ g
         sgy = np.einsum("...xh,...xh->...h", g, y)[..., None, :]
-        dw = (0.5 * (sgy * var * r * r).sum(axis=-1, keepdims=True)
-              - y @ sg.swapaxes(-1, -2)
-              - 0.5 * ((y * y) @ sgy.swapaxes(-1, -2)))
-        _accum(w, dw / wsum)
-        # dh = r (g - u (sg + y sgy)), built in place in one buffer
-        dh = y * sgy
-        dh += sg
-        dh *= w.data / wsum
-        dh -= g
-        dh *= -r
-        _accum(h, dh)
+        if not w._const:
+            dw = (0.5 * (sgy * var * r * r).sum(axis=-1, keepdims=True)
+                  - y @ sg.swapaxes(-1, -2)
+                  - 0.5 * ((y * y) @ sgy.swapaxes(-1, -2)))
+            _accum(w, dw / wsum)
+        if not h._const:
+            # dh = r (g - u (sg + y sgy)), built in place in one buffer
+            dh = y * sgy
+            dh += sg
+            dh *= w.data / wsum
+            dh -= g
+            dh *= -r
+            _accum(h, dh)
 
-    return _attach(out, bw)
+    if out._parents:
+        out._backward = bw
+    return out
 
 
 def weighted_mean(attn, values, eps: float) -> Tensor:
@@ -483,12 +420,11 @@ def weighted_mean(attn, values, eps: float) -> Tensor:
     """
     attn, values = as_tensor(attn), as_tensor(values)
     den = (np.ones(attn.data.shape[-2], attn.data.dtype) @ attn.data)[..., None] + eps
-    out = Tensor((attn.data.swapaxes(-1, -2) @ values.data) / den, (attn, values))
+    y = (attn.data.swapaxes(-1, -2) @ values.data) / den
 
-    def bw():
-        gs = out.grad / den
-        _accum(values, attn.data @ gs)
-        _accum(attn, values.data @ gs.swapaxes(-1, -2)
-               - np.einsum("...kd,...kd->...k", gs, out.data)[..., None, :])
+    def d_attn(g):
+        gs = g / den
+        return (values.data @ gs.swapaxes(-1, -2)
+                - np.einsum("...kd,...kd->...k", gs, y)[..., None, :])
 
-    return _attach(out, bw)
+    return _op(y, (attn, values), d_attn, lambda g: attn.data @ (g / den))

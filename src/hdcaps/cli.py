@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 usage/config error, 2 data that is missing,
 malformed or cannot be written, 3 numeric failure (divergence or a
 failed gradient check).
 Diagnostics go to stderr as a single line. Metric reports are JSON with
-fields oa, aa, kappa, per_class and confusion; all output files are
-written atomically.
+fields oa, aa, kappa, per_class and confusion. Every output file is
+written atomically except train's train_log.csv, which is streamed one
+flushed row per epoch so that progress shows while training runs.
 """
 
 from __future__ import annotations

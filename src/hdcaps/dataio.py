@@ -76,17 +76,23 @@ _CHUNK_BYTES = 1 << 23
 def _atomic_write(path: str, *chunks) -> None:
     """Write the chunks (bytes, or C-contiguous arrays written from their
     own buffers) to path + ".tmp", then rename it over path. If the write
-    or the rename raises, the temp file is removed and the error re-raised."""
+    or the rename raises, the temp file is removed and the error re-raised;
+    an OSError that names the temp file names path instead."""
     tmp = path + ".tmp"
-    fh = open(tmp, "wb")
     try:
-        with fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+        fh = open(tmp, "wb")
+        try:
+            with fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def _read_header(fh, path: str, magic: bytes, header_size: int):
@@ -427,6 +433,10 @@ def _fourier_mixture(rng: np.random.Generator, count: int, n_bands: int,
     return out
 
 
+# a large class_sep overflows through the gains or the deltas, a large
+# noise scale through the noise: overflow on the way is silenced, and the
+# finished spectra and elevation are checked instead of the arguments
+@np.errstate(over="ignore", invalid="ignore")
 def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
                   rng: np.random.Generator, noise_spec: float = 0.1,
                   noise_elev: float = 0.1, class_sep: float = 1.2):
@@ -447,7 +457,8 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     identity survives even in features that only see the magnitude of
     the standardized elevation.
 
-    Returns (hsi, elevation, labels).
+    Returns (hsi, elevation, labels). Spectra or an elevation that do not
+    fit the float32 a scene is stored in raise a ValueError.
     """
     if n_classes < 1 or n_bands < 1 or height < 1 or width < 1:
         raise ValueError("scene dimensions, bands and classes must be positive")
@@ -492,4 +503,12 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     elevation = offsets[class_map] + terrain + rng.normal(
         0.0, noise_elev, size=(height, width)
     )
+    # NaN fails both tests
+    f32_max = np.finfo(np.float32).max
+    if not np.abs(hsi).max() <= f32_max:
+        raise ValueError(f"class_sep = {class_sep} with noise_spec = {noise_spec} "
+                         f"gives spectra that do not fit float32")
+    if not np.abs(elevation).max() <= f32_max:
+        raise ValueError(f"noise_elev = {noise_elev} gives an elevation that does "
+                         f"not fit float32")
     return hsi, elevation, labels

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .autodiff import (Tensor, _accum, _attach, as_tensor, clip_min, div, log,
-                       matmul, tmean, tsum)
+from .autodiff import Tensor, _op, as_tensor, clip_min, div, log, matmul, tmean, tsum
 
 __all__ = [
     "LossWeights",
@@ -117,10 +116,5 @@ def reconstruction_loss(target: np.ndarray, recon: Tensor) -> Tensor:
     if target.shape[1] == 0 or recon.data.shape[1] == 0:
         raise ValueError("chamfer distance of an empty point set is undefined")
     vals, nn_pq, nn_qp = kernels.chamfer_forward(target, recon.data)
-    out = Tensor(vals, (recon,))
-
-    def bw():
-        _accum(recon, kernels.chamfer_backward(target, recon.data, nn_pq, nn_qp,
-                                               out.grad))
-
-    return tmean(_attach(out, bw))
+    return tmean(_op(vals, (recon,), lambda g: kernels.chamfer_backward(
+        target, recon.data, nn_pq, nn_qp, g)))

@@ -1,5 +1,7 @@
 """Finite-difference and identity checks for the reverse-mode core."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,14 +46,23 @@ def check_op(build, *shapes, seed=0, tol=1e-6):
         np.testing.assert_allclose(t.grad, num, rtol=tol, atol=tol)
 
 
+# a (4,) and a (3, 1) operand against a (3, 4) one, on each side
+BROADCAST_SHAPES = [((3, 4), (4,)), ((4,), (3, 4)), ((3, 4), (3, 1)), ((3, 1), (3, 4))]
+
+
 def test_add_broadcast_grad():
-    check_op(lambda a, b: ad.tsum(ad.mul(ad.add(a, b), ad.add(a, b))),
-             (3, 4), (4,))
+    for shapes in BROADCAST_SHAPES:
+        check_op(lambda a, b: ad.tsum(ad.mul(ad.add(a, b), ad.add(a, b))), *shapes)
+        # mul with the same broadcast operand
+        check_op(lambda a, b: ad.tsum(ad.mul(ad.mul(a, b), ad.mul(a, b))), *shapes)
 
 
 def test_sub_div_grad():
     check_op(lambda a, b: ad.tsum(ad.div(a, ad.add(ad.mul(b, b), 1.0))),
              (2, 3), (2, 3))
+    for shapes in BROADCAST_SHAPES:
+        check_op(lambda a, b: ad.tsum(ad.mul(ad.sub(a, b), ad.sub(a, b))), *shapes)
+        check_op(lambda a, b: ad.tsum(ad.div(a, ad.add(ad.mul(b, b), 1.0))), *shapes)
 
 
 def test_matmul_grad_batched():
@@ -291,20 +302,17 @@ def test_constants_get_no_gradient(monkeypatch):
     arrays = (data, rot, shift)
     consts = [ad.as_tensor(a) for a in arrays]
     out = loss(consts[0], w, b, *consts[1:])
-    # linear, matmul and mul compute no gradient for a constant, and the
-    # chamfer target is data; add hands its constant operand one, which
-    # _accum drops
+    # no op computes a gradient for a constant, and the chamfer target is
+    # data: _accum is never handed a constant
     computed_for = []
 
     def recording_accum(t, g, real=ad._accum):
-        if g is not None:
-            computed_for.append(t)
+        computed_for.append(t)
         real(t, g)
 
-    for module in (ad, losses):
-        monkeypatch.setattr(module, "_accum", recording_accum)
+    monkeypatch.setattr(ad, "_accum", recording_accum)
     ad.backward(out)
-    assert [t for t in computed_for if t._const] == [consts[2]]
+    assert computed_for and [t for t in computed_for if t._const] == []
     assert all(c.grad is None for c in consts)
     monkeypatch.undo()
     # the parameter gradients equal those with the data as trainable leaves
@@ -401,3 +409,45 @@ def test_fused_ops_match_composite(fused, composite, shapes, positive):
     np.testing.assert_allclose(y_f, y_c, rtol=1e-12, atol=1e-15)
     for a, b in zip(g_f, g_c):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+# every op that takes two or more tensors, with operand shapes
+MULTI_OPERAND_OPS = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "sub": (ad.sub, [(3, 1), (3, 4)]),
+    "mul": (ad.mul, [(3, 4), (4,)]),
+    "div": (ad.div, [(3, 4), (3, 1)]),
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+    "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
+    "concat": (lambda *ts: ad.concat(ts, axis=1), [(2, 3), (2, 4)]),
+    "acn": (lambda h, w: ad.acn(h, w, ACN_EPS), [(2, 5, 3), (2, 5, 1)]),
+    "weighted_mean": (lambda a, v: ad.weighted_mean(a, v, 1e-8), [(2, 5, 3), (2, 5, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", MULTI_OPERAND_OPS)
+def test_constant_operand_gets_no_gradient(name, monkeypatch):
+    # each mix of constant and trainable operands; a unary op on a
+    # constant is a constant itself, with no closure to run
+    op, shapes = MULTI_OPERAND_OPS[name]
+    rng = np.random.default_rng(32)
+    arrays = [rng.uniform(0.5, 2.0, size=s) for s in shapes]
+    handed = []
+
+    def recording_accum(t, g, real=ad._accum):
+        handed.append(t)
+        real(t, g)
+
+    monkeypatch.setattr(ad, "_accum", recording_accum)
+    for trainable in itertools.product((True, False), repeat=len(arrays)):
+        if all(trainable) or not any(trainable):
+            continue
+        inputs = [ad.Tensor(a) if t else ad.as_tensor(a) for a, t in zip(arrays, trainable)]
+        out = op(*inputs)
+        handed.clear()
+        ad.backward(ad.tsum(ad.mul(out, rng.normal(size=out.data.shape))))
+        assert handed and not [t for t in handed if t._const]
+        for t, is_trainable in zip(inputs, trainable):
+            assert (t.grad is not None) == is_trainable
+            if is_trainable:
+                assert t.grad.shape == t.data.shape

@@ -122,6 +122,11 @@ def test_names_perfbench_reads_outside_its_targets():
     # layertrace.py::_count_classifier reads `feats`, `labels` and `epochs`
     params = inspect.signature(evaluation.train_classifier).parameters
     assert {"feats", "labels", "epochs"} <= set(params)
+    # run.py::check_extract sizes the feature table by `len(patches)` of the
+    # PatchSet, which no package code calls
+    labels = np.array([[1, 0, 2], [0, 3, 0]], np.int32)
+    patches = dataio.extract_patches(np.ones((2, 3, 4)), np.zeros((2, 3)), labels, b=3)
+    assert len(patches) == 3
 
 
 def test_perfbench_selftest_passes():

@@ -168,12 +168,26 @@ def test_negative_seed_is_usage_error(capsys, command):
 @pytest.mark.parametrize("flag, value", [
     ("--noise-spec", "nan"), ("--class-sep", "nan"), ("--noise-elev", "-0.5"),
     ("--noise-elev", "-1e-3"),
+    # finite, but the scene would not fit float32
+    ("--class-sep", "400"), ("--noise-spec", "1e300"), ("--noise-elev", "1e38"),
 ])
 def test_gen_synth_bad_noise_or_separation_is_exit_2(capsys, tmp_path, flag, value):
     scene = tmp_path / "scene"
     assert cli.main(["gen-synth", "--out", str(scene), "--size", "8x8",
                      flag, value]) == 2
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not scene.exists()
+
+
+def test_gen_synth_one_class_scene_that_overflows_float32_is_exit_2(capsys, tmp_path):
+    # one class has gain 1: the spectra overflow through the deltas, so
+    # only a check of the spectra, not of the gains, catches it
+    scene = tmp_path / "scene"
+    assert cli.main(["gen-synth", "--out", str(scene), "--size", "16x16",
+                     "--bands", "8", "--classes", "1", "--class-sep", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "class_sep" in captured.err and "float32" in captured.err
     assert not scene.exists()
 
 
@@ -207,6 +221,21 @@ def test_report_path_that_is_a_directory_is_exit_2(pipeline, capsys, tmp_path,
     assert str(report) in captured.err
     # the temp file of the failed atomic write is removed
     assert os.listdir(tmp_path) == ["report"] and os.listdir(report) == []
+
+
+@pytest.mark.parametrize("command", ["extract", "baseline"])
+def test_missing_output_directory_is_exit_2(pipeline, capsys, tmp_path, command):
+    out = str(tmp_path / "nodir" / "out")
+    args = {"extract": ["extract", "--model", pipeline["ckpt"], "--data",
+                        pipeline["scene"], "--out", out],
+            "baseline": ["baseline", "--data", pipeline["scene"], "--report", out]}
+    assert cli.main(args[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # the message names the path asked for, not the atomic write's temp file
+    assert captured.err.rstrip().endswith(f"'{out}'") and ".tmp" not in captured.err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", ["baseline", "eval"])
