@@ -34,9 +34,9 @@ out of scope.
 
 An op joins the graph through ``_op``: it gives its forward value and one
 local gradient function per parent, and ``_op`` alone skips a constant
-parent and sums each gradient down to its parent's shape. ``acn``, whose
-two gradients share their sums, attaches its own closure with the same
-constant rule.
+parent and sums each gradient down to its parent's shape. ``acn`` and
+``weighted_mean``, whose two gradients share their intermediates, attach
+their own closures with the same constant rule.
 """
 
 from __future__ import annotations
@@ -413,18 +413,27 @@ def acn(h, w, eps: float) -> Tensor:
 def weighted_mean(attn, values, eps: float) -> Tensor:
     """attn^T values / (sum_x attn + eps), as one node.
 
-    attn: (..., X, K) nonnegative weights; values: (..., X, D); the output
-    (..., K, D) holds one weighted mean of the value rows per column of
-    attn. With g' = g / den, the backward is dvalues = attn g' and
-    dattn = values g'^T - sum_D(g' out).
+    attn: (..., X, K) nonnegative weights; values: (..., X, D) with the
+    same leading shape; the output (..., K, D) holds one weighted mean of
+    the value rows per column of attn. With g' = g / den, the backward is
+    dvalues = attn g' and dattn = values g'^T - sum_D(g' out).
+
+    Like ``acn`` it attaches its own closure, not through ``_op``: both
+    gradients read g', which two gradient functions would each compute.
     """
     attn, values = as_tensor(attn), as_tensor(values)
     den = (np.ones(attn.data.shape[-2], attn.data.dtype) @ attn.data)[..., None] + eps
     y = (attn.data.swapaxes(-1, -2) @ values.data) / den
+    out = Tensor(y, (attn, values))
 
-    def d_attn(g):
-        gs = g / den
-        return (values.data @ gs.swapaxes(-1, -2)
-                - np.einsum("...kd,...kd->...k", gs, y)[..., None, :])
+    def bw():
+        gs = out.grad / den
+        if not attn._const:
+            _accum(attn, values.data @ gs.swapaxes(-1, -2)
+                   - np.einsum("...kd,...kd->...k", gs, y)[..., None, :])
+        if not values._const:
+            _accum(values, attn.data @ gs)
 
-    return _op(y, (attn, values), d_attn, lambda g: attn.data @ (g / den))
+    if out._parents:
+        out._backward = bw
+    return out

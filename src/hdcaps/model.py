@@ -16,11 +16,12 @@ invariance of the descriptors and chamfer reconstruction.
 attention agreement.
 
 Precision: the parameters' dtype decides. ``init_model`` makes float32
-parameters (drawn in float64 and rounded once), a checkpoint stores them
-as float32, and ``forward_batch`` and ``decompose_batch`` cast their
-batch to the parameters' dtype, so training and extraction both run in
-float32. Only ``training.grad_check`` widens its own small model to
-float64, so that its finite differences mean something.
+parameters (drawn in float64 and rounded once) as views of one vector, a
+checkpoint stores that vector, and ``forward_batch`` and
+``decompose_batch`` cast their batch to the parameters' dtype, so
+training and extraction both run in float32. Only ``training.grad_check``
+widens its own small model's vector to float64, so that its finite
+differences mean something.
 
 The extract path (``fused_features``) takes the lazy
 ``dataio.PatchStack`` of a ``PatchSet`` and lifts each spectral pixel
@@ -63,6 +64,7 @@ from .losses import (
 __all__ = [
     "ModelState",
     "init_model",
+    "bind_vector",
     "parameters",
     "forward_batch",
     "decompose_batch",
@@ -84,7 +86,9 @@ _EXTRACT_BATCH = 256
 
 @dataclass
 class ModelState:
-    """All learnable parameter groups plus the config they were built for."""
+    """All learnable parameter groups, the config they were built for and
+    the (P,) vector that holds every parameter's values: each parameter's
+    ``data`` is a view of its slice (see ``bind_vector``)."""
 
     config: TrainConfig
     c_spec: int
@@ -93,6 +97,7 @@ class ModelState:
     enc_lidar: dict
     dec_hsi: dict
     dec_lidar: dict
+    vector: np.ndarray | None = None
 
 
 def init_model(cfg: TrainConfig, c_spec: int, rng: np.random.Generator) -> ModelState:
@@ -111,9 +116,19 @@ def init_model(cfg: TrainConfig, c_spec: int, rng: np.random.Generator) -> Model
     state = ModelState(cfg, c_spec, caps, enc_hsi, enc_lidar, dec_hsi, dec_lidar)
     # drawn in float64 and rounded once, so the generator's stream and the
     # checkpoint of an untrained model do not depend on the working dtype
-    for tensor in parameters(state).values():
-        tensor.data = tensor.data.astype(np.float32)
+    bind_vector(state, np.float32)
     return state
+
+
+def bind_vector(state: ModelState, dtype) -> None:
+    """Copy every parameter's values, cast to dtype, into a new (P,)
+    vector in ``parameters(state)`` order, make each parameter's ``data``
+    a reshaped view of its slice, and set ``state.vector`` to it. The
+    only code that knows where each parameter lies in the vector."""
+    flat = list(parameters(state).values())
+    state.vector = np.concatenate([t.data.reshape(-1) for t in flat], dtype=dtype)
+    for tensor, end in zip(flat, np.cumsum([t.data.size for t in flat])):
+        tensor.data = state.vector[end - tensor.data.size:end].reshape(tensor.data.shape)
 
 
 def parameters(state: ModelState) -> dict:
@@ -186,7 +201,7 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     cfg = state.config
     if weights is None:
         weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
-    dtype = state.caps["w"].data.dtype
+    dtype = state.vector.dtype
     hsi_patches = np.asarray(hsi_patches, dtype=dtype)
     lidar_points = np.asarray(lidar_points, dtype=dtype)
     _check_batch(hsi_patches, lidar_points)
@@ -237,7 +252,7 @@ def decompose_batch(state: ModelState, lifted_patches: np.ndarray,
     parameter arrays; the pass builds no graph and ``state`` is not
     changed.
     """
-    dtype = state.caps["w"].data.dtype
+    dtype = state.vector.dtype
     lifted_patches = np.asarray(lifted_patches, dtype=dtype)
     lidar_points = np.asarray(lidar_points, dtype=dtype)
     _check_batch(lifted_patches, lidar_points, "lifted_patches")
@@ -257,7 +272,7 @@ def _lift(state: ModelState, scene: np.ndarray, covered: np.ndarray) -> np.ndarr
     covered pixels of each block that has any."""
     cfg = state.config
     caps = _constants(state.caps)
-    dtype = caps["w"].data.dtype
+    dtype = state.vector.dtype
     height, width, c_spec = scene.shape
     lifted = np.zeros((height, width, cfg.d_h), dtype=dtype)
     step = max(1, _LIFT_BLOCK_BYTES // (width * c_spec * scene.itemsize))
@@ -315,27 +330,21 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
 def save_checkpoint(state: ModelState, directory: str) -> None:
     """Write a checkpoint directory of two files.
 
-    params.dten holds every parameter's values, concatenated in
-    ``parameters(state)`` order as one (P,) float32 vector, the dtype the
-    parameters are kept in, so a reloaded model equals the saved one
-    exactly. manifest.json,
-    written after it, holds the format, version 2, the config, c_spec and
-    the ordered list of parameter names. Other files in the directory are
-    left as they are.
+    params.dten holds ``state.vector`` as it is, float32, so a reloaded
+    model equals the saved one exactly. manifest.json, written after it,
+    holds the format, version 2, the config, c_spec and the ordered list
+    of parameter names. Other files in the directory are left as they are.
     """
     from .dataio import write_dten, write_json
 
     os.makedirs(directory, exist_ok=True)
-    flat = parameters(state)
-    write_dten(os.path.join(directory, CHECKPOINT_PARAMS),
-               np.concatenate([t.data.reshape(-1) for t in flat.values()],
-                              dtype=np.float32))
+    write_dten(os.path.join(directory, CHECKPOINT_PARAMS), state.vector)
     write_json(os.path.join(directory, CHECKPOINT_MANIFEST), {
         "format": "hdcaps-checkpoint",
         "version": CHECKPOINT_VERSION,
         "config": state.config.to_dict(),
         "c_spec": state.c_spec,
-        "params": list(flat),
+        "params": list(parameters(state)),
     })
 
 
@@ -370,14 +379,12 @@ def load_checkpoint(directory: str) -> ModelState:
                          f"names in order")
     params_path = os.path.join(directory, CHECKPOINT_PARAMS)
     vector = read_dten(params_path)
-    sizes = [t.data.size for t in flat.values()]
-    if vector.shape != (sum(sizes),):
+    if vector.shape != state.vector.shape:
         raise ValueError(f"{params_path} holds a vector of shape {vector.shape}, "
-                         f"expected ({sum(sizes)},)")
-    pieces = np.split(vector, np.cumsum(sizes)[:-1])
-    for (name, tensor), piece in zip(flat.items(), pieces):
-        if not np.isfinite(piece).all():
+                         f"expected {state.vector.shape}")
+    state.vector[...] = vector
+    for name, tensor in flat.items():
+        if not np.isfinite(tensor.data).all():
             raise ValueError(f"{params_path}: parameter {name} holds "
                              f"non-finite values")
-        tensor.data = piece.reshape(tensor.data.shape)
     return state

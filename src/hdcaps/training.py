@@ -5,14 +5,15 @@ config, seed) triple reproduces the same parameter trajectory exactly:
 the generator is consumed in a fixed order (init, then per-step
 rotations, then per-epoch shuffles).
 
-Training runs in the parameters' dtype, float32, and so do the Adam
-moments; ``grad_check`` widens its own model to float64.
+Training runs in float32: Adam updates the parameter vector
+(``ModelState.vector``) in place, with float32 moment vectors of the same
+length. ``grad_check`` widens its own model's vector to float64.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,17 +21,18 @@ from .autodiff import backward
 from .config import TrainConfig
 from .errors import DivergenceError
 from .losses import LossReport, LossWeights
-from .model import ModelState, forward_batch, init_model, parameters
+from .model import ModelState, bind_vector, forward_batch, init_model, parameters
 
 __all__ = ["AdamState", "adam_step", "zero_grads", "train_step", "train", "grad_check"]
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed by parameter name."""
+    """Moment vectors m and v of the parameter vector, made by the first
+    ``adam_step``, and the step count t."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
@@ -39,37 +41,33 @@ def zero_grads(params: dict) -> None:
         tensor.grad = None
 
 
-def adam_step(params: dict, opt: AdamState, lr: float,
+def adam_step(vector: np.ndarray, grad: np.ndarray, opt: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update over every parameter that received a gradient."""
+    """One Adam update of vector (P,), in place, from its gradient grad (P,)."""
+    if opt.m is None:
+        opt.m, opt.v = np.zeros_like(vector), np.zeros_like(vector)
     opt.t += 1
-    t = opt.t
-    for name, tensor in params.items():
-        g = tensor.grad
-        if g is None:
-            continue
-        if name not in opt.m:
-            opt.m[name] = np.zeros_like(tensor.data)
-            opt.v[name] = np.zeros_like(tensor.data)
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    t, m, v = opt.t, opt.m, opt.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    vector -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def train_step(state: ModelState, opt: AdamState, params: dict,
                hsi_batch: np.ndarray, lidar_batch: np.ndarray,
                rng: np.random.Generator, weights: LossWeights,
                epoch: int | None = None, step: int | None = None):
-    """Forward, backward, Adam update. Returns the LossReport.
+    """Forward, backward, Adam update of ``state.vector``. Returns the
+    LossReport. params must be ``parameters(state)``, in its order.
 
     A non-finite loss or gradient raises a DivergenceError that names
-    the tensor and the given epoch and step.
+    the tensor and the given epoch and step. A parameter that received
+    no gradient raises a RuntimeError naming it; either error leaves the
+    parameters and opt unchanged.
     """
     zero_grads(params)
     total, report = forward_batch(state, hsi_batch, lidar_batch, rng, weights)
@@ -78,10 +76,14 @@ def train_step(state: ModelState, opt: AdamState, params: dict,
                               epoch, step)
     backward(total)
     for name, tensor in params.items():
-        if tensor.grad is not None and not np.all(np.isfinite(tensor.grad)):
+        if tensor.grad is None:
+            raise RuntimeError(f"parameter {name} received no gradient")
+        if not np.all(np.isfinite(tensor.grad)):
             raise DivergenceError(name, "gradient is not finite", epoch, step)
+    grad = np.concatenate([t.grad.reshape(-1) for t in params.values()])
     cfg = state.config
-    adam_step(params, opt, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    adam_step(state.vector, grad, opt, cfg.lr, cfg.adam_beta1, cfg.adam_beta2,
+              cfg.adam_eps)
     return report
 
 
@@ -146,8 +148,8 @@ def train(state: ModelState, hsi_patches: np.ndarray, lidar_points: np.ndarray,
 def grad_check(seed: int = 0, n_samples: int = 8) -> float:
     """Compare analytic gradients against central finite differences.
 
-    Builds a small two-branch model and widens its parameters to float64,
-    so the whole check runs in float64 and its errors measure the
+    Builds a small two-branch model and widens its parameter vector to
+    float64, so the whole check runs in float64 and its errors measure the
     gradients, not float32 roundoff. It runs one forward/backward on a
     random batch, then for n_samples randomly chosen entries of every
     parameter tensor recomputes the derivative as
@@ -162,45 +164,30 @@ def grad_check(seed: int = 0, n_samples: int = 8) -> float:
     c_spec, h = 5, 1e-5
     rng = np.random.default_rng(seed)
     state = init_model(cfg, c_spec, rng)
+    bind_vector(state, np.float64)
     params = parameters(state)
-    for tensor in params.values():
-        tensor.data = tensor.data.astype(np.float64)
 
-    x = cfg.b * cfg.b
     hsi = rng.standard_normal((cfg.batch, cfg.b, cfg.b, c_spec))
-    lidar = rng.standard_normal((cfg.batch, x, 3))
+    lidar = rng.standard_normal((cfg.batch, cfg.b * cfg.b, 3))
     weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
-    rot_seed = seed + 1
 
-    def eval_loss() -> float:
-        total, _ = forward_batch(
-            state, hsi, lidar, np.random.default_rng(rot_seed), weights
-        )
-        return float(total.data)
+    def loss():
+        return forward_batch(state, hsi, lidar, np.random.default_rng(seed + 1),
+                             weights)[0]
 
-    zero_grads(params)
-    total, _ = forward_batch(
-        state, hsi, lidar, np.random.default_rng(rot_seed), weights
-    )
-    backward(total)
-
+    backward(loss())
     max_rel = 0.0
     for tensor in params.values():
-        size = tensor.data.size
-        k = min(n_samples, size)
-        picks = rng.choice(size, size=k, replace=False)
-        grad_flat = (tensor.grad if tensor.grad is not None
-                     else np.zeros_like(tensor.data)).reshape(-1)
-        for idx in picks:
-            where = np.unravel_index(idx, tensor.data.shape)
-            keep = tensor.data[where]
-            tensor.data[where] = keep + h
-            f_plus = eval_loss()
-            tensor.data[where] = keep - h
-            f_minus = eval_loss()
-            tensor.data[where] = keep
+        flat = tensor.data.reshape(-1)  # a view: writes reach the model
+        for idx in rng.choice(flat.size, size=min(n_samples, flat.size), replace=False):
+            keep = flat[idx]
+            flat[idx] = keep + h
+            f_plus = float(loss().data)
+            flat[idx] = keep - h
+            f_minus = float(loss().data)
+            flat[idx] = keep
             numeric = (f_plus - f_minus) / (2.0 * h)
-            analytic = float(grad_flat[idx])
+            analytic = float(tensor.grad.reshape(-1)[idx])
             rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
             max_rel = max(max_rel, rel)
     return max_rel

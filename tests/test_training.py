@@ -68,27 +68,121 @@ def clone_params(params):
 
 
 def test_adam_first_step_toy_quadratic():
-    w = ad.Tensor(np.array([1.0]))
-    w.grad = np.array([2.0])  # d(w^2)/dw at w=1
+    w = np.array([1.0])
     opt = training.AdamState()
-    training.adam_step({"w": w}, opt, lr=0.001)
-    np.testing.assert_allclose(w.data, 1.0 - 0.001, atol=1e-9)
+    training.adam_step(w, np.array([2.0]), opt, lr=0.001)  # d(w^2)/dw at w=1
+    np.testing.assert_allclose(w, 1.0 - 0.001, atol=1e-9)
 
 
 def test_adam_zero_lr_keeps_params_updates_moments():
-    w = ad.Tensor(np.array([3.0]))
-    w.grad = np.array([1.5])
+    w = np.array([3.0])
     opt = training.AdamState()
-    training.adam_step({"w": w}, opt, lr=0.0)
-    np.testing.assert_allclose(w.data, 3.0, atol=0)
-    assert opt.t == 1 and "w" in opt.m and opt.m["w"][0] != 0.0
+    training.adam_step(w, np.array([1.5]), opt, lr=0.0)
+    np.testing.assert_allclose(w, 3.0, atol=0)
+    assert opt.t == 1 and opt.m.shape == opt.v.shape == (1,) and opt.m[0] != 0.0
 
 
-def test_adam_skips_params_without_grad():
-    w = ad.Tensor(np.array([1.0]))
-    w.grad = None
-    training.adam_step({"w": w}, training.AdamState(), lr=0.1)
-    np.testing.assert_allclose(w.data, 1.0, atol=0)
+def per_tensor_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Oracle: the Adam update as a loop over named tensors, each with its
+    own moment arrays in the dicts m and v, step t counted from 1."""
+    for name in params:
+        g = grads[name]
+        m.setdefault(name, np.zeros_like(params[name]))
+        v.setdefault(name, np.zeros_like(params[name]))
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        m_hat = m[name] / (1.0 - beta1 ** t)
+        v_hat = v[name] / (1.0 - beta2 ** t)
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_vector_step_equals_per_tensor_loop():
+    # Adam is elementwise: one update of the concatenated vector must give
+    # the per-tensor loop's parameters and moments to the last bit
+    rng = np.random.default_rng(40)
+    shapes = {"w": (3, 4), "b": (4,), "k": (2, 3, 2), "s": (1,)}
+    params = {name: rng.standard_normal(shape).astype(np.float32)
+              for name, shape in shapes.items()}
+    vector = np.concatenate([p.reshape(-1) for p in params.values()])
+    m, v, opt = {}, {}, training.AdamState()
+    for t in range(1, 6):
+        grads = {name: (rng.standard_normal(p.shape) * 10.0 ** (t - 3)).astype(np.float32)
+                 for name, p in params.items()}
+        per_tensor_adam(params, grads, m, v, t, lr=0.01, eps=1e-6)
+        training.adam_step(vector, np.concatenate([g.reshape(-1) for g in grads.values()]),
+                           opt, lr=0.01, eps=1e-6)
+        assert opt.t == t
+        for got, want in ((vector, params), (opt.m, m), (opt.v, v)):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, np.concatenate([a.reshape(-1) for a in want.values()]))
+
+
+def assert_parameters_view_vector(state, dtype=np.float32):
+    """Every parameter's data is a view into state.vector, and the views
+    laid end to end in parameters(state) order are the vector."""
+    params = parameters(state)
+    assert state.vector.dtype == dtype and state.vector.ndim == 1
+    for name, tensor in params.items():
+        assert np.shares_memory(tensor.data, state.vector), name
+    assert np.array_equal(np.concatenate([t.data.reshape(-1) for t in params.values()]),
+                          state.vector)
+
+
+def test_parameters_share_the_state_vector(monkeypatch, tmp_path):
+    state = tiny_state(seed=41)
+    assert_parameters_view_vector(state)
+    hsi, lidar = tiny_data(42)
+    before = state.vector.copy()
+    training.train_step(state, training.AdamState(), parameters(state), hsi, lidar,
+                        np.random.default_rng(43), LossWeights())
+    assert_parameters_view_vector(state)
+    assert not np.array_equal(state.vector, before)
+    save_checkpoint(state, str(tmp_path))
+    saved = dataio.read_dten(str(tmp_path / "params.dten"))
+    assert saved.dtype == np.float32 and np.array_equal(saved, state.vector)
+    loaded = load_checkpoint(str(tmp_path))
+    assert_parameters_view_vector(loaded)
+    assert np.array_equal(loaded.vector, state.vector)
+
+    # grad_check widens the vector to float64 and binds the views again
+    seen = []
+    real_parameters = training.parameters
+
+    def checked(widened):
+        assert_parameters_view_vector(widened, np.float64)
+        seen.append(widened)
+        return real_parameters(widened)
+
+    monkeypatch.setattr(training, "parameters", checked)
+    training.grad_check(seed=0, n_samples=1)
+    assert len(seen) == 1
+
+
+def test_train_step_refuses_param_without_grad(monkeypatch):
+    # a parameter that gets no gradient stops the step with an error
+    # naming it, before Adam touches the vector or the moments
+    state = tiny_state(seed=44)
+    params = parameters(state)
+    hsi, lidar = tiny_data(45)
+    opt = training.AdamState()
+    training.train_step(state, opt, params, hsi, lidar, np.random.default_rng(46),
+                        LossWeights())
+    vector, m, v = state.vector.copy(), opt.m.copy(), opt.v.copy()
+    real_backward = training.backward
+
+    def dropping_backward(total):
+        real_backward(total)
+        params["enc_lidar.lift_w"].grad = None
+
+    monkeypatch.setattr(training, "backward", dropping_backward)
+    with pytest.raises(RuntimeError, match=r"parameter enc_lidar\.lift_w received no gradient"):
+        training.train_step(state, opt, params, hsi, lidar, np.random.default_rng(47),
+                            LossWeights())
+    assert opt.t == 1
+    for got, want in ((state.vector, vector), (opt.m, m), (opt.v, v)):
+        assert np.array_equal(got, want)
 
 
 def test_train_epochs_zero_returns_state_unchanged():
@@ -264,7 +358,7 @@ def test_train_step_leaks_no_float64(c_spec, over):
                         LossWeights())
     for name, tensor in params.items():
         assert tensor.data.dtype == np.float32, name
-        assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
+    assert state.vector.dtype == opt.m.dtype == opt.v.dtype == np.float32
 
 
 def test_fused_features_144_bands_match_float64(monkeypatch, tmp_path):
@@ -420,7 +514,8 @@ def test_batch_of_one_step_equals_single_pair_step():
     total, _ = forward_batch(state_b, hsi[:1], lidar[:1],
                              np.random.default_rng(12), weights)
     ad.backward(total)
-    training.adam_step(params_b, training.AdamState(), state_b.config.lr,
+    grad = np.concatenate([t.grad.reshape(-1) for t in params_b.values()])
+    training.adam_step(state_b.vector, grad, training.AdamState(), state_b.config.lr,
                        state_b.config.adam_beta1, state_b.config.adam_beta2,
                        state_b.config.adam_eps)
     for name in params_a:
@@ -546,14 +641,15 @@ def test_zero_weights_random_biases_near_linear():
     # tightly; the parameters are float64, as in grad_check, so the whole
     # pass runs in float64
     state = tiny_state(seed=20)
+    model.bind_vector(state, np.float64)
     params = parameters(state)
     rng = np.random.default_rng(21)
     for name, tensor in params.items():
         leaf = name.split(".")[-1]
         if leaf == "b" or leaf.endswith("_b") or leaf in ("b1", "b2"):
-            tensor.data = 0.1 * rng.standard_normal(tensor.data.shape)
+            tensor.data[...] = 0.1 * rng.standard_normal(tensor.data.shape)
         else:
-            tensor.data = np.zeros(tensor.data.shape)
+            tensor.data[...] = 0.0
     hsi, lidar = tiny_data(22, n=2)
     weights = LossWeights()
 
