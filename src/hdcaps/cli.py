@@ -118,6 +118,8 @@ def _checked(kind, valid, requirement: str):
 
 
 _seed = _checked(int, lambda v: v >= 0, "at least 0")
+_positive = _checked(int, lambda v: v >= 1, "at least 1")
+_fraction = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,24 +153,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--labels", help="optional label raster overriding "
                                     "the labels stored with the features")
-    p.add_argument("--train-frac", type=float, default=0.05)
+    p.add_argument("--train-frac", type=_fraction, default=0.05)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", help="write metrics as JSON to this path")
 
     p = sub.add_parser("baseline", help="metrics for raw / PCA / embedding features")
     p.add_argument("--data", required=True, help="scene directory")
     p.add_argument("--method", choices=["raw", "pca", "le"], default="raw")
-    p.add_argument("--dim", type=int, default=32,
+    p.add_argument("--dim", type=_positive, default=32,
                    help="output dimension for pca/le")
-    p.add_argument("--neighbors", type=int, default=10)
-    p.add_argument("--train-frac", type=float, default=0.05)
+    p.add_argument("--neighbors", type=_positive, default=10)
+    p.add_argument("--train-frac", type=_fraction, default=0.05)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", help="write metrics as JSON to this path")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--seed", type=_seed, nargs="+", default=[0])
-    p.add_argument("--samples", type=_checked(int, lambda v: v >= 1, "at least 1"),
-                   default=8)
+    p.add_argument("--samples", type=_positive, default=8)
     p.add_argument("--tol", default=1e-4, type=_checked(
         float, lambda v: np.isfinite(v) and v >= 0, "finite and non-negative"))
     return parser

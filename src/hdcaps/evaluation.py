@@ -17,8 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
 
 __all__ = [
     "fuse_features",
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 _STD_FLOOR = 1e-12
+# bytes of float64 distances, or of neighbour differences, per row block
+# of the kNN search in laplacian_eigenmaps
+_KNN_BLOCK_BYTES = 1 << 21
 
 
 def fuse_features(feats_hsi: np.ndarray, feats_lidar: np.ndarray,
@@ -180,19 +184,60 @@ def pca_transform(model: dict, feats: np.ndarray) -> np.ndarray:
     return (feats - model["mean"]) @ model["components"].T
 
 
+def _knn_edges(x: np.ndarray, n_neighbors: int):
+    """The n_neighbors nearest other rows of each row of x, (n, k), and
+    the exact squared length sum((x_i - x_j)**2) of each of those edges.
+
+    Rows are ranked by the expanded distance |x_i|^2 + |x_j|^2 - 2 x_i.x_j
+    a block of rows at a time, so no (n, n) array is ever held; neither the
+    block's distances nor its neighbour differences exceed about
+    _KNN_BLOCK_BYTES."""
+    n, d = x.shape
+    sq = np.sum(x * x, axis=1)
+    step = max(1, _KNN_BLOCK_BYTES // (8 * max(n, n_neighbors * d)))
+    nn = np.empty((n, n_neighbors), dtype=np.intp)
+    d2 = np.empty((n, n_neighbors))
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        dist = x[rows] @ x.T
+        dist *= -2.0
+        dist += sq[rows, None] + sq
+        np.maximum(dist, 0.0, out=dist)
+        dist[np.arange(rows.shape[0]), rows] = np.inf
+        nn[rows] = np.argpartition(dist, n_neighbors - 1, axis=1)[:, :n_neighbors]
+        # x_j - x_i squares to the same bits as x_i - x_j
+        diff = x[nn[rows]]
+        diff -= x[rows, None, :]
+        d2[rows] = np.sum(np.square(diff, out=diff), axis=2)
+    return nn, d2
+
+
 def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
                         n_neighbors: int = 10) -> np.ndarray:
     """Spectral embedding of the symmetrized kNN graph.
 
-    Edges carry heat-kernel weights exp(-d^2 / sigma^2) with sigma the
-    median length of the kNN edges that join distinct rows (1 if there
-    are none). Solves the generalized problem
-    L y = lambda D y and returns the eigenvectors for the n_components
-    smallest nonzero eigenvalues. Components are taken of the weighted
-    graph, so an edge whose weight underflows to 0 joins nothing and a row
-    far from all others is a component of its own. If the graph is
-    disconnected, only the largest component is embedded; other rows are
-    zero and a warning is issued.
+    The graph is sparse: each row keeps the n_neighbors rows nearest to
+    it, found a block of rows at a time, and an edge joins i and j if
+    either keeps the other. Of rows tied at the n_neighbors-th distance,
+    which are kept is left to np.argpartition, not to row order. Each
+    edge's length is recomputed exactly as sum((x_i - x_j)**2), which is
+    the same for (i, j) and (j, i), so the weight matrix W is exactly
+    symmetric. Edges carry heat-kernel weights exp(-d^2 / sigma^2) with
+    sigma the median length of the edges that join distinct rows (1 if
+    there are none). The embedding solves the generalized problem
+    L y = lambda D y through its normalized form: the eigenvectors u of
+    D^-1/2 W D^-1/2 with the n_components + 1 largest eigenvalues, found
+    by ARPACK (eigsh) from a fixed start vector, give y = D^-1/2 u. The
+    trivial one, eigenvalue 1, is dropped, so the rest belong to the
+    n_components smallest nonzero lambda, each scaled to y^T D y = 1 and
+    signed so its largest-magnitude entry is positive.
+
+    Components are taken of the weighted graph, so an edge whose weight
+    underflows to 0 joins nothing and a row far from all others is a
+    component of its own. If the graph is disconnected, only the largest
+    component is embedded; other rows are zero and a warning is issued.
+    The largest component must hold at least n_components + 2 rows, or a
+    ValueError is raised.
     """
     x = np.asarray(feats, dtype=np.float64)
     n = x.shape[0]
@@ -200,33 +245,30 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
         raise ValueError(f"need 1 <= n_neighbors < n_samples = {n}, got {n_neighbors}")
     if n_components < 1 or n_components >= n:
         raise ValueError(f"need 1 <= n_components < n_samples = {n}, got {n_components}")
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.argsort(d2, axis=1)[:, :n_neighbors]
+    nn, d2 = _knn_edges(x, n_neighbors)
 
-    adj = np.zeros((n, n), dtype=bool)
+    # every undirected edge once as (i, j) and once as (j, i), in row order
     rows = np.repeat(np.arange(n), n_neighbors)
-    adj[rows, nn.reshape(-1)] = True
-    adj |= adj.T
+    keys, first = np.unique(
+        np.concatenate([rows * n + nn.reshape(-1), nn.reshape(-1) * n + rows]),
+        return_index=True)
+    ei, ej = np.divmod(keys, n)
+    edge_d2 = np.concatenate([d2.reshape(-1), d2.reshape(-1)])[first]
 
-    # sigma skips edges between identical rows: when they are most of the
-    # edges, their zero or roundoff lengths would set sigma, and every other
-    # edge would get weight 0. Identical rows get a d2 of at most this
-    # roundoff bound, so only edges under it are compared exactly.
-    ei, ej = np.nonzero(adj)
-    edge_d2 = d2[ei, ej]
-    same = edge_d2 <= 8 * (x.shape[1] + 2) * np.finfo(float).eps * (sq[ei] + sq[ej])
-    same[same] = np.all(x[ei[same]] == x[ej[same]], axis=1)
-    lengths = np.sqrt(edge_d2[~same])
+    # sigma skips edges between identical rows, whose exact length is 0:
+    # when they are most of the edges, a median over all would be 0, and
+    # every other edge would get weight 0
+    lengths = np.sqrt(edge_d2[edge_d2 > 0.0])
     sigma = np.median(lengths) if lengths.size else 1.0
     if sigma < _STD_FLOOR:
         sigma = 1.0
-    weights = np.where(adj, np.exp(-d2 / (sigma * sigma)), 0.0)
-
+    weights = csr_array((np.exp(-edge_d2 / (sigma * sigma)), (ei, ej)),
+                        shape=(n, n))
     # components of the graph the Laplacian is built from: a row whose
-    # weights all underflow has degree 0, which D must not hold
-    n_comp, comp_labels = connected_components(weights > 0, directed=False)
+    # weights all underflow has degree 0, which D must not hold, and
+    # connected_components counts stored zeros as edges
+    weights.eliminate_zeros()
+    n_comp, comp_labels = connected_components(weights, directed=False)
     out = np.zeros((n, n_components))
     if n_comp > 1:
         warnings.warn(
@@ -237,15 +279,24 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     else:
         keep = np.ones(n, dtype=bool)
     idx = np.nonzero(keep)[0]
-    if idx.shape[0] <= n_components:
-        raise ValueError("largest graph component is too small for the embedding")
-    w_sub = weights[np.ix_(idx, idx)]
-    deg = w_sub.sum(axis=1)
-    lap = np.diag(deg) - w_sub
-    # ascending eigenvalues; the first is the trivial constant solution
-    _, vecs = scipy.linalg.eigh(lap, np.diag(deg),
-                                subset_by_index=[0, n_components])
-    out[idx] = _positive_peaks(vecs[:, 1:])
+    # eigsh needs fewer eigenvectors than rows: n_components + 1 < m
+    if idx.shape[0] < n_components + 2:
+        raise ValueError(
+            f"largest graph component is too small for the embedding: "
+            f"{idx.shape[0]} rows, {n_components} components need at least "
+            f"{n_components + 2}")
+    w_sub = weights[idx][:, idx].tocoo()
+    inv_sqrt_deg = 1.0 / np.sqrt(w_sub.sum(axis=1))
+    # (d_i d_j)^-1/2 is one product for (i, j) and (j, i): S stays symmetric
+    scale = inv_sqrt_deg[w_sub.row] * inv_sqrt_deg[w_sub.col]
+    s = csr_array((w_sub.data * scale, (w_sub.row, w_sub.col)), shape=w_sub.shape)
+    # a fixed start makes the result independent of earlier ARPACK calls;
+    # sqrt(deg) would not do, it is the trivial eigenvector itself
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, idx.shape[0])
+    vals, vecs = eigsh(s, k=n_components + 1, which="LA", v0=v0)
+    # descending eigenvalues; the first is the trivial constant solution
+    order = np.argsort(vals)[::-1][1:]
+    out[idx] = _positive_peaks(vecs[:, order] * inv_sqrt_deg[:, None])
     return out
 
 

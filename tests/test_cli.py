@@ -165,6 +165,23 @@ def test_negative_seed_is_usage_error(capsys, command):
     assert "argument --seed: must be at least 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, requirement", [
+    (["baseline", "--data", "unused"], "--dim", "0", "at least 1"),
+    (["baseline", "--data", "unused"], "--neighbors", "0", "at least 1"),
+    (["baseline", "--data", "unused"], "--neighbors", "-3", "at least 1"),
+    (["baseline", "--data", "unused"], "--train-frac", "0", "strictly between"),
+    (["baseline", "--data", "unused"], "--train-frac", "1.5", "strictly between"),
+    (["eval", "--features", "unused.hdcf"], "--train-frac", "0", "strictly between"),
+    (["eval", "--features", "unused.hdcf"], "--train-frac", "1.5", "strictly between"),
+])
+def test_bad_baseline_or_eval_option_is_usage_error(capsys, command, flag, value,
+                                                    requirement):
+    assert cli.main([*command, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"argument {flag}: must be {requirement}" in err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--noise-spec", "nan"), ("--class-sep", "nan"), ("--noise-elev", "-0.5"),
     ("--noise-elev", "-1e-3"),

@@ -1,10 +1,12 @@
 """Feature fusion, linear classifier, baselines and agreement metrics."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from hdcaps import dataio, evaluation
 
@@ -382,6 +384,13 @@ def test_eigenmaps_component_too_small_raises():
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError):
             evaluation.laplacian_eigenmaps(quad, 2, n_neighbors=1)
+    # the component must hold n_components + 2 rows: the eigensolver finds
+    # n_components + 1 eigenvectors, fewer than the rows
+    line = np.arange(5.0)[:, None]
+    assert evaluation.laplacian_eigenmaps(line, 3, n_neighbors=2).shape == (5, 3)
+    with pytest.raises(ValueError, match="too small.*5 rows, 4 components need "
+                                         "at least 6"):
+        evaluation.laplacian_eigenmaps(line, 4, n_neighbors=2)
 
 
 def test_eigenmaps_rejects_bad_arguments():
@@ -398,8 +407,46 @@ def test_eigenmaps_deterministic():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(25, 3))
     a = evaluation.laplacian_eigenmaps(x, 2, n_neighbors=6)
+    # an unrelated ARPACK call in between must not change the next result
+    unrelated = scipy.sparse.csr_array(np.diag(np.arange(1.0, 31.0)))
+    scipy.sparse.linalg.eigsh(unrelated, k=2)
     b = evaluation.laplacian_eigenmaps(x, 2, n_neighbors=6)
-    np.testing.assert_array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_eigenmaps_match_dense_generalized_oracle():
+    # a connected graph whose lowest eigenvalues are distinct, so each
+    # eigenvector is defined up to sign
+    x = np.random.default_rng(21).normal(size=(200, 3))
+    k, m = 8, 4
+    got = evaluation.laplacian_eigenmaps(x, m, n_neighbors=k)
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    adj = np.zeros(d2.shape, dtype=bool)
+    adj[np.repeat(np.arange(200), k), np.argsort(d2, axis=1)[:, :k].reshape(-1)] = True
+    adj |= adj.T
+    sigma = np.median(np.sqrt(d2[adj]))
+    w = np.where(adj, np.exp(-d2 / (sigma * sigma)), 0.0)
+    deg = w.sum(axis=1)
+    vals, vecs = scipy.linalg.eigh(np.diag(deg) - w, np.diag(deg))
+    assert vals[1] > 1e-6 and np.all(np.diff(vals[1:m + 2]) > 1e-4)
+    for col in range(m):
+        oracle = vecs[:, col + 1]
+        if got[:, col] @ oracle < 0.0:
+            oracle = -oracle
+        np.testing.assert_allclose(got[:, col], oracle, atol=1e-8)
+
+
+def test_eigenmaps_never_allocate_an_n_by_n_array():
+    # one (4000, 4000) float64 array is 128 MB
+    x = np.random.default_rng(3).normal(size=(4000, 16))
+    tracemalloc.start()
+    try:
+        evaluation.laplacian_eigenmaps(x, 4, n_neighbors=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # --------------------------------------------------------------- metrics
