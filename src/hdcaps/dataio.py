@@ -30,9 +30,11 @@ the whole (N, b, b, C) stack is built only by `np.asarray`.
 Precision: scenes and feature tables are held in the float32 they are
 stored in. Only code that computes on the values widens them, a piece at
 a time: `extract_patches` standardizes the spectra in float64 chunks,
-`evaluation.fuse_features` takes float64 means of a batch, and the
-estimators in `evaluation` cast their input at entry. The model takes
-its precision from its parameters' dtype, float32, so training and
+`evaluation.fuse_features` takes float64 means of a batch's encoder
+hidden maps, the extract path applies the feature head to those pooled
+rows in float64 and rounds them once to float32, and the estimators in
+`evaluation` cast their input at entry. The model takes its precision
+from its parameters' dtype, float32, so training and the encoder pass of
 extraction read the float32 patches as they are; only
 `training.grad_check` runs in float64.
 """

@@ -14,12 +14,14 @@ makes the blocks mix information between points while staying
 order-equivariant. The attention logits
 carry no bias (a shared offset cannot survive the softmax over points)
 and the linear map sits after the normalization so its bias is not
-cancelled by the mean subtraction. Two linear heads read the final
-hidden map: ``encode_batch`` applies the feature head and returns the
-hidden map with the feature map F, and ``attention_map`` turns the
-hidden map into the attention map A (rows softmaxed over the K capsules,
-so each point carries a distribution over capsules). Training needs
-both; the extract path reads only F and never builds A.
+cancelled by the mean subtraction. ``encode_batch`` returns the final
+hidden map h, and two heads read it: ``feature_map`` applies the linear
+feature head, F = h W_f + b_f, and ``attention_map`` turns h into the
+attention map A (rows softmaxed over the K capsules, so each point
+carries a distribution over capsules). Training needs both heads on
+every point. The extract path never builds A, and since its fused rows
+(the center row and the mean row of F) are affine in h, it pools h first
+and applies ``feature_map`` to those two rows only.
 
 Aggregation turns (A, F, P) into capsule poses (attention-weighted point
 centroids, rotation-equivariant) and descriptors (attention-weighted
@@ -38,7 +40,7 @@ import numpy as np
 from .autodiff import Tensor, acn, linear, relu, softmax, weighted_mean
 from .capsule_block import fan_uniform
 
-__all__ = ["init_encoder", "encode_batch", "attention_map", "aggregate"]
+__all__ = ["init_encoder", "encode_batch", "feature_map", "attention_map", "aggregate"]
 
 ACN_EPS = 1e-5
 AGG_EPS = 1e-8
@@ -64,8 +66,8 @@ def init_encoder(d_in: int, h: int, n_blocks: int, k: int, c: int,
     return params
 
 
-def encode_batch(params: dict, points: Tensor) -> tuple[Tensor, Tensor]:
-    """(B, X, D) point sets -> hidden maps (B, X, H) and features (B, X, C)."""
+def encode_batch(params: dict, points: Tensor) -> Tensor:
+    """(B, X, D) point sets -> hidden maps (B, X, H)."""
     if points.data.shape[-1] != params["lift_w"].data.shape[0]:
         raise ValueError(
             f"points are {points.data.shape[-1]}-D but the encoder expects "
@@ -76,7 +78,12 @@ def encode_batch(params: dict, points: Tensor) -> tuple[Tensor, Tensor]:
         weights = softmax(linear(h, params[f"b{i}_att_w"]), axis=-2)
         z = acn(h, weights, ACN_EPS)
         h = h + relu(linear(z, params[f"b{i}_lin_w"], params[f"b{i}_lin_b"]))
-    return h, linear(h, params["feat_w"], params["feat_b"])
+    return h
+
+
+def feature_map(params: dict, hidden: Tensor) -> Tensor:
+    """(..., H) hidden rows from ``encode_batch`` -> feature rows (..., C)."""
+    return linear(hidden, params["feat_w"], params["feat_b"])
 
 
 def attention_map(params: dict, hidden: Tensor) -> Tensor:

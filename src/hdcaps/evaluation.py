@@ -45,12 +45,15 @@ _KNN_BLOCK_BYTES = 1 << 21
 
 def fuse_features(feats_hsi: np.ndarray, feats_lidar: np.ndarray,
                   center: int) -> np.ndarray:
-    """Concatenate center-pixel and mean feature rows of both branches.
+    """Concatenate center-pixel and mean rows of both branches' maps.
 
-    feats_*: (N, X, C) feature maps of a batch; center is the row index of
-    the patch's center pixel. Output is (N, 4 * C) float64, ordered
+    feats_*: (N, X, C) maps of a batch; center is the row index of the
+    patch's center pixel. Output is (N, 4 * C) float64, ordered
     [spectral center, spectral mean, lidar center, lidar mean]; float32
-    maps are averaged in float64 without a float64 copy of the maps.
+    maps are summed in float64 by one ``einsum`` per branch, without a
+    float64 copy of the maps. ``model.fused_features`` passes the encoder
+    hidden maps and applies the feature head to the pooled rows; both
+    rows are affine in the map, so that equals pooling the feature maps.
     """
     fh = np.asarray(feats_hsi)
     fl = np.asarray(feats_lidar)
@@ -61,9 +64,10 @@ def fuse_features(feats_hsi: np.ndarray, feats_lidar: np.ndarray,
         raise ValueError("branch feature maps must cover the same points")
     if not 0 <= center < fh.shape[1]:
         raise ValueError("center index out of range")
+    n_points = fh.shape[1]
     return np.concatenate(
-        [fh[:, center], fh.mean(axis=1, dtype=np.float64),
-         fl[:, center], fl.mean(axis=1, dtype=np.float64)],
+        [fh[:, center], np.einsum("nxc->nc", fh, dtype=np.float64) / n_points,
+         fl[:, center], np.einsum("nxc->nc", fl, dtype=np.float64) / n_points],
         axis=1, dtype=np.float64,
     )
 

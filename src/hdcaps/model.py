@@ -19,9 +19,9 @@ Precision: the parameters' dtype decides. ``init_model`` makes float32
 parameters (drawn in float64 and rounded once) as views of one vector, a
 checkpoint stores that vector, and ``forward_batch`` and
 ``decompose_batch`` cast their batch to the parameters' dtype, so
-training and extraction both run in float32. Only ``training.grad_check``
-widens its own small model's vector to float64, so that its finite
-differences mean something.
+training and the encoder pass of extraction both run in float32. Only
+``training.grad_check`` widens its own small model's vector to float64,
+so that its finite differences mean something.
 
 The extract path (``fused_features``) takes the lazy
 ``dataio.PatchStack`` of a ``PatchSet`` and lifts each spectral pixel
@@ -30,12 +30,17 @@ runs over blocks of the padded scene's pixels that some window covers,
 and each batch of ``_EXTRACT_BATCH`` patches then gathers its b x b
 windows of d_h-wide capsule points from the lifted scene instead of its
 b x b x C_spec windows of spectra.
-``decompose_batch`` encodes each branch once and stops at the feature
-maps: the fused features read only those, so it skips the attention
-head and runs no capsule aggregation. Every input it gives ``autodiff``
-is a constant (the lifted windows, the points and constant leaves
-sharing the parameters' arrays), so it builds no graph, and the fused
-rows are returned as float32, the precision a feature file stores.
+``decompose_batch`` encodes each branch once and stops at the hidden
+maps: it applies neither head and runs no capsule aggregation. The
+fused rows are the center row and the mean row of each branch's feature
+map F = h W_f + b_f, both affine in h, so ``evaluation.fuse_features``
+pools the hidden maps (the mean in float64) and ``feature_map`` then
+runs on those two rows per patch instead of all b*b, in float64, the
+float32 head parameters widened by numpy's promotion. Every input the
+path gives ``autodiff`` is a constant (the lifted windows, the points,
+the pooled rows and constant leaves sharing the parameters' arrays), so
+it builds no graph, and each batch's fused rows are rounded once to
+float32, the precision a feature file stores.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .autodiff import Tensor, as_tensor, matmul
 from .capsule_block import extract_preliminary_batch, init_capsule_block
 from .config import TrainConfig
 from .decoder import decode, init_decoder
-from .encoder import aggregate, attention_map, encode_batch, init_encoder
+from .encoder import aggregate, attention_map, encode_batch, feature_map, init_encoder
 from .geometry import sample_rotations
 from .losses import (
     LossReport,
@@ -156,8 +161,10 @@ def _branch(enc: dict, dec: dict, pts: Tensor, rot: np.ndarray, target: np.ndarr
     data. Returns (raw attention map, equivariance, invariance, chamfer).
     """
     pts_rot = matmul(pts, as_tensor(np.swapaxes(rot, -1, -2)))
-    hidden, feats = encode_batch(enc, pts)
-    hidden_rot, feats_rot = encode_batch(enc, pts_rot)
+    hidden = encode_batch(enc, pts)
+    feats = feature_map(enc, hidden)
+    hidden_rot = encode_batch(enc, pts_rot)
+    feats_rot = feature_map(enc, hidden_rot)
     attn = attention_map(enc, hidden)
     attn_rot = attention_map(enc, hidden_rot)
     poses, desc = aggregate(attn, feats, pts)
@@ -239,10 +246,12 @@ def _constants(group: dict) -> dict:
 
 def decompose_batch(state: ModelState, lifted_patches: np.ndarray,
                     lidar_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inference pass: the (B, X, C) encoder feature maps of the spectral
+    """Inference pass: the (B, X, H) encoder hidden maps of the spectral
     and the elevation branch, in the parameters' dtype (float32 for a
-    model from ``init_model`` or ``load_checkpoint``). The attention head
-    is skipped: nothing on this path reads the attention maps.
+    model from ``init_model`` or ``load_checkpoint``). Neither head is
+    applied: ``fused_features`` pools these maps and applies the feature
+    head to the pooled rows, and nothing on this path reads the attention
+    maps.
 
     lifted_patches: (B, b, b, d_h) windows of capsule points, the output
     of ``extract_preliminary_batch`` for the patches' pixels, as
@@ -259,9 +268,9 @@ def decompose_batch(state: ModelState, lifted_patches: np.ndarray,
     n, b0, b1, d_h = lifted_patches.shape
     pts_h = as_tensor(lifted_patches.reshape(n, b0 * b1, d_h))
     pts_l = as_tensor(lidar_points)
-    _, feats_h = encode_batch(_constants(state.enc_hsi), pts_h)
-    _, feats_l = encode_batch(_constants(state.enc_lidar), pts_l)
-    return feats_h.data, feats_l.data
+    hidden_h = encode_batch(_constants(state.enc_hsi), pts_h)
+    hidden_l = encode_batch(_constants(state.enc_lidar), pts_l)
+    return hidden_h.data, hidden_l.data
 
 
 def _lift(state: ModelState, scene: np.ndarray, covered: np.ndarray) -> np.ndarray:
@@ -289,9 +298,10 @@ def _lift(state: ModelState, scene: np.ndarray, covered: np.ndarray) -> np.ndarr
 def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> np.ndarray:
     """Per-patch fused feature vectors, (N, 4 * C) float32.
 
-    For each branch the center-pixel feature row and the mean feature row
-    are taken from the encoder's feature map; the four pieces are
-    concatenated spectral-first.
+    Each vector holds, spectral branch first, each branch's center-pixel
+    row and mean row of the encoder's feature map. Both rows are affine
+    in the hidden map, so they are computed as the feature head of the
+    hidden map's center row and float64 mean row.
 
     hsi_patches is the lazy `dataio.PatchStack` of a `PatchSet` (its
     ``hsi``); any other type raises a TypeError. The pixels of its padded
@@ -299,8 +309,9 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
     dtype; the lift is per pixel, so this equals lifting every window on
     its own. Patches are then encoded `_EXTRACT_BATCH` at a time by
     `decompose_batch` on their (batch, b, b, d_h) windows of the lifted
-    pixels; each batch's float64 `fuse_features` rows are rounded once to
-    float32.
+    pixels; `fuse_features` pools each batch's hidden maps to (batch, 2,
+    H) rows per branch, `feature_map` maps those to feature rows in
+    float64, and each batch's rows are rounded once to float32.
     """
     from .dataio import PatchStack, _windows
     # imported per call, not at module level: perfbench times
@@ -320,10 +331,15 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
     covered[_windows(rows, cols, b)] = True
     lifted = PatchStack(_lift(state, hsi_patches.scene, covered), rows, cols, b)
     center = lidar_points.shape[1] // 2
+    enc_h, enc_l = _constants(state.enc_hsi), _constants(state.enc_lidar)
+    # rows [spectral center, spectral mean, lidar center, lidar mean]
+    out_rows = out.reshape(n, 4, state.config.C)
     for start in range(0, n, _EXTRACT_BATCH):
         batch = slice(start, start + _EXTRACT_BATCH)
-        feats_h, feats_l = decompose_batch(state, lifted[batch], lidar_points[batch])
-        out[batch] = fuse_features(feats_h, feats_l, center)
+        hidden_h, hidden_l = decompose_batch(state, lifted[batch], lidar_points[batch])
+        pooled = fuse_features(hidden_h, hidden_l, center).reshape(len(hidden_h), 4, -1)
+        out_rows[batch, :2] = feature_map(enc_h, pooled[:, :2]).data
+        out_rows[batch, 2:] = feature_map(enc_l, pooled[:, 2:]).data
     return out
 
 

@@ -78,9 +78,12 @@ def train_step(state: ModelState, opt: AdamState, params: dict,
     for name, tensor in params.items():
         if tensor.grad is None:
             raise RuntimeError(f"parameter {name} received no gradient")
-        if not np.all(np.isfinite(tensor.grad)):
-            raise DivergenceError(name, "gradient is not finite", epoch, step)
     grad = np.concatenate([t.grad.reshape(-1) for t in params.values()])
+    if not np.isfinite(grad).all():
+        # one check per step; only a failed one looks for the parameter
+        name = next(name for name, tensor in params.items()
+                    if not np.isfinite(tensor.grad).all())
+        raise DivergenceError(name, "gradient is not finite", epoch, step)
     cfg = state.config
     adam_step(state.vector, grad, opt, cfg.lr, cfg.adam_beta1, cfg.adam_beta2,
               cfg.adam_eps)

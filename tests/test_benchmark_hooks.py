@@ -26,13 +26,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # calls of each wrapped layer in one forward_batch: two branches, each
 # encoded raw and rotated, one decoder per branch, one KL across them.
-# perfbench does not time the attention head on its own (its forward falls
-# into forward_batch's own time, its backward into the unattributed
-# backward time), so it is counted here but is no layertrace target.
+# perfbench does not time the attention and feature heads on their own
+# (their forward falls into forward_batch's own time, their backward into
+# the unattributed backward time), so they are counted here but are no
+# layertrace targets.
 FORWARD_CALLS = {
     "extract_preliminary_batch": 1,
     "sample_rotations": 2,
     "encode_batch": 4,
+    "feature_map": 4,
     "attention_map": 4,
     "aggregate": 4,
     "decode": 2,
@@ -41,17 +43,19 @@ FORWARD_CALLS = {
     "loss_kl": 1,
     "reconstruction_loss": 2,
 }
-UNTRACED = {"attention_map"}
+UNTRACED = {"attention_map", "feature_map"}
 
 # calls in one fused_features over 3 batches: the covered pixels of the
 # small scene are lifted in one block, then one graph-free decompose per
-# batch encodes each branch once, and builds no attention head and
-# aggregates nothing; `evaluation.fuse_features`, which perfbench also
-# wraps, fuses each batch once
+# batch encodes each branch once to its hidden map, and builds no
+# attention head and aggregates nothing; `evaluation.fuse_features`,
+# which perfbench also wraps, pools each batch once, and the feature head
+# runs once per branch on each batch's pooled rows
 EXTRACT_CALLS = {
     "decompose_batch": 3,
     "extract_preliminary_batch": 1,
     "encode_batch": 6,
+    "feature_map": 6,
     "attention_map": 0,
     "aggregate": 0,
 }

@@ -23,8 +23,9 @@ def acn(feats, weights):
 
 def encode(params, points):
     """Attention and feature maps of one (X, D) point set, as a batch of one."""
-    hidden, feats = encoder.encode_batch(params, ad.Tensor(points[None]))
+    hidden = encoder.encode_batch(params, ad.Tensor(points[None]))
     attn = encoder.attention_map(params, hidden)
+    feats = encoder.feature_map(params, hidden)
     return attn.data[0], feats.data[0]
 
 
@@ -146,6 +147,21 @@ def test_encode_permutation_equivariance():
     np.testing.assert_allclose(f1, f0[perm], atol=1e-9)
 
 
+def test_feature_head_of_pooled_rows_equals_pooled_feature_map():
+    # the head is affine, so the center and mean rows of F = h W + b are
+    # the head of the center and mean rows of h; the extract path relies
+    # on this to apply the head to two rows per patch instead of X
+    params = make_encoder(3, 16, 2, 4, 6, seed=14)
+    pts = np.random.default_rng(15).normal(size=(5, 25, 3)) * 3
+    hidden = encoder.encode_batch(params, ad.Tensor(pts)).data
+    feats = encoder.feature_map(params, ad.as_tensor(hidden)).data
+    pooled = np.stack([hidden[:, 12], hidden.mean(axis=1)], axis=1)
+    got = encoder.feature_map(params, ad.as_tensor(pooled)).data
+    want = np.stack([feats[:, 12], feats.mean(axis=1)], axis=1)
+    assert got.dtype == np.float64 and got.shape == (5, 2, 6)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_encode_rejects_dim_mismatch():
     params = make_encoder(3, 8, 1, 2, 2)
     with pytest.raises(ValueError, match="4-D"):
@@ -235,8 +251,9 @@ def test_encoder_param_gradients_fd():
     cf = rng.normal(size=(6, 2))
 
     def loss():
-        hidden, f = encoder.encode_batch(params, ad.as_tensor(pts[None]))
+        hidden = encoder.encode_batch(params, ad.as_tensor(pts[None]))
         a = encoder.attention_map(params, hidden)
+        f = encoder.feature_map(params, hidden)
         return ad.tsum(ad.mul(a, ca[None])) + ad.tsum(ad.mul(f, cf[None]))
 
     out = loss()
