@@ -90,19 +90,6 @@ def parse_config(path: str) -> TrainConfig:
     return cfg
 
 
-def _parse_size(text: str):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise UsageError(f"--size must look like HxW, got {text!r}")
-    try:
-        height, width = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"--size must look like HxW, got {text!r}") from None
-    if height < 1 or width < 1:
-        raise UsageError("--size dimensions must be positive")
-    return height, width
-
-
 def _checked(kind, valid, requirement: str):
     """argparse type: text parsed by kind, kept if valid(value) holds."""
     def parse(text: str):
@@ -120,6 +107,20 @@ def _checked(kind, valid, requirement: str):
 _seed = _checked(int, lambda v: v >= 0, "at least 0")
 _positive = _checked(int, lambda v: v >= 1, "at least 1")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+_finite_nonnegative = _checked(float, lambda v: np.isfinite(v) and v >= 0,
+                               "finite and non-negative")
+
+
+def _size(text: str) -> tuple:
+    """argparse type: HxW with H and W at least 1, as (H, W)."""
+    try:
+        height, width = map(int, text.lower().split("x"))
+    except ValueError:
+        height = width = 0
+    if min(height, width) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must look like HxW with H and W at least 1, got {text!r}")
+    return height, width
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,13 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="write a random synthetic scene")
     p.add_argument("--out", required=True, help="output scene directory")
-    p.add_argument("--size", default="48x48", help="scene extent as HxW")
-    p.add_argument("--bands", type=int, default=20)
-    p.add_argument("--classes", type=int, default=4)
+    p.add_argument("--size", type=_size, default="48x48", help="scene extent as HxW")
+    p.add_argument("--bands", type=_positive, default=20)
+    p.add_argument("--classes", type=_positive, default=4)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--noise-spec", type=float, default=0.1)
-    p.add_argument("--noise-elev", type=float, default=0.1)
-    p.add_argument("--class-sep", type=float, default=1.2)
+    p.add_argument("--noise-spec", type=_finite_nonnegative, default=0.1)
+    p.add_argument("--noise-elev", type=_finite_nonnegative, default=0.1)
+    p.add_argument("--class-sep", type=_checked(float, np.isfinite, "finite"), default=1.2)
 
     p = sub.add_parser("train", help="train the autoencoder on a scene")
     p.add_argument("--data", required=True, help="scene directory")
@@ -170,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--seed", type=_seed, nargs="+", default=[0])
     p.add_argument("--samples", type=_positive, default=8)
-    p.add_argument("--tol", default=1e-4, type=_checked(
-        float, lambda v: np.isfinite(v) and v >= 0, "finite and non-negative"))
+    p.add_argument("--tol", default=1e-4, type=_finite_nonnegative)
     return parser
 
 
@@ -206,7 +206,7 @@ def _score(args, feats: np.ndarray, labels: np.ndarray, prefix: str) -> int:
 def _cmd_gen_synth(args) -> int:
     from . import dataio
 
-    height, width = _parse_size(args.size)
+    height, width = args.size
     rng = np.random.default_rng(args.seed)
     hsi, elevation, labels = dataio.gen_synthetic(
         height, width, args.classes, args.bands, rng,

@@ -305,11 +305,12 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
-                     classes: np.ndarray | None = None) -> tuple:
-    """Counts with rows = true class, columns = predicted class.
+                     classes: np.ndarray) -> tuple:
+    """Counts with rows = true class, columns = predicted class, both in
+    the order of classes.
 
-    Explicit classes must cover every label in y_true and y_pred; an
-    uncovered label raises ValueError naming it.
+    classes must cover every label in y_true and y_pred; an uncovered
+    label raises ValueError naming it.
     """
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
@@ -317,18 +318,15 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
         raise ValueError("label arrays must have equal length")
     values, index = np.unique(np.concatenate([y_true, y_pred]),
                               return_inverse=True)
-    if classes is None:
-        classes = values
-    else:
-        classes = np.asarray(classes)
-        found = np.isin(values, classes)
-        if not found.all():
-            missing = values[np.argmin(found)].item()
-            raise ValueError(f"label {missing!r} is not in classes")
-        # explicit classes come in any order: map each distinct label to
-        # its position in classes
-        order = np.argsort(classes)
-        index = order[np.searchsorted(classes, values, sorter=order)][index]
+    classes = np.asarray(classes)
+    found = np.isin(values, classes)
+    if not found.all():
+        missing = values[np.argmin(found)].item()
+        raise ValueError(f"label {missing!r} is not in classes")
+    # classes come in any order: map each distinct label to its position
+    # in classes
+    order = np.argsort(classes)
+    index = order[np.searchsorted(classes, values, sorter=order)][index]
     k = classes.shape[0]
     n = y_true.shape[0]
     mat = np.bincount(index[:n] * k + index[n:], minlength=k * k)

@@ -41,11 +41,12 @@ KL_EPS = 1e-8
 
 @dataclass
 class LossWeights:
-    """Mixing coefficients: total = alpha * spectral + beta * lidar + gamma * kl."""
+    """Mixing coefficients: total = alpha * spectral + beta * lidar + gamma * kl,
+    taken from ``TrainConfig``'s alpha, beta and gamma, which hold the defaults."""
 
-    alpha: float = 0.5
-    beta: float = 0.5
-    gamma: float = 0.1
+    alpha: float
+    beta: float
+    gamma: float
 
 
 @dataclass

@@ -193,7 +193,7 @@ def _check_batch(hsi_patches, lidar_points, name: str = "hsi_patches") -> None:
 
 def forward_batch(state: ModelState, hsi_patches: np.ndarray,
                   lidar_points: np.ndarray, rng: np.random.Generator,
-                  weights: LossWeights | None = None):
+                  weights: LossWeights):
     """Run both branches on a batch and assemble the training loss.
 
     hsi_patches: (B, b, b, C_spec); lidar_points: (B, b*b, 3). Returns
@@ -206,8 +206,6 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     and in float64 for the widened model of ``training.grad_check``.
     """
     cfg = state.config
-    if weights is None:
-        weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
     dtype = state.vector.dtype
     hsi_patches = np.asarray(hsi_patches, dtype=dtype)
     lidar_points = np.asarray(lidar_points, dtype=dtype)
@@ -399,8 +397,10 @@ def load_checkpoint(directory: str) -> ModelState:
         raise ValueError(f"{params_path} holds a vector of shape {vector.shape}, "
                          f"expected {state.vector.shape}")
     state.vector[...] = vector
-    for name, tensor in flat.items():
-        if not np.isfinite(tensor.data).all():
-            raise ValueError(f"{params_path}: parameter {name} holds "
-                             f"non-finite values")
+    if not np.isfinite(state.vector).all():
+        # one check of the vector; only a failed one looks for the parameter
+        name = next(name for name, tensor in flat.items()
+                    if not np.isfinite(tensor.data).all())
+        raise ValueError(f"{params_path}: parameter {name} holds "
+                         f"non-finite values")
     return state

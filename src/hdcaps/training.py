@@ -42,8 +42,9 @@ def zero_grads(params: dict) -> None:
 
 
 def adam_step(vector: np.ndarray, grad: np.ndarray, opt: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update of vector (P,), in place, from its gradient grad (P,)."""
+              beta1: float, beta2: float, eps: float) -> None:
+    """One Adam update of vector (P,), in place, from its gradient grad (P,).
+    lr, beta1, beta2 and eps come from ``TrainConfig``, which holds the defaults."""
     if opt.m is None:
         opt.m, opt.v = np.zeros_like(vector), np.zeros_like(vector)
     opt.t += 1

@@ -21,6 +21,7 @@ import numpy as np
 
 from hdcaps import autodiff, dataio, evaluation, kernels, model
 from hdcaps.config import TrainConfig
+from hdcaps.losses import LossWeights
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -95,7 +96,8 @@ def test_forward_batch_calls_layers_through_model(monkeypatch):
     state = model.init_model(cfg, 4, rng)
     hsi = rng.standard_normal((2, 3, 3, 4))
     lidar = rng.standard_normal((2, 9, 3))
-    model.forward_batch(state, hsi, lidar, rng)
+    model.forward_batch(state, hsi, lidar, rng,
+                        LossWeights(cfg.alpha, cfg.beta, cfg.gamma))
     assert dict(calls) == FORWARD_CALLS
 
 

@@ -33,9 +33,13 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_gen_synth_rejects_malformed_size(capsys, tmp_path):
-    rc = cli.main(["gen-synth", "--out", str(tmp_path / "s"), "--size", "64"])
-    assert rc == 1
-    assert "--size" in capsys.readouterr().err
+    for size in ("64", "0x5", "8x", "8x8x8", "ax8"):
+        rc = cli.main(["gen-synth", "--out", str(tmp_path / "s"), "--size", size])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"argument --size: must look like HxW with H and W at least 1, got {size!r}" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_parse_config_overrides_and_defaults(tmp_path):
@@ -182,10 +186,30 @@ def test_bad_baseline_or_eval_option_is_usage_error(capsys, command, flag, value
     assert f"argument {flag}: must be {requirement}" in err
 
 
+GEN_SYNTH_REQUIREMENTS = {
+    "--noise-spec": "finite and non-negative", "--noise-elev": "finite and non-negative",
+    "--class-sep": "finite", "--bands": "at least 1", "--classes": "at least 1",
+}
+
+
 @pytest.mark.parametrize("flag, value", [
-    ("--noise-spec", "nan"), ("--class-sep", "nan"), ("--noise-elev", "-0.5"),
-    ("--noise-elev", "-1e-3"),
-    # finite, but the scene would not fit float32
+    ("--noise-spec", "nan"), ("--class-sep", "nan"), ("--class-sep", "inf"),
+    ("--noise-elev", "-0.5"), ("--noise-elev", "-1e-3"),
+    ("--bands", "0"), ("--classes", "0"),
+])
+def test_gen_synth_bad_option_is_usage_error(capsys, tmp_path, flag, value):
+    # a bad option value is rejected at parse time, before any scene is made
+    scene = tmp_path / "scene"
+    assert cli.main(["gen-synth", "--out", str(scene), "--size", "8x8",
+                     flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"argument {flag}: must be {GEN_SYNTH_REQUIREMENTS[flag]}, got {value!r}" in err
+    assert not scene.exists()
+
+
+# finite, but the scene would not fit float32
+@pytest.mark.parametrize("flag, value", [
     ("--class-sep", "400"), ("--noise-spec", "1e300"), ("--noise-elev", "1e38"),
 ])
 def test_gen_synth_bad_noise_or_separation_is_exit_2(capsys, tmp_path, flag, value):

@@ -183,10 +183,11 @@ def test_reconstruction_loss_matches_chamfer():
 
 def test_total_loss_weighted_combination():
     # forward_batch is the one place that combines the loss terms
-    w = losses.LossWeights()
-    assert (w.alpha, w.beta, w.gamma) == (0.5, 0.5, 0.1)
     state, hsi, lidar = tiny_batch(6)
-    total, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1))
+    cfg = state.config
+    w = losses.LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
+    assert (w.alpha, w.beta, w.gamma) == (0.5, 0.5, 0.1)
+    total, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1), w)
     assert float(total.data) == rep.total
     assert rep.total == weighted_terms(rep, w)
     _, rep = forward_batch(state, hsi, lidar, np.random.default_rng(1),

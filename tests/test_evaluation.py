@@ -453,7 +453,7 @@ def test_eigenmaps_never_allocate_an_n_by_n_array():
 
 def test_confusion_matrix_counts_and_class_order():
     mat, classes = evaluation.confusion_matrix(np.array([0, 0, 1, 1]),
-                                               np.array([0, 1, 1, 1]))
+                                               np.array([0, 1, 1, 1]), np.array([0, 1]))
     np.testing.assert_array_equal(mat, [[1, 1], [0, 2]])
     np.testing.assert_array_equal(classes, [0, 1])
 
@@ -465,10 +465,8 @@ def test_confusion_matrix_explicit_classes_keep_empty_rows():
     np.testing.assert_array_equal(classes, [0, 1, 2])
 
 
-def confusion_loop_oracle(y_true, y_pred, classes=None):
+def confusion_loop_oracle(y_true, y_pred, classes):
     """The former per-sample loop over a label -> index dict."""
-    if classes is None:
-        classes = np.unique(np.concatenate([y_true, y_pred]))
     index = {cls: i for i, cls in enumerate(classes.tolist())}
     mat = np.zeros((classes.shape[0], classes.shape[0]), dtype=np.int64)
     for t, p in zip(y_true.tolist(), y_pred.tolist()):
@@ -483,7 +481,8 @@ def test_confusion_matrix_matches_loop_oracle():
         n = int(rng.integers(0, 60))
         y_true = rng.choice(labels, size=n)
         y_pred = rng.choice(labels, size=n)
-        classes = None
+        # evaluate_split's form: every label, sorted
+        classes = np.unique(labels)
         if trial % 3:
             # explicit classes in any order, some absent from both arrays
             extra = np.setdiff1d(np.arange(-8, 20), labels)[:trial % 4]
@@ -497,7 +496,7 @@ def test_confusion_matrix_matches_loop_oracle():
 
 def test_confusion_matrix_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        evaluation.confusion_matrix(np.array([0, 1]), np.array([0]))
+        evaluation.confusion_matrix(np.array([0, 1]), np.array([0]), np.array([0, 1]))
 
 
 @pytest.mark.parametrize("y_true,y_pred", [([0, 7], [0, 1]), ([0, 1], [7, 1])])

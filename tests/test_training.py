@@ -36,6 +36,12 @@ def tiny_state(seed=0, c_spec=4, epochs=1, **over):
     return init_model(cfg, c_spec, np.random.default_rng(seed))
 
 
+def config_weights(state):
+    """The loss weights that train() uses: those of the model's config."""
+    cfg = state.config
+    return LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
+
+
 def tiny_data(seed, n=4, b=3, c_spec=4):
     rng = np.random.default_rng(seed)
     hsi = rng.standard_normal((n, b, b, c_spec))
@@ -70,14 +76,15 @@ def clone_params(params):
 def test_adam_first_step_toy_quadratic():
     w = np.array([1.0])
     opt = training.AdamState()
-    training.adam_step(w, np.array([2.0]), opt, lr=0.001)  # d(w^2)/dw at w=1
+    # d(w^2)/dw at w=1
+    training.adam_step(w, np.array([2.0]), opt, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
     np.testing.assert_allclose(w, 1.0 - 0.001, atol=1e-9)
 
 
 def test_adam_zero_lr_keeps_params_updates_moments():
     w = np.array([3.0])
     opt = training.AdamState()
-    training.adam_step(w, np.array([1.5]), opt, lr=0.0)
+    training.adam_step(w, np.array([1.5]), opt, lr=0.0, beta1=0.9, beta2=0.999, eps=1e-8)
     np.testing.assert_allclose(w, 3.0, atol=0)
     assert opt.t == 1 and opt.m.shape == opt.v.shape == (1,) and opt.m[0] != 0.0
 
@@ -112,7 +119,7 @@ def test_adam_vector_step_equals_per_tensor_loop():
                  for name, p in params.items()}
         per_tensor_adam(params, grads, m, v, t, lr=0.01, eps=1e-6)
         training.adam_step(vector, np.concatenate([g.reshape(-1) for g in grads.values()]),
-                           opt, lr=0.01, eps=1e-6)
+                           opt, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-6)
         assert opt.t == t
         for got, want in ((vector, params), (opt.m, m), (opt.v, v)):
             assert got.dtype == np.float32
@@ -136,7 +143,7 @@ def test_parameters_share_the_state_vector(monkeypatch, tmp_path):
     hsi, lidar = tiny_data(42)
     before = state.vector.copy()
     training.train_step(state, training.AdamState(), parameters(state), hsi, lidar,
-                        np.random.default_rng(43), LossWeights())
+                        np.random.default_rng(43), config_weights(state))
     assert_parameters_view_vector(state)
     assert not np.array_equal(state.vector, before)
     save_checkpoint(state, str(tmp_path))
@@ -168,7 +175,7 @@ def test_train_step_refuses_param_without_grad(monkeypatch):
     hsi, lidar = tiny_data(45)
     opt = training.AdamState()
     training.train_step(state, opt, params, hsi, lidar, np.random.default_rng(46),
-                        LossWeights())
+                        config_weights(state))
     vector, m, v = state.vector.copy(), opt.m.copy(), opt.v.copy()
     real_backward = training.backward
 
@@ -179,7 +186,7 @@ def test_train_step_refuses_param_without_grad(monkeypatch):
     monkeypatch.setattr(training, "backward", dropping_backward)
     with pytest.raises(RuntimeError, match=r"parameter enc_lidar\.lift_w received no gradient"):
         training.train_step(state, opt, params, hsi, lidar, np.random.default_rng(47),
-                            LossWeights())
+                            config_weights(state))
     assert opt.t == 1
     for got, want in ((state.vector, vector), (opt.m, m), (opt.v, v)):
         assert np.array_equal(got, want)
@@ -198,7 +205,7 @@ def test_train_step_names_the_parameter_with_a_non_finite_gradient(monkeypatch, 
     hsi, lidar = tiny_data(45)
     opt = training.AdamState()
     training.train_step(state, opt, params, hsi, lidar, np.random.default_rng(46),
-                        LossWeights())
+                        config_weights(state))
     vector, m, v = state.vector.copy(), opt.m.copy(), opt.v.copy()
     real_backward = training.backward
 
@@ -212,7 +219,7 @@ def test_train_step_names_the_parameter_with_a_non_finite_gradient(monkeypatch, 
     monkeypatch.setattr(training, "backward", poisoning_backward)
     with pytest.raises(DivergenceError) as info:
         training.train_step(state, opt, params, hsi, lidar, np.random.default_rng(47),
-                            LossWeights(), epoch=2, step=5)
+                            config_weights(state), epoch=2, step=5)
     err = info.value
     assert (err.tensor_name, err.epoch, err.step) == (name, 2, 5)
     assert "gradient is not finite" in str(err)
@@ -239,7 +246,7 @@ def test_forward_batch_bit_reproducible():
     for _ in range(2):
         state = tiny_state(seed=3)
         _, report = forward_batch(state, hsi, lidar,
-                                  np.random.default_rng(7))
+                                  np.random.default_rng(7), config_weights(state))
         totals.append(report.total)
     assert totals[0] == totals[1]
 
@@ -301,7 +308,8 @@ def test_forward_graph_size_guard():
     # count depends only on n_blocks, so the tiny widths keep the default 2.
     state = tiny_state(seed=12, n_blocks=2)
     hsi, lidar = tiny_data(13)
-    total, _ = forward_batch(state, hsi, lidar, np.random.default_rng(14))
+    total, _ = forward_batch(state, hsi, lidar, np.random.default_rng(14),
+                             config_weights(state))
     nodes = sum(1 for node in ad._topo(total) if node._backward is not None)
     assert nodes <= 160
 
@@ -398,7 +406,8 @@ def test_train_step_leaks_no_float64(c_spec, over):
     cfg = state.config
     hsi, lidar = tiny_data(26, n=cfg.batch, b=cfg.b, c_spec=c_spec)
     params = parameters(state)
-    total, _ = forward_batch(state, hsi, lidar, np.random.default_rng(27))
+    total, _ = forward_batch(state, hsi, lidar, np.random.default_rng(27),
+                             config_weights(state))
     nodes = ad._topo(total)
     assert {node.data.dtype for node in nodes} == {np.dtype(np.float32)}
     ad.backward(total)
@@ -408,7 +417,7 @@ def test_train_step_leaks_no_float64(c_spec, over):
         assert tensor.grad is not None and tensor.grad.dtype == np.float32, name
     opt = training.AdamState()
     training.train_step(state, opt, params, hsi, lidar, np.random.default_rng(28),
-                        LossWeights())
+                        config_weights(state))
     for name, tensor in params.items():
         assert tensor.data.dtype == np.float32, name
     assert state.vector.dtype == opt.m.dtype == opt.v.dtype == np.float32
@@ -578,7 +587,8 @@ def test_fused_features_rejects_mismatched_lengths():
 
 
 def call_forward(state, hsi, lidar):
-    return forward_batch(state, hsi, lidar, np.random.default_rng(0))
+    return forward_batch(state, hsi, lidar, np.random.default_rng(0),
+                         config_weights(state))
 
 
 @pytest.mark.parametrize("run", [call_forward, decompose_batch])
@@ -603,7 +613,7 @@ def test_batch_of_one_step_equals_single_pair_step():
     state_b = tiny_state(seed=11)
     params_a = parameters(state_a)
     params_b = parameters(state_b)
-    weights = LossWeights()
+    weights = config_weights(state_a)
 
     opt_a = training.AdamState()
     training.train_step(state_a, opt_a, params_a, hsi, lidar,
@@ -624,9 +634,9 @@ def test_batch_of_one_step_equals_single_pair_step():
 
 def test_two_steps_decrease_fixed_batch_loss():
     hits = 0
-    weights = LossWeights()
     for seed in range(100):
         state = tiny_state(seed=seed)
+        weights = config_weights(state)
         params = parameters(state)
         hsi, lidar = tiny_data(1000 + seed, n=2)
         opt = training.AdamState()
@@ -750,7 +760,7 @@ def test_zero_weights_random_biases_near_linear():
         else:
             tensor.data[...] = 0.0
     hsi, lidar = tiny_data(22, n=2)
-    weights = LossWeights()
+    weights = config_weights(state)
 
     def eval_loss():
         total, _ = forward_batch(state, hsi, lidar,
@@ -914,3 +924,21 @@ def test_load_checkpoint_rejects_reordered_names(tmp_path):
     edit_manifest(ckpt, params=names[1:] + names[:1])
     with pytest.raises(ValueError, match="params must list"):
         load_checkpoint(str(ckpt))
+
+
+def test_load_checkpoint_names_the_first_non_finite_parameter(tmp_path):
+    # one finite check covers the whole vector; when it fails, the error
+    # names the first non-finite parameter in parameters() order
+    ckpt = tmp_path / "ckpt"
+    state = tiny_state(seed=32)
+    save_checkpoint(state, str(ckpt))
+    params = parameters(state)
+    names = list(params)
+    middle = names[len(names) // 2]
+    params[middle].data.reshape(-1)[-1] = np.nan
+    params[names[-1]].data.reshape(-1)[0] = np.inf
+    dataio.write_dten(str(ckpt / "params.dten"), state.vector)
+    path = str(ckpt / "params.dten")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(str(ckpt))
+    assert str(info.value) == f"{path}: parameter {middle} holds non-finite values"
