@@ -2,8 +2,8 @@
 
 Subcommands: gen-synth, train, extract, eval, baseline, gradcheck.
 Exit codes: 0 success, 1 usage/config error, 2 data that is missing,
-malformed or cannot be written, 3 numeric failure (divergence or a
-failed gradient check).
+malformed, does not fit in memory or cannot be written, 3 numeric
+failure (divergence or a failed gradient check).
 Diagnostics go to stderr as a single line. Metric reports are JSON with
 fields oa, aa, kappa, per_class and confusion. Every output file is
 written atomically except train's train_log.csv, which is streamed one
@@ -340,8 +340,9 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {oom}{exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,11 +21,11 @@ failed. Every writer here, `write_json` included, writes a temp file and
 renames it over the target, so readers never observe a half-written
 file; an array is streamed from its own buffer after its header.
 
-`extract_patches` keeps the standardized spectra once, as the
-mirror-padded float32 scene inside a `PatchStack`: indexing its first
-axis with a slice, an integer or an integer array gathers only the
-selected b x b windows, so a batch of B patches costs B*b*b*C floats and
-the whole (N, b, b, C) stack is built only by `np.asarray`.
+`extract_patches` keeps the standardized spectra once, unpadded, as a
+float32 scene in a `PatchStack`: indexing its first axis with a slice,
+an integer or an integer array gathers only the selected b x b windows,
+so a batch of B patches costs B*b*b*C floats and the whole (N, b, b, C)
+stack is built only by `np.asarray`.
 
 Precision: scenes and feature tables are held in the float32 they are
 stored in. Only code that computes on the values widens them, a piece at
@@ -221,30 +221,31 @@ def read_scene(directory: str):
     return hsi, elevation, labels
 
 
-def _windows(rows, cols, b: int):
+def _windows(rows, cols, b: int, extent):
     """Index arrays (..., b, 1) and (..., 1, b) that gather the b x b
-    windows centered on scene pixels (rows, cols) from the scene padded by
-    b // 2: pixel (row, col) of the scene is pixel (row + r, col + r) of
-    the padded one, so its window spans padded rows row .. row + b - 1."""
-    offsets = np.arange(b)
-    win_rows = (np.asarray(rows)[..., None] + offsets)[..., :, None]
-    win_cols = (np.asarray(cols)[..., None] + offsets)[..., None, :]
-    return win_rows, win_cols
+    windows centered on pixels (rows, cols) of a scene of extent (H, W).
+    Window cells past the border mirror back: index i maps to
+    last - |last - |i||, last = H - 1 for rows and W - 1 for cols, which
+    is np.pad(np.arange(n), b // 2, mode="reflect") for n >= b // 2 + 1."""
+    offsets = np.arange(b) - b // 2
+    win = [last - np.abs(last - np.abs(np.asarray(centers)[..., None] + offsets))
+           for centers, last in ((rows, extent[0] - 1), (cols, extent[1] - 1))]
+    return win[0][..., :, None], win[1][..., None, :]
 
 
 class PatchStack:
-    """The (N, b, b, C) stack of b x b windows of a padded scene,
-    gathered from the scene on demand.
+    """The (N, b, b, C) stack of b x b windows of a scene, gathered from
+    the scene on demand.
 
-    scene: an (H + b - 1, W + b - 1, C) array padded by b // 2 on both
-    spatial axes: in a PatchSet, the standardized float32 spectra,
-    mirror-padded, the only copy of them; in `model.fused_features`, which
-    takes only this form of spectral patches, the capsule lift of the
-    covered pixels of those spectra (C = d_h). rows, cols: (N,) scene
-    coordinates of the patch centers. Patch i is
-    scene[rows[i]:rows[i] + b, cols[i]:cols[i] + b]. Indexing the first
-    axis with an integer, a slice or an integer array gathers just those
-    patches; `np.asarray` gathers all N.
+    scene: an (H, W, C) array at the scene's own extent: in a PatchSet,
+    the standardized float32 spectra, the only copy of them; in
+    `model.fused_features`, which takes only this form of spectral
+    patches, the capsule lift of the covered pixels of those spectra
+    (C = d_h). rows, cols: (N,) scene coordinates of the patch centers.
+    Patch i is the b x b window centered on (rows[i], cols[i]), its cells
+    past the border mirrored back into the scene (see `_windows`).
+    Indexing the first axis with an integer, a slice or an integer array
+    gathers just those patches; `np.asarray` gathers all N.
     """
 
     def __init__(self, scene: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -256,7 +257,8 @@ class PatchStack:
         self.shape = (rows.shape[0], b, b, scene.shape[2])
 
     def __getitem__(self, key) -> np.ndarray:
-        return self.scene[_windows(self.rows[key], self.cols[key], self.b)]
+        return self.scene[_windows(self.rows[key], self.cols[key], self.b,
+                                   self.scene.shape)]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self[:]
@@ -267,8 +269,8 @@ class PatchSet:
     """Extracted patches for every labeled pixel of a scene.
 
     hsi: the (N, b, b, C) float32 standardized spectra, as a lazy
-    PatchStack that holds one padded copy of the scene and gathers a
-    batch's windows when indexed;
+    PatchStack that holds the standardized scene at its own extent and
+    gathers a batch's windows when indexed;
     lidar: (N, b*b, 3) float32 point sets with grid x, grid y in [-1, 1]
     and standardized elevation z; labels, rows, cols: (N,) int32. Patch
     points are ordered row-major, so the center pixel is index
@@ -288,8 +290,7 @@ class PatchSet:
 
     def center_spectra(self) -> np.ndarray:
         """(N, C) standardized spectra of the patch centers."""
-        r = self.b // 2
-        return self.hsi.scene[self.rows + r, self.cols + r]
+        return self.hsi.scene[self.rows, self.cols]
 
 
 def _grid_axis(b: int) -> np.ndarray:
@@ -334,16 +335,17 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
                     labels: np.ndarray, b: int) -> PatchSet:
     """Cut one b x b patch around every labeled pixel (label > 0).
 
-    Borders are mirror-padded. Spectra are z-scored per band with moments
+    Borders are mirrored. Spectra are z-scored per band with moments
     computed over labeled pixels only; elevation is z-scored over the
     whole scene. Near-constant bands divide by 1 instead of ~0. A
     non-finite spectral value raises a ValueError naming its (row, col,
     band), a non-finite elevation one naming its (row, col).
 
-    The spectra are read in chunks of about _CHUNK_BYTES of float64, and
-    the standardized values are written a block of rows at a time
-    straight into the padded float32 scene: each is the float64
-    (x - mean) / std, cast once to float32.
+    The spectra are read in row blocks of about _CHUNK_BYTES of float64,
+    each value standardized as the float64 (x - mean) / std cast once to
+    float32. The function owns a writable float32 hsi and writes the
+    standardized scene into it; any other hsi is left as it is, and the
+    standardized scene is one new float32 array.
     """
     hsi = np.asarray(hsi)
     elevation = np.asarray(elevation, dtype=np.float64)
@@ -360,40 +362,35 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     if n == 0:
         raise ValueError("scene has no labeled pixels")
     height, width, c_spec = hsi.shape
-    r = b // 2
-    if min(height, width) < r + 1:
+    if min(height, width) < b // 2 + 1:
         raise ValueError("scene too small for the requested patch size")
-    # padded index -> scene index, mirrored as by np.pad(mode="reflect")
-    pad_rows = np.pad(np.arange(height), r, mode="reflect")
-    pad_cols = np.pad(np.arange(width), r, mode="reflect")
-    step = max(1, _CHUNK_BYTES // (8 * pad_cols.size * c_spec))
+    step = max(1, _CHUNK_BYTES // (8 * width * c_spec))
     _require_finite("hsi", hsi, ("row", "col", "band"), step)
     _require_finite("elevation", elevation, ("row", "col"), height)
 
-    # the points are cut before the spectra, so their float64 heights are
-    # freed before the padded scene is allocated
     rows, cols = np.nonzero(mask)
     rows = rows.astype(np.int32)
     cols = cols.astype(np.int32)
     el_std = elevation.std()
     el_n = (elevation - elevation.mean()) / (el_std if el_std >= _STD_FLOOR else 1.0)
-    el_n = el_n[np.ix_(pad_rows, pad_cols)]
+    # cast before the gather, so its (n, b, b) temporary is float32
+    el_n = el_n.astype(np.float32)
     axis = _grid_axis(b)
     gy, gx = np.meshgrid(axis, axis, indexing="ij")
     lidar = np.empty((n, b * b, 3), dtype=np.float32)
     lidar[:, :, 0] = gx.reshape(-1)
     lidar[:, :, 1] = gy.reshape(-1)
-    lidar[:, :, 2] = el_n[_windows(rows, cols, b)].reshape(n, b * b)
+    lidar[:, :, 2] = el_n[_windows(rows, cols, b, el_n.shape)].reshape(n, b * b)
 
     band_mean, band_std = _band_moments(hsi, mask, n)
-    scene = np.empty((pad_rows.size, pad_cols.size, c_spec), dtype=np.float32)
-    for start in range(0, pad_rows.size, step):
-        block = np.asarray(hsi[np.ix_(pad_rows[start:start + step], pad_cols)],
-                           dtype=np.float64)
+    in_place = hsi.dtype == np.float32 and hsi.flags.writeable
+    scene = hsi if in_place else np.empty(hsi.shape, dtype=np.float32)
+    for start in range(0, height, step):
+        block = hsi[start:start + step].astype(np.float64)
         block -= band_mean
         block /= band_std
         scene[start:start + step] = block
-        del block  # freed before the next block is gathered
+        del block  # freed before the next block is read
 
     return PatchSet(
         hsi=PatchStack(scene, rows, cols, b), lidar=lidar,
@@ -484,11 +481,13 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     gains = np.exp(class_sep * rng.permutation(spread))
     signatures = gains[:, None] * base + 0.1 * class_sep * deltas / rms
 
-    clean = signatures[class_map]  # (H, W, B)
     ranges = signatures.max(axis=1) - signatures.min(axis=1)
     ranges = np.where(ranges < _STD_FLOOR, 1.0, ranges)
     sigma_map = noise_spec * ranges[class_map]
-    hsi = clean + rng.normal(size=clean.shape) * sigma_map[..., None]
+    # built in place: one (H, W, B) temporary, the signatures
+    hsi = rng.normal(size=(height, width, n_bands))
+    hsi *= sigma_map[..., None]
+    hsi += signatures[class_map]
 
     spacing = 2.0 * noise_elev if noise_elev > 0 else 1.0
     fy = rng.uniform(0.5, 2.0, size=3)
@@ -507,7 +506,7 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     )
     # NaN fails both tests
     f32_max = np.finfo(np.float32).max
-    if not np.abs(hsi).max() <= f32_max:
+    if not (hsi.max() <= f32_max and hsi.min() >= -f32_max):
         raise ValueError(f"class_sep = {class_sep} with noise_spec = {noise_spec} "
                          f"gives spectra that do not fit float32")
     if not np.abs(elevation).max() <= f32_max:

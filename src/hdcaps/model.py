@@ -26,7 +26,7 @@ so that its finite differences mean something.
 The extract path (``fused_features``) takes the lazy
 ``dataio.PatchStack`` of a ``PatchSet`` and lifts each spectral pixel
 once: the capsule lift is per pixel, so ``extract_preliminary_batch``
-runs over blocks of the padded scene's pixels that some window covers,
+runs over blocks of the scene's pixels that some window covers,
 and each batch of ``_EXTRACT_BATCH`` patches then gathers its b x b
 windows of d_h-wide capsule points from the lifted scene instead of its
 b x b x C_spec windows of spectra.
@@ -302,14 +302,14 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
     hidden map's center row and float64 mean row.
 
     hsi_patches is the lazy `dataio.PatchStack` of a `PatchSet` (its
-    ``hsi``); any other type raises a TypeError. The pixels of its padded
-    scene that some window covers are lifted once, in the parameters'
-    dtype; the lift is per pixel, so this equals lifting every window on
-    its own. Patches are then encoded `_EXTRACT_BATCH` at a time by
-    `decompose_batch` on their (batch, b, b, d_h) windows of the lifted
-    pixels; `fuse_features` pools each batch's hidden maps to (batch, 2,
-    H) rows per branch, `feature_map` maps those to feature rows in
-    float64, and each batch's rows are rounded once to float32.
+    ``hsi``); any other type raises a TypeError. Each scene pixel that
+    some window covers, directly or mirrored at the border, is lifted once,
+    in the parameters' dtype; the lift is per pixel, so this equals lifting
+    every window on its own. Patches are then encoded `_EXTRACT_BATCH` at
+    a time by `decompose_batch` on their (batch, b, b, d_h) windows of
+    the lifted pixels; `fuse_features` pools each batch's hidden maps to
+    (batch, 2, H) rows per branch, `feature_map` maps those to feature
+    rows in float64, and each batch's rows are rounded once to float32.
     """
     from .dataio import PatchStack, _windows
     # imported per call, not at module level: perfbench times
@@ -326,7 +326,7 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
     out = np.empty((n, 4 * state.config.C), dtype=np.float32)
     rows, cols, b = hsi_patches.rows, hsi_patches.cols, hsi_patches.b
     covered = np.zeros(hsi_patches.scene.shape[:2], dtype=bool)
-    covered[_windows(rows, cols, b)] = True
+    covered[_windows(rows, cols, b, covered.shape)] = True
     lifted = PatchStack(_lift(state, hsi_patches.scene, covered), rows, cols, b)
     center = lidar_points.shape[1] // 2
     enc_h, enc_l = _constants(state.enc_hsi), _constants(state.enc_lidar)

@@ -116,6 +116,23 @@ def test_missing_scene_is_exit_2(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_one_line_and_exit_2(capsys, tmp_path, monkeypatch):
+    # raised, not provoked: a real scene this size could exhaust a host
+    # that overcommits memory
+    message = ("Unable to allocate 7.28 PiB for an array with shape "
+               "(1000000, 1000000, 1) and data type float64")
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(dataio, "gen_synthetic", too_large)
+    rc = cli.main(["gen-synth", "--out", str(tmp_path / "s"),
+                   "--size", "1000000x1000000"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_malformed_feature_file_is_exit_2(capsys, tmp_path):
     path = str(tmp_path / "bad.hdcf")
     with open(path, "wb") as fh:

@@ -317,15 +317,23 @@ def test_extract_gather_matches_window_oracle(b):
     # every corner and a pixel on each edge, so the reflected border is read
     for i, j in [(0, 0), (0, 9), (8, 0), (8, 9), (0, 4), (8, 5), (3, 0), (6, 9)]:
         labels[i, j] = 2
-    ps = dataio.extract_patches(hsi, elev, labels, b)
-    want_hsi, want_heights = window_oracle(hsi, elev, labels, b)
-    assert ps.hsi.scene.dtype == np.float32 and ps.hsi.shape == want_hsi.shape
-    np.testing.assert_array_equal(ps.hsi, want_hsi)
-    np.testing.assert_array_equal(ps.lidar[:, :, 2], want_heights)
+    # and the smallest scene the mirror allows, every pixel labeled: with
+    # r + 1 rows, offset -r of row 0 reflects to the last row and offset
+    # +r of the last row to row 0
+    small = (b // 2 + 1, b // 2 + 2)
+    scenes = [(hsi, elev, labels),
+              (rng.normal(1.0, 3.0, size=(*small, 6)), rng.normal(size=small),
+               np.ones(small, dtype=np.int32))]
+    for hsi, elev, labels in scenes:
+        ps = dataio.extract_patches(hsi, elev, labels, b)
+        want_hsi, want_heights = window_oracle(hsi, elev, labels, b)
+        assert ps.hsi.scene.dtype == np.float32 and ps.hsi.shape == want_hsi.shape
+        np.testing.assert_array_equal(ps.hsi, want_hsi)
+        np.testing.assert_array_equal(ps.lidar[:, :, 2], want_heights)
 
 
 def test_extract_peak_memory_stays_near_output():
-    # the spectra are held once, as the padded float32 scene, not as a
+    # the spectra are held once, as the float32 scene, not as a
     # b*b-fold (N, b, b, C) copy: at b = 9 that copy alone is about 40x
     # the float64 scene
     import tracemalloc
@@ -354,7 +362,8 @@ def test_extract_chunked_matches_window_oracle(bands, chunk, dtype, monkeypatch)
     elev = rng.normal(size=(11, 13)).astype(dtype)
     labels = (rng.uniform(size=(11, 13)) < 0.7).astype(np.int32)
     labels[0, 0] = labels[10, 12] = 1
-    ps = dataio.extract_patches(hsi, elev, labels, 5)
+    # a float32 hsi is standardized in place: the oracle reads the original
+    ps = dataio.extract_patches(hsi.copy(), elev, labels, 5)
     want_hsi, want_heights = window_oracle(hsi.astype(np.float64),
                                            elev.astype(np.float64), labels, 5)
     np.testing.assert_array_equal(np.asarray(ps.hsi), want_hsi)
@@ -363,7 +372,7 @@ def test_extract_chunked_matches_window_oracle(bands, chunk, dtype, monkeypatch)
 
 def test_extract_peak_memory_is_output_plus_one_chunk(monkeypatch):
     # the input scene exists before tracing starts, so the traced peak is
-    # what extract_patches adds to it: the returned padded float32 scene,
+    # what extract_patches adds to it: the returned float32 scene,
     # points and coordinates, one chunk of float64 spectra, and per-pixel
     # bookkeeping (mask, coordinates, elevation rasters) of at most 64
     # bytes a pixel. A float64 standardized copy of the scene, or of its
@@ -383,6 +392,48 @@ def test_extract_peak_memory_is_output_plus_one_chunk(monkeypatch):
         output = sum(a.nbytes for a in (ps.hsi.scene, ps.lidar, ps.labels,
                                          ps.rows, ps.cols))
         assert peak < output + chunk + 64 * labels.size, b
+
+
+def in_place_scene():
+    """A 60 x 64, 144-band float32 scene with 110 labeled pixels."""
+    hsi, elev, labels = dataio.gen_synthetic(60, 64, 4, 144, np.random.default_rng(1))
+    labels[np.random.default_rng(2).uniform(size=labels.shape) >= 0.03] = 0
+    return hsi.astype(np.float32), elev, labels
+
+
+def test_extract_standardizes_float32_scene_in_place(monkeypatch):
+    # a writable float32 scene is standardized where it lies: besides the
+    # points, labels and coordinates it returns, extract_patches allocates
+    # one chunk and per-pixel bookkeeping, not a second scene
+    monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 16)
+    for b in (5, 9):
+        hsi, elev, labels = in_place_scene()
+        tracemalloc.start()
+        try:
+            ps = dataio.extract_patches(hsi, elev, labels, b=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ps) == 110
+        assert np.shares_memory(ps.hsi.scene, hsi), b
+        output = sum(a.nbytes for a in (ps.lidar, ps.labels, ps.rows, ps.cols))
+        assert peak - output < hsi.nbytes / 4, b
+
+
+def test_extract_leaves_float64_and_read_only_input_unchanged():
+    hsi32, elev, labels = in_place_scene()
+    read_only = hsi32.copy()
+    read_only.flags.writeable = False
+    want = dataio.extract_patches(hsi32.copy(), elev, labels, 5)
+    for hsi in (read_only, hsi32.astype(np.float64)):
+        before = hsi.copy()
+        ps = dataio.extract_patches(hsi, elev, labels, 5)
+        np.testing.assert_array_equal(hsi, before)
+        assert ps.hsi.scene.dtype == np.float32, hsi.dtype
+        assert not np.shares_memory(ps.hsi.scene, hsi), hsi.dtype
+    # the read-only scene gets the bytes the in-place path writes
+    np.testing.assert_array_equal(
+        dataio.extract_patches(read_only, elev, labels, 5).hsi.scene, want.hsi.scene)
 
 
 @pytest.mark.parametrize("where,fragment", [
@@ -441,8 +492,8 @@ def test_patch_stack_indexing_matches_full_stack():
 
 
 def test_extract_returns_patch_stack_at_any_label_density():
-    # the padded 14 x 15 scene has 210 pixels: 8 patches of 5 x 5 make
-    # 200 pixels, fewer than the scene, 9 make 225, more
+    # 8 or 9 patches of 5 x 5 hold 200 or 225 window cells, more than the
+    # 110 pixels of the scene, which the stack still gathers them from
     rng = np.random.default_rng(8)
     hsi = rng.normal(size=(10, 11, 3))
     elev = rng.normal(size=(10, 11))

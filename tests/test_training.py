@@ -516,8 +516,8 @@ def per_window_features(state, hsi, lidar, batch):
 
 def labelled_scene(case, c_spec):
     """A 9 x 10 scene, every pixel labelled ("full") or three ("sparse"),
-    one of them in a corner, so its window reads the padding on two
-    sides, and two whose windows overlap."""
+    one of them in a corner, so its window mirrors on two sides, and
+    two whose windows overlap."""
     hsi, elev, labels = dataio.gen_synthetic(9, 10, 3, c_spec,
                                              np.random.default_rng(33))
     if case == "full":
@@ -555,7 +555,12 @@ def test_fused_features_lifts_each_covered_pixel_once(monkeypatch, case):
     b = 5
     hsi, elev, labels = labelled_scene(case, 6)
     ps = dataio.extract_patches(hsi, elev, labels, b)
-    covered = {(row + i, col + j) for row, col in zip(ps.rows, ps.cols)
+    # window cells past the border are mirrored into the scene, so a
+    # pixel that two windows reach, directly or mirrored, counts once
+    pad_rows, pad_cols = (np.pad(np.arange(n), b // 2, mode="reflect")
+                          for n in hsi.shape[:2])
+    covered = {(pad_rows[row + i], pad_cols[col + j])
+               for row, col in zip(ps.rows, ps.cols)
                for i in range(b) for j in range(b)}
     pixels = []
     real = model.extract_preliminary_batch
