@@ -19,7 +19,7 @@ stdout and the SHA-256 of the extracted feature file, so that two
 checkouts' files show whether their features are byte-identical. Peak
 RSS is in MB of 2**20 bytes. OpenBLAS runs on one thread.
 
-Generation peaks near 1.6 GB (float64 spectra and their float32 copy);
+Generation peaks near 1.2 GB (float64 spectra and their float32 copy);
 the whole run takes about a minute on a 2-core Xeon. Tier-1 does not
 run it.
 """

@@ -5,14 +5,17 @@ Exit codes: 0 success, 1 usage/config error, 2 data that is missing,
 malformed, does not fit in memory or cannot be written, 3 numeric
 failure (divergence or a failed gradient check).
 Diagnostics go to stderr as a single line. Metric reports are JSON with
-fields oa, aa, kappa, per_class and confusion. Every output file is
-written atomically except train's train_log.csv, which is streamed one
-flushed row per epoch so that progress shows while training runs.
+fields oa, aa, kappa, per_class, confusion and classes. Every output
+file is written atomically except train's train_log.csv: its header
+reaches the file before the first epoch and each epoch's row as the
+epoch ends, so progress shows while training runs and a run that
+diverges keeps every epoch it finished.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import os
 import re
@@ -178,14 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_report(path: str, result: dict) -> None:
     from .dataio import write_json
 
-    write_json(path, {
-        "oa": result["oa"],
-        "aa": result["aa"],
-        "kappa": result["kappa"],
-        "per_class": result["per_class"],
-        "confusion": result["confusion"].tolist(),
-        "classes": result["classes"].tolist(),
-    })
+    write_json(path, {**result, "confusion": result["confusion"].tolist(),
+                      "classes": result["classes"].tolist()})
 
 
 def _score(args, feats: np.ndarray, labels: np.ndarray, prefix: str) -> int:
@@ -221,6 +218,7 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     from . import dataio, model, training
+    from .losses import LossReport
 
     cfg = parse_config(args.config) if args.config else TrainConfig()
     # no name keeps the scene, so it is freed once patches are cut
@@ -228,15 +226,20 @@ def _cmd_train(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     state = model.init_model(cfg, patches.c_spec, rng)
     os.makedirs(args.out, exist_ok=True)
-    log_path = os.path.join(args.out, "train_log.csv")
+    # line-buffered: the header and each epoch's row reach the file at once
+    with open(os.path.join(args.out, "train_log.csv"), "w", newline="",
+              buffering=1) as log:
+        writer = csv.writer(log)
+        writer.writerow(["epoch"] + [f.name for f in dataclasses.fields(LossReport)])
 
-    def progress(row):
-        if not args.quiet:
-            print(f"epoch={row['epoch']} total={row['total']:.6f} "
-                  f"kl={row['kl']:.6f}")
+        def progress(row):
+            writer.writerow(row.values())
+            if not args.quiet:
+                print(f"epoch={row['epoch']} total={row['total']:.6f} "
+                      f"kl={row['kl']:.6f}")
 
-    history = training.train(state, patches.hsi, patches.lidar, rng,
-                             log_path=log_path, progress=progress)
+        history = training.train(state, patches.hsi, patches.lidar, rng,
+                                 progress=progress)
     model.save_checkpoint(state, args.out)
     if history:
         print(f"checkpoint={args.out} epochs={len(history)} "

@@ -42,6 +42,7 @@ extraction read the float32 patches as they are; only
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -137,9 +138,8 @@ def write_dten(path: str, array: np.ndarray) -> None:
         raise ValueError(f"cannot serialize dtype {array.dtype}")
     if array.ndim > 255:
         raise ValueError("too many dimensions for the container")
-    for dim in array.shape:
-        if dim >= 2 ** 32:
-            raise ValueError("dimension too large for the container")
+    if any(dim >= 2 ** 32 for dim in array.shape):
+        raise ValueError("dimension too large for the container")
     header = DTEN_MAGIC + struct.pack("<HBB", DTEN_VERSION, code, array.ndim)
     header += struct.pack(f"<{array.ndim}I", *array.shape)
     _atomic_write(path, header, np.ascontiguousarray(array, dtype=dtype))
@@ -156,10 +156,8 @@ def read_dten(path: str) -> np.ndarray:
         if size < 8 + 4 * ndim:
             raise FormatError(path, size, "truncated dimension list")
         shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-        count = 1
-        for dim in shape:
-            count *= dim
-        payload = _read_payload(fh, path, size, _DTYPE_CODES[code], count, "payload")
+        payload = _read_payload(fh, path, size, _DTYPE_CODES[code],
+                                math.prod(shape), "payload")
     return payload.reshape(shape)
 
 
@@ -484,10 +482,13 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     ranges = signatures.max(axis=1) - signatures.min(axis=1)
     ranges = np.where(ranges < _STD_FLOOR, 1.0, ranges)
     sigma_map = noise_spec * ranges[class_map]
-    # built in place: one (H, W, B) temporary, the signatures
+    # built in place, the signatures added a block of about _CHUNK_BYTES
+    # at a time: no second (H, W, B) array is made
     hsi = rng.normal(size=(height, width, n_bands))
     hsi *= sigma_map[..., None]
-    hsi += signatures[class_map]
+    step = max(1, _CHUNK_BYTES // (8 * width * n_bands))
+    for start in range(0, height, step):
+        hsi[start:start + step] += signatures[class_map[start:start + step]]
 
     spacing = 2.0 * noise_elev if noise_elev > 0 else 1.0
     fy = rng.uniform(0.5, 2.0, size=3)

@@ -250,28 +250,25 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     if n_components < 1 or n_components >= n:
         raise ValueError(f"need 1 <= n_components < n_samples = {n}, got {n_components}")
     nn, d2 = _knn_edges(x, n_neighbors)
+    edges = (np.repeat(np.arange(n), n_neighbors), nn.reshape(-1))
 
-    # every undirected edge once as (i, j) and once as (j, i), in row order
-    rows = np.repeat(np.arange(n), n_neighbors)
-    keys, first = np.unique(
-        np.concatenate([rows * n + nn.reshape(-1), nn.reshape(-1) * n + rows]),
-        return_index=True)
-    ei, ej = np.divmod(keys, n)
-    edge_d2 = np.concatenate([d2.reshape(-1), d2.reshape(-1)])[first]
+    def union(values):
+        # W v W^T as a sparse maximum, which stores no zeros: the edge
+        # lengths are exact and the same both ways, so an edge kept by both
+        # ends is stored once as (i, j) and once as (j, i) with one value
+        w = csr_array((values.reshape(-1), edges), shape=(n, n))
+        return w.maximum(w.T)
 
     # sigma skips edges between identical rows, whose exact length is 0:
     # when they are most of the edges, a median over all would be 0, and
     # every other edge would get weight 0
-    lengths = np.sqrt(edge_d2[edge_d2 > 0.0])
+    lengths = np.sqrt(union(d2).data)
     sigma = np.median(lengths) if lengths.size else 1.0
     if sigma < _STD_FLOOR:
         sigma = 1.0
-    weights = csr_array((np.exp(-edge_d2 / (sigma * sigma)), (ei, ej)),
-                        shape=(n, n))
-    # components of the graph the Laplacian is built from: a row whose
-    # weights all underflow has degree 0, which D must not hold, and
-    # connected_components counts stored zeros as edges
-    weights.eliminate_zeros()
+    # a row whose weights all underflow is left with degree 0, which D
+    # must not hold; connected_components would count stored zeros as edges
+    weights = union(np.exp(-d2 / (sigma * sigma)))
     n_comp, comp_labels = connected_components(weights, directed=False)
     out = np.zeros((n, n_components))
     if n_comp > 1:

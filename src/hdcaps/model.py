@@ -54,6 +54,7 @@ import numpy as np
 from .autodiff import Tensor, as_tensor, matmul
 from .capsule_block import extract_preliminary_batch, init_capsule_block
 from .config import TrainConfig
+from .dataio import PatchStack, _windows, read_dten, write_dten, write_json
 from .decoder import decode, init_decoder
 from .encoder import aggregate, attention_map, encode_batch, feature_map, init_encoder
 from .geometry import sample_rotations
@@ -311,7 +312,6 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
     (batch, 2, H) rows per branch, `feature_map` maps those to feature
     rows in float64, and each batch's rows are rounded once to float32.
     """
-    from .dataio import PatchStack, _windows
     # imported per call, not at module level: perfbench times
     # `evaluation.fuse_features` by replacing that module attribute, and a
     # name bound once at import would call the unwrapped function, moving
@@ -349,8 +349,6 @@ def save_checkpoint(state: ModelState, directory: str) -> None:
     holds the format, version 2, the config, c_spec and the ordered list
     of parameter names. Other files in the directory are left as they are.
     """
-    from .dataio import write_dten, write_json
-
     os.makedirs(directory, exist_ok=True)
     write_dten(os.path.join(directory, CHECKPOINT_PARAMS), state.vector)
     write_json(os.path.join(directory, CHECKPOINT_MANIFEST), {
@@ -369,8 +367,6 @@ def load_checkpoint(directory: str) -> ModelState:
     in order, and params.dten must hold their total size, every value
     finite; anything else raises a ValueError naming what is wrong.
     """
-    from .dataio import read_dten
-
     path = os.path.join(directory, CHECKPOINT_MANIFEST)
     with open(path) as fh:
         manifest = json.load(fh)

@@ -2,8 +2,8 @@
 
 Everything is driven by a single seeded Generator so a given (data,
 config, seed) triple reproduces the same parameter trajectory exactly:
-the generator is consumed in a fixed order (init, then per-step
-rotations, then per-epoch shuffles).
+the generator is consumed in a fixed order: init, then for each epoch
+one shuffle followed by the rotations of each of its steps.
 
 Training runs in float32: Adam updates the parameter vector
 (``ModelState.vector``) in place, with float32 moment vectors of the same
@@ -12,8 +12,7 @@ length. ``grad_check`` widens its own model's vector to float64.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import asdict, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -92,14 +91,14 @@ def train_step(state: ModelState, opt: AdamState, params: dict,
 
 
 def train(state: ModelState, hsi_patches: np.ndarray, lidar_points: np.ndarray,
-          rng: np.random.Generator, log_path: str | None = None,
-          progress=None) -> list[dict]:
+          rng: np.random.Generator, progress=None) -> list[dict]:
     """Train for config.epochs epochs of shuffled minibatches.
 
-    Returns one dict of mean loss components per epoch; optionally
-    appends the same rows to a CSV file at log_path. A divergence raises
+    Returns one dict of mean loss components per epoch, keyed "epoch"
+    then the `LossReport` fields in order; progress, if given, is called
+    with each epoch's dict as soon as the epoch ends. A divergence raises
     a DivergenceError naming the epoch and the step within it, both
-    counted from 0 as in the log's epoch column. hsi_patches may be
+    counted from 0 as in the "epoch" key. hsi_patches may be
     any (N, b, b, C) stack whose first axis takes an integer index array,
     such as an ndarray or the lazy `dataio.PatchStack`, which then
     gathers one minibatch of windows at a time.
@@ -113,40 +112,24 @@ def train(state: ModelState, hsi_patches: np.ndarray, lidar_points: np.ndarray,
     params = parameters(state)
     opt = AdamState()
     weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
-    columns = ["epoch"] + [f.name for f in fields(LossReport)]
+    names = [f.name for f in fields(LossReport)]
     history = []
-    log_fh = open(log_path, "w", newline="") if log_path else None
-    try:
-        writer = None
-        if log_fh is not None:
-            writer = csv.DictWriter(log_fh, fieldnames=columns)
-            writer.writeheader()
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            sums = {k: 0.0 for k in columns[1:]}
-            n_batches = 0
-            for start in range(0, n, cfg.batch):
-                idx = order[start:start + cfg.batch]
-                report = train_step(
-                    state, opt, params,
-                    hsi_patches[idx], lidar_points[idx], rng, weights,
-                    epoch=epoch, step=n_batches,
-                )
-                for key, value in asdict(report).items():
-                    sums[key] += value
-                n_batches += 1
-            row = {"epoch": epoch}
-            row.update({k: sums[k] / n_batches for k in sums})
-            history.append(row)
-            if writer is not None:
-                writer.writerow(row)
-                log_fh.flush()
-            if progress is not None:
-                progress(row)
-        return history
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        sums = np.zeros(len(names))
+        n_batches = 0
+        for start in range(0, n, cfg.batch):
+            idx = order[start:start + cfg.batch]
+            report = train_step(state, opt, params, hsi_patches[idx],
+                                lidar_points[idx], rng, weights,
+                                epoch=epoch, step=n_batches)
+            sums += astuple(report)
+            n_batches += 1
+        row = {"epoch": epoch, **dict(zip(names, (sums / n_batches).tolist()))}
+        history.append(row)
+        if progress is not None:
+            progress(row)
+    return history
 
 
 def grad_check(seed: int = 0, n_samples: int = 8) -> float:

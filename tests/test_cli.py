@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes and the full pipeline."""
 
+import csv
 import json
 import os
 from pathlib import Path
@@ -7,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdcaps import cli, dataio
+from hdcaps import cli, dataio, training
 from hdcaps.config import TrainConfig
 from hdcaps.errors import DivergenceError
+
+LOG_COLUMNS = ["epoch", "equ_hsi", "inv_hsi", "cham_hsi", "equ_lidar",
+               "inv_lidar", "cham_lidar", "kl", "total"]
 
 
 def write(path, text):
@@ -315,7 +319,19 @@ def test_divergence_is_exit_3(capsys, tmp_path, monkeypatch):
     cli.main(["gen-synth", "--out", scene, "--size", "8x8", "--classes", "2",
               "--bands", "4"])
 
-    def explode(*args, **kwargs):
+    rows = [{"epoch": epoch, **dict.fromkeys(LOG_COLUMNS[1:], 1.5 + epoch)}
+            for epoch in range(2)]
+
+    def read_log():
+        with open(tmp_path / "ck" / "train_log.csv", newline="") as fh:
+            return list(csv.reader(fh))
+
+    def explode(*args, progress, **kwargs):
+        # the header, then each finished epoch, is on disk while training runs
+        assert read_log() == [LOG_COLUMNS]
+        for epoch, row in enumerate(rows):
+            progress(row)
+            assert len(read_log()) == epoch + 2
         raise DivergenceError("enc_hsi.lift_w", "gradient is not finite",
                               epoch=2, step=7)
 
@@ -325,6 +341,37 @@ def test_divergence_is_exit_3(capsys, tmp_path, monkeypatch):
     assert rc == 3
     assert ("error: training diverged at epoch 2, step 7: gradient is not "
             "finite (tensor: enc_hsi.lift_w)") in capsys.readouterr().err
+    # the log keeps its header and the two epochs that finished
+    log = read_log()
+    assert log[0] == LOG_COLUMNS
+    assert log[1:] == [["0"] + ["1.5"] * 8, ["1"] + ["2.5"] * 8]
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_log_rows_are_the_returned_history(tmp_path, monkeypatch, epochs):
+    scene = str(tmp_path / "scene")
+    assert cli.main(["gen-synth", "--out", scene, "--size", "6x6",
+                     "--classes", "2", "--bands", "4"]) == 0
+    cfg = write(tmp_path / "tiny.cfg", f"K = 2\nC = 3\nH = 8\nG = 2\n"
+                                       f"d_cap = 2\nepochs = {epochs}\n")
+    histories = []
+    real_train = training.train
+
+    def keep(*args, **kwargs):
+        histories.append(real_train(*args, **kwargs))
+        return histories[-1]
+
+    monkeypatch.setattr("hdcaps.training.train", keep)
+    assert cli.main(["train", "--data", scene, "--out", str(tmp_path / "ck"),
+                     "--config", cfg, "--quiet"]) == 0
+    with open(tmp_path / "ck" / "train_log.csv", newline="") as fh:
+        log = list(csv.reader(fh))
+    history, = histories
+    assert len(history) == epochs
+    assert log[0] == LOG_COLUMNS
+    # same columns in the same order, and each value's repr: the same bits
+    assert log[1:] == [[str(value) for value in row.values()] for row in history]
+    assert all(list(row) == LOG_COLUMNS for row in history)
 
 
 # --------------------------------------------------------------- pipeline

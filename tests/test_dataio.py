@@ -597,6 +597,25 @@ def test_gen_synthetic_noiseless_nearest_mean_100pct():
     assert (pred == labels).mean() == 1.0
 
 
+def test_gen_synthetic_adds_signatures_a_block_of_rows_at_a_time(monkeypatch):
+    # one block over the whole scene is the one-shot
+    # noise * sigma + signatures[class_map]; blocks of one row give the
+    # same bytes and keep the traced peak near the scene's float64 bytes
+    args = (64, 64, 5, 144)
+    monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 40)
+    whole = dataio.gen_synthetic(*args, np.random.default_rng(3))
+    monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        rows = dataio.gen_synthetic(*args, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for a, b in zip(whole, rows):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert peak <= 1.2 * rows[0].nbytes, peak / rows[0].nbytes
+
+
 @pytest.mark.parametrize("kwargs, name", [
     ({"noise_spec": float("nan")}, "noise_spec"),
     ({"noise_spec": -0.1}, "noise_spec"),
