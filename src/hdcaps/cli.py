@@ -18,7 +18,6 @@ import argparse
 import csv
 import dataclasses
 import os
-import re
 import sys
 
 import numpy as np
@@ -38,13 +37,6 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse takes only -1 and -0.5 style tokens for negative numbers,
-        # so "--tol -1e-4" would read -1e-4 as an option; admit exponents
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
@@ -137,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", type=_positive, default=20)
     p.add_argument("--classes", type=_positive, default=4)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--noise-spec", type=_finite_nonnegative, default=0.1)
-    p.add_argument("--noise-elev", type=_finite_nonnegative, default=0.1)
-    p.add_argument("--class-sep", type=_checked(float, np.isfinite, "finite"), default=1.2)
 
     p = sub.add_parser("train", help="train the autoencoder on a scene")
     p.add_argument("--data", required=True, help="scene directory")
@@ -205,11 +194,8 @@ def _cmd_gen_synth(args) -> int:
 
     height, width = args.size
     rng = np.random.default_rng(args.seed)
-    hsi, elevation, labels = dataio.gen_synthetic(
-        height, width, args.classes, args.bands, rng,
-        noise_spec=args.noise_spec, noise_elev=args.noise_elev,
-        class_sep=args.class_sep,
-    )
+    hsi, elevation, labels = dataio.gen_synthetic(height, width, args.classes,
+                                                  args.bands, rng)
     dataio.write_scene(args.out, hsi, elevation, labels)
     print(f"scene={args.out} size={height}x{width} bands={args.bands} "
           f"classes={args.classes} labeled={int((labels > 0).sum())}")

@@ -74,6 +74,10 @@ _STD_FLOOR = 1e-12
 # float64 bytes that one step of extract_patches' chunked passes over the
 # spectra works on
 _CHUNK_BYTES = 1 << 23
+# gen_synthetic's fixed recipe, described in its docstring
+_CLASS_SEP = 1.2
+_NOISE_SPEC = 0.1
+_NOISE_ELEV = 0.1
 
 
 def _atomic_write(path: str, *chunks) -> None:
@@ -430,40 +434,29 @@ def _fourier_mixture(rng: np.random.Generator, count: int, n_bands: int,
     return out
 
 
-# a large class_sep overflows through the gains or the deltas, a large
-# noise scale through the noise: overflow on the way is silenced, and the
-# finished spectra and elevation are checked instead of the arguments
-@np.errstate(over="ignore", invalid="ignore")
 def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
-                  rng: np.random.Generator, noise_spec: float = 0.1,
-                  noise_elev: float = 0.1, class_sep: float = 1.2):
+                  rng: np.random.Generator):
     """Random scene with paired spectra, elevation and dense labels.
 
     Classes form Voronoi cells around random sites. Spectral signatures
     are random Fourier mixtures sharing a base continuum, separated
-    mainly in overall brightness (per-class gains exp(class_sep * rank)
-    with ranks centered on zero, so gains stay positive and distinct at
-    any separation) and mildly in shape (per-class deviations of RMS
-    size 0.1 * class_sep), so signatures are distinct by construction
-    but class difficulty is one tunable knob; per-pixel Gaussian noise
-    has sigma = noise_spec times the signature's own range. Elevation gives
-    each class a plateau offset, riding on smooth terrain plus Gaussian
-    noise of scale noise_elev. Consecutive offsets are spaced by
-    (c + 1) * 2 * noise_elev rather than evenly: with growing gaps no
+    mainly in overall brightness (per-class gains exp(_CLASS_SEP * rank)
+    with ranks centered on zero, so gains are positive and distinct) and
+    mildly in shape (per-class deviations of RMS size 0.1 * _CLASS_SEP),
+    so signatures are distinct by construction; per-pixel Gaussian noise
+    has sigma = _NOISE_SPEC times the signature's own range. Elevation
+    gives each class a plateau offset, riding on smooth terrain plus
+    Gaussian noise of scale _NOISE_ELEV. Consecutive offsets are spaced
+    by (c + 1) * 2 * _NOISE_ELEV rather than evenly: with growing gaps no
     two classes sit at mirrored heights around the scene mean, so class
     identity survives even in features that only see the magnitude of
-    the standardized elevation.
+    the standardized elevation. The recipe is fixed: _CLASS_SEP = 1.2,
+    _NOISE_SPEC = 0.1 and _NOISE_ELEV = 0.1.
 
-    Returns (hsi, elevation, labels). Spectra or an elevation that do not
-    fit the float32 a scene is stored in raise a ValueError.
+    Returns (hsi, elevation, labels).
     """
     if n_classes < 1 or n_bands < 1 or height < 1 or width < 1:
         raise ValueError("scene dimensions, bands and classes must be positive")
-    for name, value in (("noise_spec", noise_spec), ("noise_elev", noise_elev)):
-        if not (np.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
-    if not np.isfinite(class_sep):
-        raise ValueError(f"class_sep must be finite, got {class_sep}")
     sites = rng.uniform(0, 1, size=(n_classes, 2)) * np.array([height, width])
     yy, xx = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     d2 = (yy[..., None] - sites[:, 0]) ** 2 + (xx[..., None] - sites[:, 1]) ** 2
@@ -476,12 +469,12 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     rms = np.where(rms < _STD_FLOOR, 1.0, rms)
     spread = np.arange(n_classes) - (n_classes - 1) / 2.0
     spread /= max(1, n_classes - 1)
-    gains = np.exp(class_sep * rng.permutation(spread))
-    signatures = gains[:, None] * base + 0.1 * class_sep * deltas / rms
+    gains = np.exp(_CLASS_SEP * rng.permutation(spread))
+    signatures = gains[:, None] * base + 0.1 * _CLASS_SEP * deltas / rms
 
     ranges = signatures.max(axis=1) - signatures.min(axis=1)
     ranges = np.where(ranges < _STD_FLOOR, 1.0, ranges)
-    sigma_map = noise_spec * ranges[class_map]
+    sigma_map = _NOISE_SPEC * ranges[class_map]
     # built in place, the signatures added a block of about _CHUNK_BYTES
     # at a time: no second (H, W, B) array is made
     hsi = rng.normal(size=(height, width, n_bands))
@@ -490,7 +483,7 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     for start in range(0, height, step):
         hsi[start:start + step] += signatures[class_map[start:start + step]]
 
-    spacing = 2.0 * noise_elev if noise_elev > 0 else 1.0
+    spacing = 2.0 * _NOISE_ELEV
     fy = rng.uniform(0.5, 2.0, size=3)
     fx = rng.uniform(0.5, 2.0, size=3)
     ph = rng.uniform(0, 2 * np.pi, size=(3, 2))
@@ -503,14 +496,6 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     steps = np.arange(n_classes, dtype=np.float64)
     offsets = spacing * steps * (steps + 1) / 2.0
     elevation = offsets[class_map] + terrain + rng.normal(
-        0.0, noise_elev, size=(height, width)
+        0.0, _NOISE_ELEV, size=(height, width)
     )
-    # NaN fails both tests
-    f32_max = np.finfo(np.float32).max
-    if not (hsi.max() <= f32_max and hsi.min() >= -f32_max):
-        raise ValueError(f"class_sep = {class_sep} with noise_spec = {noise_spec} "
-                         f"gives spectra that do not fit float32")
-    if not np.abs(elevation).max() <= f32_max:
-        raise ValueError(f"noise_elev = {noise_elev} gives an elevation that does "
-                         f"not fit float32")
     return hsi, elevation, labels

@@ -234,7 +234,10 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     by ARPACK (eigsh) from a fixed start vector, give y = D^-1/2 u. The
     trivial one, eigenvalue 1, is dropped, so the rest belong to the
     n_components smallest nonzero lambda, each scaled to y^T D y = 1 and
-    signed so its largest-magnitude entry is positive.
+    signed so its largest-magnitude entry is positive. On a repeated
+    eigenvalue ARPACK returns one basis of its eigenspace, and that basis
+    can change from call to call: rows that are all equal, for one, can
+    embed differently each time.
 
     Components are taken of the weighted graph, so an edge whose weight
     underflows to 0 joins nothing and a row far from all others is a
@@ -291,8 +294,8 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     # (d_i d_j)^-1/2 is one product for (i, j) and (j, i): S stays symmetric
     scale = inv_sqrt_deg[w_sub.row] * inv_sqrt_deg[w_sub.col]
     s = csr_array((w_sub.data * scale, (w_sub.row, w_sub.col)), shape=w_sub.shape)
-    # a fixed start makes the result independent of earlier ARPACK calls;
-    # sqrt(deg) would not do, it is the trivial eigenvector itself
+    # a fixed start keeps earlier ARPACK calls from moving a result with
+    # distinct eigenvalues; sqrt(deg) would not do, it is the trivial one
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, idx.shape[0])
     vals, vecs = eigsh(s, k=n_components + 1, which="LA", v0=v0)
     # descending eigenvalues; the first is the trivial constant solution

@@ -173,11 +173,13 @@ def test_gradcheck_rejects_vacuous_or_bad_arguments(capsys, args, flag):
 
 
 @pytest.mark.parametrize("value", ["-1e-4", "-1E+2", "-.5e1"])
-def test_negative_exponent_value_reaches_range_check(capsys, value):
-    # pins the parser's negative-number pattern, a private argparse attribute
+def test_negative_exponent_value_is_usage_error(capsys, value):
+    # argparse reads a negative number with an exponent as an option, so
+    # --tol is left without its argument
     assert cli.main(["gradcheck", "--tol", value]) == 1
-    assert (f"argument --tol: must be finite and non-negative, got '{value}'"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "argument --tol:" in err
 
 
 @pytest.mark.parametrize("command", [
@@ -207,17 +209,7 @@ def test_bad_baseline_or_eval_option_is_usage_error(capsys, command, flag, value
     assert f"argument {flag}: must be {requirement}" in err
 
 
-GEN_SYNTH_REQUIREMENTS = {
-    "--noise-spec": "finite and non-negative", "--noise-elev": "finite and non-negative",
-    "--class-sep": "finite", "--bands": "at least 1", "--classes": "at least 1",
-}
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--noise-spec", "nan"), ("--class-sep", "nan"), ("--class-sep", "inf"),
-    ("--noise-elev", "-0.5"), ("--noise-elev", "-1e-3"),
-    ("--bands", "0"), ("--classes", "0"),
-])
+@pytest.mark.parametrize("flag, value", [("--bands", "0"), ("--classes", "0")])
 def test_gen_synth_bad_option_is_usage_error(capsys, tmp_path, flag, value):
     # a bad option value is rejected at parse time, before any scene is made
     scene = tmp_path / "scene"
@@ -225,31 +217,21 @@ def test_gen_synth_bad_option_is_usage_error(capsys, tmp_path, flag, value):
                      flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"argument {flag}: must be {GEN_SYNTH_REQUIREMENTS[flag]}, got {value!r}" in err
+    assert f"argument {flag}: must be at least 1, got {value!r}" in err
     assert not scene.exists()
 
 
-# finite, but the scene would not fit float32
 @pytest.mark.parametrize("flag, value", [
-    ("--class-sep", "400"), ("--noise-spec", "1e300"), ("--noise-elev", "1e38"),
+    ("--noise-spec", "0.1"), ("--noise-elev", "0.1"), ("--class-sep", "1.2"),
 ])
-def test_gen_synth_bad_noise_or_separation_is_exit_2(capsys, tmp_path, flag, value):
+def test_gen_synth_recipe_flags_are_unrecognized(capsys, tmp_path, flag, value):
+    # the synthetic recipe is fixed: even its own values are refused
     scene = tmp_path / "scene"
     assert cli.main(["gen-synth", "--out", str(scene), "--size", "8x8",
-                     flag, value]) == 2
-    assert flag[2:].replace("-", "_") in capsys.readouterr().err
-    assert not scene.exists()
-
-
-def test_gen_synth_one_class_scene_that_overflows_float32_is_exit_2(capsys, tmp_path):
-    # one class has gain 1: the spectra overflow through the deltas, so
-    # only a check of the spectra, not of the gains, catches it
-    scene = tmp_path / "scene"
-    assert cli.main(["gen-synth", "--out", str(scene), "--size", "16x16",
-                     "--bands", "8", "--classes", "1", "--class-sep", "1e308"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "class_sep" in captured.err and "float32" in captured.err
+                     flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"unrecognized arguments: {flag} {value}" in err
     assert not scene.exists()
 
 

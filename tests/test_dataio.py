@@ -583,18 +583,19 @@ def test_gen_synthetic_shapes_and_labels():
     assert set(np.unique(labels)) == {1, 2, 3, 4}
 
 
-def test_gen_synthetic_noiseless_nearest_mean_100pct():
-    hsi, _, labels = dataio.gen_synthetic(
-        64, 64, 4, 16, np.random.default_rng(1), noise_spec=0.0,
-        noise_elev=0.0)
+def test_gen_synthetic_noise_scale_and_nearest_mean_accuracy():
+    hsi, _, labels = dataio.gen_synthetic(64, 64, 4, 16,
+                                          np.random.default_rng(1))
     assert set(np.unique(labels)) == {1, 2, 3, 4}
-    # without spectral noise every pixel of a class is the class's
-    # signature, so the class mean is that signature
+    # the spectral noise has sigma 0.1 times the range of the class's
+    # signature, which the class mean estimates
     sig = np.stack([hsi[labels == c].mean(axis=0) for c in range(1, 5)])
-    np.testing.assert_allclose(hsi, sig[labels - 1], rtol=1e-12)
+    for c in range(1, 5):
+        rel = (hsi[labels == c] - sig[c - 1]).std() / np.ptp(sig[c - 1])
+        assert 0.095 <= rel <= 0.105, (c, rel)
     d = ((hsi[..., None, :] - sig[None, None]) ** 2).sum(axis=-1)
     pred = d.argmin(axis=-1) + 1
-    assert (pred == labels).mean() == 1.0
+    assert (pred == labels).mean() >= 0.98
 
 
 def test_gen_synthetic_adds_signatures_a_block_of_rows_at_a_time(monkeypatch):
@@ -614,18 +615,6 @@ def test_gen_synthetic_adds_signatures_a_block_of_rows_at_a_time(monkeypatch):
     for a, b in zip(whole, rows):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert peak <= 1.2 * rows[0].nbytes, peak / rows[0].nbytes
-
-
-@pytest.mark.parametrize("kwargs, name", [
-    ({"noise_spec": float("nan")}, "noise_spec"),
-    ({"noise_spec": -0.1}, "noise_spec"),
-    ({"noise_elev": float("inf")}, "noise_elev"),
-    ({"noise_elev": -1.0}, "noise_elev"),
-    ({"class_sep": float("nan")}, "class_sep"),
-])
-def test_gen_synthetic_rejects_bad_noise_and_separation(kwargs, name):
-    with pytest.raises(ValueError, match=name):
-        dataio.gen_synthetic(4, 4, 2, 3, np.random.default_rng(0), **kwargs)
 
 
 def test_gen_synthetic_rejects_bad_dims():

@@ -414,6 +414,18 @@ def test_eigenmaps_deterministic():
     assert a.tobytes() == b.tobytes()
 
 
+def test_eigenmaps_degenerate_call_leaves_later_calls_unchanged():
+    # on equal rows every nontrivial eigenvalue is the same, and ARPACK may
+    # return a different basis of that eigenspace on each call; a graph
+    # with distinct eigenvalues still embeds to the same bytes afterwards
+    x = np.random.default_rng(0).normal(size=(200, 5))
+    before = evaluation.laplacian_eigenmaps(x, 4, n_neighbors=10)
+    for _ in range(3):
+        evaluation.laplacian_eigenmaps(np.ones((20, 3)), 3, n_neighbors=4)
+    after = evaluation.laplacian_eigenmaps(x, 4, n_neighbors=10)
+    assert before.tobytes() == after.tobytes()
+
+
 def test_eigenmaps_match_dense_generalized_oracle():
     # a connected graph whose lowest eigenvalues are distinct, so each
     # eigenvector is defined up to sign
