@@ -285,7 +285,10 @@ def sqrt(a) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    # numpy takes a max along a short last axis row by row; along the
+    # leading axis of a contiguous copy it runs vectorized, to the same bits
+    peak = np.ascontiguousarray(a.data.swapaxes(axis, 0)).max(axis=0, keepdims=True)
+    shifted = a.data - peak.swapaxes(0, axis)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
     return _op(y, (a,), lambda g: (g - (g * y).sum(axis=axis, keepdims=True)) * y)

@@ -98,6 +98,21 @@ def test_softmax_shift_invariance():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [-1, -2, 0])
+def test_softmax_matches_plain_form_bitwise(axis, dtype):
+    rng = np.random.default_rng(3)
+    x = (rng.normal(size=(4, 6, 5)) * 10).astype(dtype)
+    x[1, 2, 3] = -np.inf
+    x[2, 4, 1] = np.nan
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    plain = e / e.sum(axis=axis, keepdims=True)
+    y = ad.softmax(ad.Tensor(x), axis=axis).data
+    assert y.dtype == dtype
+    assert np.isnan(y).any() and (y == 0).any()
+    np.testing.assert_array_equal(y.view(f"u{y.itemsize}"), plain.view(f"u{y.itemsize}"))
+
+
 def test_softmax_grad_both_axes():
     check_op(lambda a: ad.tsum(ad.mul(ad.softmax(a, axis=-1),
                                       ad.softmax(a, axis=-1))), (3, 5))

@@ -1,6 +1,8 @@
-"""Chamfer kernels against a brute-force broadcast oracle."""
+"""Chamfer kernels against a brute-force broadcast oracle and against
+the dense shortlist forward that the segment reductions replaced."""
 
 import numpy as np
+import pytest
 
 from hdcaps import kernels
 
@@ -11,6 +13,28 @@ def oracle_forward(p, q):
     nn_pq = np.argmin(d2, axis=2)
     nn_qp = np.argmin(d2, axis=1)
     vals = d2.min(axis=2).mean(axis=1) + d2.min(axis=1).mean(axis=1)
+    return vals, nn_pq, nn_qp
+
+
+def dense_shortlist_forward(p, q):
+    """The same shortlist, scattered into a dense (B, n, m) array of inf
+    and reduced with argmin / min along each axis."""
+    pp = np.einsum("bnd,bnd->bn", p, p)
+    qq = np.einsum("bmd,bmd->bm", q, q)
+    d2 = pp[:, :, None] + qq[:, None, :] - 2.0 * (p @ q.transpose(0, 2, 1))
+    eps = np.finfo(d2.dtype).eps
+    bound = (8.0 * (p.shape[2] + 2) * eps) * (pp.max(axis=1) + qq.max(axis=1))
+    bound = bound[:, None, None]
+    near = d2 <= d2.min(axis=2, keepdims=True) + bound
+    near |= d2 <= d2.min(axis=1, keepdims=True) + bound
+    b, i, j = np.nonzero(near)
+    diff = p[b, i]
+    diff -= q[b, j]
+    exact = np.full(d2.shape, np.inf, dtype=d2.dtype)
+    exact[b, i, j] = np.sum(np.square(diff, out=diff), axis=-1)
+    nn_pq = exact.argmin(axis=2)
+    nn_qp = exact.argmin(axis=1)
+    vals = exact.min(axis=2).mean(axis=1) + exact.min(axis=1).mean(axis=1)
     return vals, nn_pq, nn_qp
 
 
@@ -181,3 +205,47 @@ def test_backward_is_gradient_of_forward():
 
 def test_backward_is_gradient_of_forward_float32():
     check_backward_is_gradient_of_forward(np.float32)
+
+
+def assert_same_forward(p, q):
+    vals, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
+    ref_vals, ref_pq, ref_qp = dense_shortlist_forward(p, q)
+    assert vals.dtype == ref_vals.dtype and nn_pq.shape == ref_pq.shape
+    np.testing.assert_array_equal(vals, ref_vals, strict=True)
+    np.testing.assert_array_equal(nn_pq, ref_pq)
+    np.testing.assert_array_equal(nn_qp, ref_qp)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_matches_dense_shortlist(dtype):
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        assert_same_forward(*random_pair(rng, dtype=dtype))
+    # duplicated points, exact ties on a grid, and the degenerate sizes
+    for _ in range(100):
+        p, q = random_pair(rng, dtype=dtype)
+        q[:, -1] = q[:, 0]
+        p[:, 0] = q[:, 0]
+        assert_same_forward(p, q)
+        assert_same_forward(q, p)
+        grid = rng.integers(-2, 3, size=p.shape).astype(dtype)
+        assert_same_forward(grid, rng.integers(-2, 3, size=q.shape).astype(dtype))
+    for bsz, n, m in ((1, 7, 4), (3, 1, 5), (3, 6, 1), (1, 1, 1), (2, 9, 9)):
+        d = int(rng.integers(1, 20))
+        p = rng.normal(size=(bsz, n, d)).astype(dtype)
+        q = rng.normal(size=(bsz, m, d)).astype(dtype)
+        assert_same_forward(p, q)
+
+
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_forward_nan_batch_is_not_finite(side):
+    rng = np.random.default_rng(7)
+    p, q = random_pair(rng, bsz=4, dtype=np.float32)
+    (p if side == "p" else q)[2, 0, 0] = np.nan
+    vals, nn_pq, nn_qp = kernels.chamfer_forward(p, q)
+    assert not np.isfinite(vals[2])
+    # the other batches keep their values, and every index stays in range
+    keep = [0, 1, 3]
+    np.testing.assert_array_equal(vals[keep], oracle_forward(p[keep], q[keep])[0])
+    assert 0 <= nn_pq.min() and nn_pq.max() < q.shape[1]
+    assert 0 <= nn_qp.min() and nn_qp.max() < p.shape[1]

@@ -667,6 +667,17 @@ def test_train_divergence_aborts_with_name():
     assert (info.value.epoch, info.value.step) == (0, 0)
 
 
+def test_train_step_nan_chamfer_target_names_total_loss():
+    # a NaN in the elevation branch's chamfer target reaches the kernel
+    state = tiny_state(seed=13)
+    hsi, lidar = tiny_data(14)
+    lidar[1, 0, 2] = np.nan
+    with pytest.raises(DivergenceError) as info:
+        training.train_step(state, training.AdamState(), parameters(state), hsi,
+                            lidar, np.random.default_rng(0), config_weights(state))
+    assert info.value.tensor_name == "total loss"
+
+
 def test_train_divergence_names_epoch_and_step(monkeypatch):
     # a finite first epoch, then a non-finite loss at the second step of
     # the second epoch: the error says where, counted from 0
