@@ -352,6 +352,24 @@ def test_linear_grad():
              (2, 3, 4), (4, 5))
 
 
+# (Din, Dout) of the model's linear layers
+MODEL_LINEAR_SHAPES = [(16, 32), (3, 32), (32, 32), (32, 50), (32, 15), (32, 1),
+                       (66, 32), (32, 288), (32, 6)]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_linear_input_grad_matches_transposed_weight(dtype, tol):
+    rng = np.random.default_rng(8)
+    for d_in, d_out in MODEL_LINEAR_SHAPES:
+        x = ad.Tensor(rng.normal(size=(64, 25, d_in)).astype(dtype))
+        w = ad.Tensor(rng.normal(size=(d_in, d_out)).astype(dtype))
+        g = rng.normal(size=(64, 25, d_out)).astype(dtype)
+        ad.backward(ad.tsum(ad.mul(ad.linear(x, w), g)))
+        ref = g @ w.data.T
+        assert x.grad.dtype == dtype
+        assert np.abs(x.grad - ref).max() <= tol * np.abs(ref).max()
+
+
 def test_linear_one_column_grad():
     proj = np.random.default_rng(6).normal(size=(2, 3, 1))
     check_op(lambda x, w, b: ad.tsum(ad.mul(ad.linear(x, w, b), proj)),
