@@ -21,16 +21,17 @@ from .autodiff import Tensor, linear, reshape, squash_groups
 __all__ = ["init_capsule_block", "extract_preliminary_batch"]
 
 
-def fan_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+def fan_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) Glorot-uniform weight matrix."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def init_capsule_block(c_spec: int, g: int, d_cap: int, rng: np.random.Generator) -> dict:
     """Shared 1x1 linear map from c_spec bands into g squashed groups of d_cap."""
     d_h = g * d_cap
     return {
-        "w": Tensor(fan_uniform(rng, c_spec, d_h, (c_spec, d_h))),
+        "w": Tensor(fan_uniform(rng, c_spec, d_h)),
         "b": Tensor(np.zeros(d_h)),
     }
 

@@ -22,18 +22,16 @@ import sys
 
 import numpy as np
 
+from . import dataio, model, training
 from .config import INT_FIELDS, TrainConfig
 from .errors import DivergenceError
+from .losses import LossReport
 
 __all__ = ["main", "parse_config", "build_parser"]
 
 
 class UsageError(Exception):
-    pass
-
-
-class ConfigError(Exception):
-    pass
+    """A bad command line (from argparse) or config file; exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,9 +42,9 @@ class _Parser(argparse.ArgumentParser):
 def parse_config(path: str) -> TrainConfig:
     """Read key=value overrides of the training defaults.
 
-    Blank lines and #-comments are ignored. Unknown keys, repeated keys,
-    unparsable values and out-of-range values raise ConfigError naming
-    the offending line.
+    Blank lines and #-comments are ignored. An unreadable file raises
+    UsageError naming it; unknown keys, repeated keys, unparsable values
+    and out-of-range values raise UsageError naming the offending line.
     """
     cfg = TrainConfig()
     valid = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -55,33 +53,33 @@ def parse_config(path: str) -> TrainConfig:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in valid:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         try:
             parsed = int(value) if key in INT_FIELDS else float(value)
         except ValueError:
             kind = "an integer" if key in INT_FIELDS else "a number"
-            raise ConfigError(
+            raise UsageError(
                 f"{path}:{lineno}: value for {key!r} must be {kind}, got {value!r}"
             ) from None
         setattr(cfg, key, parsed)
         try:
             cfg.validate()
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return cfg
 
 
@@ -167,31 +165,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(path: str, result: dict) -> None:
-    from .dataio import write_json
-
-    write_json(path, {**result, "confusion": result["confusion"].tolist(),
-                      "classes": result["classes"].tolist()})
-
-
 def _score(args, feats: np.ndarray, labels: np.ndarray, prefix: str) -> int:
     """Split, probe, write the optional report and print the metric line."""
-    from . import dataio, evaluation
+    # imported per command: evaluation loads scipy, which no other command needs
+    from . import evaluation
 
     rng = np.random.default_rng(args.seed)
     train_idx, test_idx = dataio.stratified_split(labels, args.train_frac, rng)
     result = evaluation.evaluate_split(feats, labels, train_idx, test_idx,
                                        seed=args.seed)
     if args.report:
-        _write_report(args.report, result)
+        dataio.write_json(args.report, {**result,
+                                        "confusion": result["confusion"].tolist(),
+                                        "classes": result["classes"].tolist()})
     print(f"{prefix}oa={result['oa']:.6f} aa={result['aa']:.6f} "
           f"kappa={result['kappa']:.6f}")
     return 0
 
 
 def _cmd_gen_synth(args) -> int:
-    from . import dataio
-
     height, width = args.size
     rng = np.random.default_rng(args.seed)
     hsi, elevation, labels = dataio.gen_synthetic(height, width, args.classes,
@@ -203,14 +195,11 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from . import dataio, model, training
-    from .losses import LossReport
-
     cfg = parse_config(args.config) if args.config else TrainConfig()
     # no name keeps the scene, so it is freed once patches are cut
     patches = dataio.extract_patches(*dataio.read_scene(args.data), cfg.b)
     rng = np.random.default_rng(cfg.seed)
-    state = model.init_model(cfg, patches.c_spec, rng)
+    state = model.init_model(cfg, patches.hsi.shape[3], rng)
     os.makedirs(args.out, exist_ok=True)
     # line-buffered: the header and each epoch's row reach the file at once
     with open(os.path.join(args.out, "train_log.csv"), "w", newline="",
@@ -236,14 +225,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    from . import dataio, model
-
     state = model.load_checkpoint(args.model)
     patches = dataio.extract_patches(*dataio.read_scene(args.data), state.config.b)
-    if patches.c_spec != state.c_spec:
+    if patches.hsi.shape[3] != state.c_spec:
         raise ValueError(
-            f"scene has {patches.c_spec} bands but the checkpoint was trained "
-            f"on {state.c_spec}"
+            f"scene has {patches.hsi.shape[3]} bands but the checkpoint was "
+            f"trained on {state.c_spec}"
         )
     feats = model.fused_features(state, patches.hsi, patches.lidar)
     dataio.write_features(args.out, patches.rows, patches.cols,
@@ -253,8 +240,6 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from . import dataio
-
     rows, cols, labels, feats = dataio.read_features(args.features)
     if args.labels:
         raster = dataio.read_dten(args.labels)
@@ -277,7 +262,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    from . import dataio, evaluation
+    from . import evaluation
 
     # every baseline reads only the center pixel, so 1 x 1 patches suffice
     patches = dataio.extract_patches(*dataio.read_scene(args.data), 1)
@@ -285,7 +270,7 @@ def _cmd_baseline(args) -> int:
     if args.method == "raw":
         feats = raw
     elif args.method == "pca":
-        feats = evaluation.pca_transform(evaluation.pca_fit(raw, args.dim), raw)
+        feats = evaluation.pca(raw, args.dim)
     else:
         feats = evaluation.laplacian_eigenmaps(raw, args.dim,
                                                n_neighbors=args.neighbors)
@@ -293,11 +278,9 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .training import grad_check
-
     worst = 0.0
     for seed in args.seed:
-        max_rel = grad_check(seed=seed, n_samples=args.samples)
+        max_rel = training.grad_check(seed=seed, n_samples=args.samples)
         print(f"seed={seed} max_rel_err={max_rel:.3e}")
         worst = max(worst, max_rel)
     if worst > args.tol:
@@ -326,7 +309,7 @@ def main(argv=None) -> int:
             print(parser.format_usage().rstrip(), file=sys.stderr)
             return 1
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, MemoryError) as exc:

@@ -276,7 +276,8 @@ class PatchSet:
     lidar: (N, b*b, 3) float32 point sets with grid x, grid y in [-1, 1]
     and standardized elevation z; labels, rows, cols: (N,) int32. Patch
     points are ordered row-major, so the center pixel is index
-    (b*b) // 2.
+    (b*b) // 2. The patch size and band count are read from hsi
+    (``hsi.b``, ``hsi.shape[3]``), which states them once.
     """
 
     hsi: PatchStack
@@ -284,8 +285,6 @@ class PatchSet:
     labels: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    b: int
-    c_spec: int
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -293,10 +292,6 @@ class PatchSet:
     def center_spectra(self) -> np.ndarray:
         """(N, C) standardized spectra of the patch centers."""
         return self.hsi.scene[self.rows, self.cols]
-
-
-def _grid_axis(b: int) -> np.ndarray:
-    return np.linspace(-1.0, 1.0, b) if b > 1 else np.zeros(1)
 
 
 def _require_finite(name: str, array: np.ndarray, axes: tuple, rows: int) -> None:
@@ -377,7 +372,7 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     el_n = (elevation - elevation.mean()) / (el_std if el_std >= _STD_FLOOR else 1.0)
     # cast before the gather, so its (n, b, b) temporary is float32
     el_n = el_n.astype(np.float32)
-    axis = _grid_axis(b)
+    axis = np.linspace(-1.0, 1.0, b) if b > 1 else np.zeros(1)
     gy, gx = np.meshgrid(axis, axis, indexing="ij")
     lidar = np.empty((n, b * b, 3), dtype=np.float32)
     lidar[:, :, 0] = gx.reshape(-1)
@@ -397,7 +392,6 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     return PatchSet(
         hsi=PatchStack(scene, rows, cols, b), lidar=lidar,
         labels=labels[mask].astype(np.int32), rows=rows, cols=cols,
-        b=b, c_spec=c_spec,
     )
 
 

@@ -45,9 +45,9 @@ def init_decoder(c: int, pose_dim: int, d_out: int, m: int, h: int,
         )
     d_in = c if anchored else c + pose_dim
     return {
-        "w1": Tensor(fan_uniform(rng, d_in, h, (d_in, h))),
+        "w1": Tensor(fan_uniform(rng, d_in, h)),
         "b1": Tensor(np.zeros(h)),
-        "w2": Tensor(fan_uniform(rng, h, m * d_out, (h, m * d_out))),
+        "w2": Tensor(fan_uniform(rng, h, m * d_out)),
         "b2": Tensor(np.zeros(m * d_out)),
         "m": m,
         "d_out": d_out,

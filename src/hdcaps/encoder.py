@@ -19,9 +19,8 @@ hidden map h, and two heads read it: ``feature_map`` applies the linear
 feature head, F = h W_f + b_f, and ``attention_map`` turns h into the
 attention map A (rows softmaxed over the K capsules, so each point
 carries a distribution over capsules). Training needs both heads on
-every point. The extract path never builds A, and since its fused rows
-(the center row and the mean row of F) are affine in h, it pools h first
-and applies ``feature_map`` to those two rows only.
+every point; the extract path, described in the ``model`` module
+docstring, applies only ``feature_map``.
 
 Aggregation turns (A, F, P) into capsule poses (attention-weighted point
 centroids, rotation-equivariant) and descriptors (attention-weighted
@@ -49,18 +48,18 @@ AGG_EPS = 1e-8
 def init_encoder(d_in: int, h: int, n_blocks: int, k: int, c: int,
                  rng: np.random.Generator) -> dict:
     params = {
-        "lift_w": Tensor(fan_uniform(rng, d_in, h, (d_in, h))),
+        "lift_w": Tensor(fan_uniform(rng, d_in, h)),
         "lift_b": Tensor(np.zeros(h)),
     }
     for i in range(n_blocks):
         # the attention logits carry no bias: softmax over the points axis
         # is shift-invariant, so a shared offset could never train
-        params[f"b{i}_att_w"] = Tensor(fan_uniform(rng, h, 1, (h, 1)))
-        params[f"b{i}_lin_w"] = Tensor(fan_uniform(rng, h, h, (h, h)))
+        params[f"b{i}_att_w"] = Tensor(fan_uniform(rng, h, 1))
+        params[f"b{i}_lin_w"] = Tensor(fan_uniform(rng, h, h))
         params[f"b{i}_lin_b"] = Tensor(np.zeros(h))
-    params["att_w"] = Tensor(fan_uniform(rng, h, k, (h, k)))
+    params["att_w"] = Tensor(fan_uniform(rng, h, k))
     params["att_b"] = Tensor(np.zeros(k))
-    params["feat_w"] = Tensor(fan_uniform(rng, h, c, (h, c)))
+    params["feat_w"] = Tensor(fan_uniform(rng, h, c))
     params["feat_b"] = Tensor(np.zeros(c))
     params["n_blocks"] = n_blocks
     return params

@@ -7,8 +7,9 @@ the 1/(lambda*t) schedule and a per-class norm projection. All classes
 advance as one (K, D+1) iterate and so share one shuffled sample order,
 drawn from a seeded generator. Features are z-scored with moments from the
 training split. Baselines are PCA and Laplacian eigenmaps applied to
-the per-pixel original data; both are fit transductively on the full
-feature matrix, the split happens afterwards.
+the per-pixel original data, each one call from the (N, D) matrix to its
+(N, k) embedding: both are fit transductively on the full feature
+matrix, the split happens afterwards.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ __all__ = [
     "LinearClassifier",
     "train_classifier",
     "predict",
-    "pca_fit",
-    "pca_transform",
+    "pca",
     "laplacian_eigenmaps",
     "confusion_matrix",
     "overall_accuracy",
@@ -51,9 +51,8 @@ def fuse_features(feats_hsi: np.ndarray, feats_lidar: np.ndarray,
     patch's center pixel. Output is (N, 4 * C) float64, ordered
     [spectral center, spectral mean, lidar center, lidar mean]; float32
     maps are summed in float64 by one ``einsum`` per branch, without a
-    float64 copy of the maps. ``model.fused_features`` passes the encoder
-    hidden maps and applies the feature head to the pooled rows; both
-    rows are affine in the map, so that equals pooling the feature maps.
+    float64 copy of the maps. The extract path that pools encoder hidden
+    maps here is described in the ``model`` module docstring.
     """
     fh = np.asarray(feats_hsi)
     fl = np.asarray(feats_lidar)
@@ -80,7 +79,7 @@ def raw_patch_features(patchset) -> np.ndarray:
     neighborhood context.
     """
     spec = patchset.center_spectra()
-    height = patchset.lidar[:, patchset.b * patchset.b // 2, 2:3]
+    height = patchset.lidar[:, patchset.lidar.shape[1] // 2, 2:3]
     return np.concatenate([spec.astype(np.float64),
                            height.astype(np.float64)], axis=1)
 
@@ -163,29 +162,22 @@ def _positive_peaks(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.where(peaks < 0, -1.0, 1.0)
 
 
-def pca_fit(feats: np.ndarray, n_components: int) -> dict:
-    """Principal axes via the eigendecomposition of the covariance.
+def pca(feats: np.ndarray, n_components: int) -> np.ndarray:
+    """(N, n_components) projection of the centered rows onto the
+    principal axes, from the eigendecomposition of the covariance.
 
-    Component signs are fixed so each axis's largest-magnitude entry is
-    positive, which makes the fit reproducible across backends.
+    Axis signs are fixed so each axis's largest-magnitude entry is
+    positive, which makes the embedding reproducible across backends.
     """
     feats = np.asarray(feats, dtype=np.float64)
     n, d = feats.shape
     if not 1 <= n_components <= d:
         raise ValueError(f"n_components must be in [1, D = {d}], got {n_components}")
-    mean = feats.mean(axis=0)
-    centered = feats - mean
+    centered = feats - feats.mean(axis=0)
     cov = centered.T @ centered / max(1, n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:n_components]
-    comps = _positive_peaks(eigvecs[:, order]).T  # (k, D)
-    return {"mean": mean, "components": comps,
-            "eigenvalues": eigvals[order]}
-
-
-def pca_transform(model: dict, feats: np.ndarray) -> np.ndarray:
-    feats = np.asarray(feats, dtype=np.float64)
-    return (feats - model["mean"]) @ model["components"].T
+    return centered @ _positive_peaks(eigvecs[:, order])
 
 
 def _knn_edges(x: np.ndarray, n_neighbors: int):

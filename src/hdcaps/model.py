@@ -26,8 +26,9 @@ so that its finite differences mean something.
 The extract path (``fused_features``) takes the lazy
 ``dataio.PatchStack`` of a ``PatchSet`` and lifts each spectral pixel
 once: the capsule lift is per pixel, so ``extract_preliminary_batch``
-runs over blocks of the scene's pixels that some window covers,
-and each batch of ``_EXTRACT_BATCH`` patches then gathers its b x b
+runs over blocks of the scene's pixels that some window covers, directly
+or mirrored at the border, which equals lifting every window on its own.
+Each batch of ``_EXTRACT_BATCH`` patches then gathers its b x b
 windows of d_h-wide capsule points from the lifted scene instead of its
 b x b x C_spec windows of spectra.
 ``decompose_batch`` encodes each branch once and stops at the hidden
@@ -247,18 +248,14 @@ def decompose_batch(state: ModelState, lifted_patches: np.ndarray,
                     lidar_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference pass: the (B, X, H) encoder hidden maps of the spectral
     and the elevation branch, in the parameters' dtype (float32 for a
-    model from ``init_model`` or ``load_checkpoint``). Neither head is
-    applied: ``fused_features`` pools these maps and applies the feature
-    head to the pooled rows, and nothing on this path reads the attention
-    maps.
+    model from ``init_model`` or ``load_checkpoint``); neither head is
+    applied. The extract path that uses it is described in the module
+    docstring.
 
     lifted_patches: (B, b, b, d_h) windows of capsule points, the output
-    of ``extract_preliminary_batch`` for the patches' pixels, as
-    ``fused_features`` gathers them from its lifted scene; lidar_points:
-    (B, b*b, 3). Both are cast to the parameters' dtype and enter as
-    constants, and so do the encoder parameters, as leaves that share the
-    parameter arrays; the pass builds no graph and ``state`` is not
-    changed.
+    of ``extract_preliminary_batch`` for the patches' pixels; lidar_points:
+    (B, b*b, 3). Both are cast to the parameters' dtype. The pass builds
+    no graph and ``state`` is not changed.
     """
     dtype = state.vector.dtype
     lifted_patches = np.asarray(lifted_patches, dtype=dtype)
@@ -298,19 +295,10 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
     """Per-patch fused feature vectors, (N, 4 * C) float32.
 
     Each vector holds, spectral branch first, each branch's center-pixel
-    row and mean row of the encoder's feature map. Both rows are affine
-    in the hidden map, so they are computed as the feature head of the
-    hidden map's center row and float64 mean row.
-
-    hsi_patches is the lazy `dataio.PatchStack` of a `PatchSet` (its
-    ``hsi``); any other type raises a TypeError. Each scene pixel that
-    some window covers, directly or mirrored at the border, is lifted once,
-    in the parameters' dtype; the lift is per pixel, so this equals lifting
-    every window on its own. Patches are then encoded `_EXTRACT_BATCH` at
-    a time by `decompose_batch` on their (batch, b, b, d_h) windows of
-    the lifted pixels; `fuse_features` pools each batch's hidden maps to
-    (batch, 2, H) rows per branch, `feature_map` maps those to feature
-    rows in float64, and each batch's rows are rounded once to float32.
+    row and mean row of the encoder's feature map. hsi_patches is the
+    lazy `dataio.PatchStack` of a `PatchSet` (its ``hsi``); any other
+    type raises a TypeError. lidar_points: (N, b*b, 3). How the rows are
+    computed is described in the module docstring.
     """
     # imported per call, not at module level: perfbench times
     # `evaluation.fuse_features` by replacing that module attribute, and a

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +82,24 @@ def test_parse_config_ignores_comments_and_blanks(tmp_path):
 ])
 def test_parse_config_errors_cite_line(tmp_path, text, fragment, lineno):
     path = write(tmp_path / "bad.cfg", "# header\n" + text)
-    with pytest.raises(cli.ConfigError) as exc:
+    with pytest.raises(cli.UsageError) as exc:
         cli.parse_config(path)
     msg = str(exc.value)
     assert fragment in msg
     assert f"{path}:{lineno}" in msg
+
+
+def test_cli_and_model_imports_load_no_scipy():
+    # evaluation, the one module that loads scipy, is imported by the
+    # commands that score features; train, extract and gen-synth start
+    # without it
+    code = ("import sys, hdcaps.cli, hdcaps.model, hdcaps.training, hdcaps.dataio; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_missing_config_file_is_exit_1(capsys, tmp_path):

@@ -208,7 +208,7 @@ def test_extract_constant_cube_and_grid():
     labels = np.zeros((8, 9), dtype=np.int32)
     labels[4, 4] = 1
     ps = dataio.extract_patches(hsi, elev, labels, b=5)
-    assert len(ps) == 1 and ps.b == 5 and ps.c_spec == 2
+    assert len(ps) == 1 and ps.hsi.b == 5 and ps.hsi.shape[3] == 2
     # constant bands standardize to 0 (std floor keeps it finite)
     np.testing.assert_allclose(ps.hsi[0], 0.0, atol=1e-7)
     axis = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])

@@ -245,19 +245,19 @@ def test_classifier_tolerates_constant_feature_column():
 
 def test_pca_diagonal_line():
     x = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]])
-    model = evaluation.pca_fit(x, 2)
-    np.testing.assert_allclose(model["components"][0],
-                               [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
-    np.testing.assert_allclose(model["eigenvalues"], [20.0 / 3.0, 0.0],
+    z = evaluation.pca(x, 2)
+    np.testing.assert_allclose(z[:, 0], np.sqrt(2.0) * np.array([1, -1, 2, -2]),
+                               atol=1e-12)
+    np.testing.assert_allclose(z.var(axis=0, ddof=1), [20.0 / 3.0, 0.0],
                                atol=1e-12)
 
 
 def test_pca_axis_aligned_variances():
     a, b = np.sqrt(6.0), np.sqrt(1.5)
     x = np.array([[a, 0.0], [-a, 0.0], [0.0, b], [0.0, -b]])
-    model = evaluation.pca_fit(x, 2)
-    np.testing.assert_allclose(model["components"], np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(model["eigenvalues"], [4.0, 1.0], atol=1e-12)
+    z = evaluation.pca(x, 2)
+    np.testing.assert_allclose(z, x, atol=1e-12)
+    np.testing.assert_allclose(z.var(axis=0, ddof=1), [4.0, 1.0], atol=1e-12)
 
 
 def test_pca_matches_svd_oracle():
@@ -267,33 +267,74 @@ def test_pca_matches_svd_oracle():
         d = int(rng.integers(3, 9))
         k = int(rng.integers(1, d + 1))
         x = rng.normal(size=(n, d)) @ np.diag(rng.uniform(0.5, 3.0, d))
-        model = evaluation.pca_fit(x, k)
-        _, sv, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        z = evaluation.pca(x, k)
+        centered = x - x.mean(axis=0)
+        _, sv, vt = np.linalg.svd(centered, full_matrices=False)
         for i in range(k):
-            ref = vt[i] * np.sign(vt[i] @ model["components"][i])
-            np.testing.assert_allclose(model["components"][i], ref, atol=1e-8)
-            np.testing.assert_allclose(model["eigenvalues"][i],
-                                       sv[i] ** 2 / (n - 1), atol=1e-8)
+            ref = centered @ vt[i]
+            np.testing.assert_allclose(z[:, i], ref * np.sign(ref @ z[:, i]),
+                                       atol=1e-8)
+            np.testing.assert_allclose(z[:, i].var(ddof=1), sv[i] ** 2 / (n - 1),
+                                       atol=1e-8)
 
 
 def test_pca_transform_is_centered_projection():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(15, 5))
-    model = evaluation.pca_fit(x, 3)
-    z = evaluation.pca_transform(model, x)
-    want = (x - model["mean"]) @ model["components"].T
-    np.testing.assert_allclose(z, want, atol=1e-12)
+    z = evaluation.pca(x, 3)
+    centered = x - x.mean(axis=0)
+    # x has full column rank, so the axes are recovered exactly
+    axes = np.linalg.lstsq(centered, z, rcond=None)[0]
+    np.testing.assert_allclose(axes.T @ axes, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(z, centered @ axes, atol=1e-12)
     # an orthogonal projection cannot grow the centered norm
     assert np.all(np.linalg.norm(z, axis=1)
-                  <= np.linalg.norm(x - model["mean"], axis=1) + 1e-8)
+                  <= np.linalg.norm(centered, axis=1) + 1e-8)
+
+
+def test_pca_axes_have_positive_peaks():
+    for seed in range(10):
+        rng = np.random.default_rng(200 + seed)
+        d = int(rng.integers(2, 8))
+        k = int(rng.integers(1, d + 1))
+        x = rng.normal(size=(3 * d, d))
+        centered = x - x.mean(axis=0)
+        axes = np.linalg.lstsq(centered, evaluation.pca(x, k), rcond=None)[0]
+        peaks = axes[np.argmax(np.abs(axes), axis=0), np.arange(k)]
+        assert np.all(peaks > 0), (seed, peaks)
+
+
+def _two_step_pca(feats, n_components):
+    """A fit that keeps mean and components, then a projection of the
+    same matrix: the form pca replaced, kept as a bitwise oracle."""
+    feats = np.asarray(feats, dtype=np.float64)
+    n = feats.shape[0]
+    mean = feats.mean(axis=0)
+    centered = feats - mean
+    cov = centered.T @ centered / max(1, n - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    vecs = eigvecs[:, np.argsort(eigvals)[::-1][:n_components]]
+    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    comps = (vecs * np.where(peaks < 0, -1.0, 1.0)).T
+    return (feats - mean) @ comps.T
+
+
+def test_pca_bit_identical_to_two_step_form():
+    for seed in range(20):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(1, 60))
+        d = int(rng.integers(1, 12))
+        k = int(rng.integers(1, d + 1))
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, d)
+        np.testing.assert_array_equal(evaluation.pca(x, k), _two_step_pca(x, k))
 
 
 def test_pca_rejects_bad_component_count():
     x = np.random.default_rng(5).normal(size=(10, 4))
     with pytest.raises(ValueError, match=r"D = 4\], got 0"):
-        evaluation.pca_fit(x, 0)
+        evaluation.pca(x, 0)
     with pytest.raises(ValueError, match=r"D = 4\], got 5"):
-        evaluation.pca_fit(x, 5)
+        evaluation.pca(x, 5)
 
 
 # ---------------------------------------------------- laplacian eigenmaps
