@@ -1,5 +1,6 @@
 """Downstream evaluation: feature fusion, a linear max-margin classifier,
-unsupervised baselines and agreement metrics.
+unsupervised baselines and agreement scores: OA, AA, kappa and per-class
+recall, all from one confusion matrix.
 
 The classifier is a one-vs-rest linear model trained on the hinge loss
 with L2 regularization: Pegasos-style per-sample subgradient steps with
@@ -31,9 +32,6 @@ __all__ = [
     "pca",
     "laplacian_eigenmaps",
     "confusion_matrix",
-    "overall_accuracy",
-    "average_accuracy",
-    "kappa",
     "evaluate_split",
 ]
 
@@ -297,9 +295,9 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
-                     classes: np.ndarray) -> tuple:
-    """Counts with rows = true class, columns = predicted class, both in
-    the order of classes.
+                     classes: np.ndarray) -> np.ndarray:
+    """(k, k) counts with rows = true class, columns = predicted class,
+    both in the order of classes; the counts only, not the classes.
 
     classes must cover every label in y_true and y_pred; an uncovered
     label raises ValueError naming it.
@@ -322,42 +320,31 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
     k = classes.shape[0]
     n = y_true.shape[0]
     mat = np.bincount(index[:n] * k + index[n:], minlength=k * k)
-    return mat.reshape(k, k), classes
+    return mat.reshape(k, k)
 
 
-def overall_accuracy(mat: np.ndarray) -> float:
+def _agreement(mat: np.ndarray) -> dict:
+    """oa, aa, kappa and per_class, as evaluate_split describes them, of a
+    confusion matrix that holds a count; kappa = (p_o - p_e) / (1 - p_e)."""
     total = mat.sum()
-    if total == 0:
-        raise ValueError("empty confusion matrix")
-    return float(np.trace(mat) / total)
-
-
-def average_accuracy(mat: np.ndarray) -> float:
-    """Mean per-class recall; classes with no true samples are skipped
-    with a warning."""
     row_sums = mat.sum(axis=1)
     present = row_sums > 0
-    if not np.any(present):
-        raise ValueError("no class has any true samples")
     if not np.all(present):
         warnings.warn(
             f"{int((~present).sum())} class(es) have no true samples; "
             "excluded from the average accuracy", stacklevel=2,
         )
     recalls = np.diag(mat)[present] / row_sums[present]
-    return float(recalls.mean())
-
-
-def kappa(mat: np.ndarray) -> float:
-    """Agreement beyond chance: (p_o - p_e) / (1 - p_e)."""
-    total = mat.sum()
-    if total == 0:
-        raise ValueError("empty confusion matrix")
-    p_o = np.trace(mat) / total
-    p_e = float((mat.sum(axis=1) / total) @ (mat.sum(axis=0) / total))
+    per_class = np.full(mat.shape[0], None)
+    per_class[present] = recalls
+    oa = float(np.trace(mat) / total)
+    p_e = float((row_sums / total) @ (mat.sum(axis=0) / total))
     if p_e >= 1.0:
-        return 0.0
-    return float((p_o - p_e) / (1.0 - p_e))
+        kappa = 0.0
+    else:
+        kappa = float((oa - p_e) / (1.0 - p_e))
+    return {"oa": oa, "aa": float(recalls.mean()), "kappa": kappa,
+            "per_class": per_class.tolist()}
 
 
 def evaluate_split(feats: np.ndarray, labels: np.ndarray,
@@ -365,9 +352,11 @@ def evaluate_split(feats: np.ndarray, labels: np.ndarray,
                    seed: int = 0) -> dict:
     """Train the linear classifier on the train rows, score the test rows.
 
-    Returns a dict with oa, aa, kappa, per-class recalls (None for a
-    class absent from the test rows), the confusion matrix and the class
-    list. An empty test split raises a ValueError before any training.
+    Returns a dict with oa, aa, kappa, per-class recalls, the confusion
+    matrix and the class list. A class absent from the test rows gets a
+    recall of None and is left out of aa with a UserWarning "N class(es)
+    have no true samples"; kappa is 0.0 when chance agreement p_e reaches
+    1. An empty test split raises a ValueError before any training.
     """
     if len(test_idx) == 0:
         raise ValueError(
@@ -376,18 +365,6 @@ def evaluate_split(feats: np.ndarray, labels: np.ndarray,
             "class needs 2 or more labeled pixels to be tested")
     model = train_classifier(feats[train_idx], labels[train_idx], seed=seed)
     preds = predict(model, feats[test_idx])
-    mat, classes = confusion_matrix(labels[test_idx], preds,
-                                    np.unique(labels))
-    row_sums = mat.sum(axis=1)
-    per_class = [
-        float(mat[i, i] / row_sums[i]) if row_sums[i] > 0 else None
-        for i in range(classes.shape[0])
-    ]
-    return {
-        "oa": overall_accuracy(mat),
-        "aa": average_accuracy(mat),
-        "kappa": kappa(mat),
-        "per_class": per_class,
-        "confusion": mat,
-        "classes": classes,
-    }
+    classes = np.unique(labels)
+    mat = confusion_matrix(labels[test_idx], preds, classes)
+    return {**_agreement(mat), "confusion": mat, "classes": classes}

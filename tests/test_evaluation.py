@@ -505,17 +505,15 @@ def test_eigenmaps_never_allocate_an_n_by_n_array():
 # --------------------------------------------------------------- metrics
 
 def test_confusion_matrix_counts_and_class_order():
-    mat, classes = evaluation.confusion_matrix(np.array([0, 0, 1, 1]),
-                                               np.array([0, 1, 1, 1]), np.array([0, 1]))
+    mat = evaluation.confusion_matrix(np.array([0, 0, 1, 1]),
+                                      np.array([0, 1, 1, 1]), np.array([0, 1]))
     np.testing.assert_array_equal(mat, [[1, 1], [0, 2]])
-    np.testing.assert_array_equal(classes, [0, 1])
 
 
 def test_confusion_matrix_explicit_classes_keep_empty_rows():
-    mat, classes = evaluation.confusion_matrix(
+    mat = evaluation.confusion_matrix(
         np.array([1, 1]), np.array([1, 1]), classes=np.array([0, 1, 2]))
     np.testing.assert_array_equal(mat, [[0, 0, 0], [0, 2, 0], [0, 0, 0]])
-    np.testing.assert_array_equal(classes, [0, 1, 2])
 
 
 def confusion_loop_oracle(y_true, y_pred, classes):
@@ -524,7 +522,7 @@ def confusion_loop_oracle(y_true, y_pred, classes):
     mat = np.zeros((classes.shape[0], classes.shape[0]), dtype=np.int64)
     for t, p in zip(y_true.tolist(), y_pred.tolist()):
         mat[index[t], index[p]] += 1
-    return mat, classes
+    return mat
 
 
 def test_confusion_matrix_matches_loop_oracle():
@@ -540,11 +538,10 @@ def test_confusion_matrix_matches_loop_oracle():
             # explicit classes in any order, some absent from both arrays
             extra = np.setdiff1d(np.arange(-8, 20), labels)[:trial % 4]
             classes = rng.permutation(np.concatenate([labels, extra]))
-        mat, got_classes = evaluation.confusion_matrix(y_true, y_pred, classes)
-        want, want_classes = confusion_loop_oracle(y_true, y_pred, classes)
+        mat = evaluation.confusion_matrix(y_true, y_pred, classes)
+        want = confusion_loop_oracle(y_true, y_pred, classes)
         assert mat.dtype == want.dtype
         np.testing.assert_array_equal(mat, want)
-        np.testing.assert_array_equal(got_classes, want_classes)
 
 
 def test_confusion_matrix_rejects_length_mismatch():
@@ -560,25 +557,24 @@ def test_confusion_matrix_names_label_outside_classes(y_true, y_pred):
 
 
 def test_metrics_perfect_diagonal():
-    mat = np.array([[2, 0], [0, 2]])
-    assert evaluation.overall_accuracy(mat) == 1.0
-    assert evaluation.average_accuracy(mat) == 1.0
-    assert evaluation.kappa(mat) == 1.0
+    scores = evaluation._agreement(np.array([[2, 0], [0, 2]]))
+    assert scores["oa"] == 1.0
+    assert scores["aa"] == 1.0
+    assert scores["kappa"] == 1.0
 
 
 def test_metrics_uniform_confusion():
-    mat = np.array([[1, 1], [1, 1]])
-    assert evaluation.overall_accuracy(mat) == 0.5
-    assert evaluation.average_accuracy(mat) == 0.5
-    assert evaluation.kappa(mat) == 0.0
+    scores = evaluation._agreement(np.array([[1, 1], [1, 1]]))
+    assert scores["oa"] == 0.5
+    assert scores["aa"] == 0.5
+    assert scores["kappa"] == 0.0
 
 
 def test_metrics_mixed_confusion_hand_values():
-    mat = np.array([[4, 1], [2, 3]])
-    assert evaluation.overall_accuracy(mat) == 0.7
-    np.testing.assert_allclose(evaluation.average_accuracy(mat), 0.7,
-                               atol=1e-15)
-    np.testing.assert_allclose(evaluation.kappa(mat), 0.4, atol=1e-15)
+    scores = evaluation._agreement(np.array([[4, 1], [2, 3]]))
+    assert scores["oa"] == 0.7
+    np.testing.assert_allclose(scores["aa"], 0.7, atol=1e-15)
+    np.testing.assert_allclose(scores["kappa"], 0.4, atol=1e-15)
 
 
 def test_metrics_invariant_to_class_relabeling():
@@ -586,33 +582,59 @@ def test_metrics_invariant_to_class_relabeling():
     mat = rng.integers(0, 9, size=(4, 4))
     perm = rng.permutation(4)
     pmat = mat[np.ix_(perm, perm)]
-    np.testing.assert_allclose(evaluation.overall_accuracy(pmat),
-                               evaluation.overall_accuracy(mat), atol=1e-15)
-    np.testing.assert_allclose(evaluation.average_accuracy(pmat),
-                               evaluation.average_accuracy(mat), atol=1e-15)
-    np.testing.assert_allclose(evaluation.kappa(pmat),
-                               evaluation.kappa(mat), atol=1e-15)
+    scores = evaluation._agreement(mat)
+    pscores = evaluation._agreement(pmat)
+    for key in ("oa", "aa", "kappa"):
+        np.testing.assert_allclose(pscores[key], scores[key], atol=1e-15)
 
 
 def test_kappa_is_one_only_for_diagonal():
-    assert evaluation.kappa(np.diag([3, 5])) == 1.0
-    assert evaluation.kappa(np.array([[3, 1], [0, 5]])) < 1.0
+    assert evaluation._agreement(np.diag([3, 5]))["kappa"] == 1.0
+    assert evaluation._agreement(np.array([[3, 1], [0, 5]]))["kappa"] < 1.0
 
 
 def test_average_accuracy_skips_empty_class_with_warning():
     mat = np.array([[5, 0, 0], [2, 3, 0], [0, 0, 0]])
     with pytest.warns(UserWarning, match="no true samples"):
-        aa = evaluation.average_accuracy(mat)
+        aa = evaluation._agreement(mat)["aa"]
     np.testing.assert_allclose(aa, 0.8, atol=1e-15)
 
 
-def test_metrics_reject_empty_matrix():
-    for fn in (evaluation.overall_accuracy, evaluation.average_accuracy,
-               evaluation.kappa):
-        with pytest.raises(ValueError):
-            fn(np.zeros((0, 0), dtype=np.int64))
-        with pytest.raises(ValueError):
-            fn(np.zeros((2, 2), dtype=np.int64))
+def separate_metrics_oracle(mat):
+    """The former overall_accuracy, average_accuracy and kappa, and
+    evaluate_split's per-class loop, each on its own pass over mat."""
+    total = mat.sum()
+    oa = float(np.trace(mat) / total)
+    row_sums = mat.sum(axis=1)
+    present = row_sums > 0
+    aa = float((np.diag(mat)[present] / row_sums[present]).mean())
+    p_o = np.trace(mat) / total
+    p_e = float((mat.sum(axis=1) / total) @ (mat.sum(axis=0) / total))
+    kappa = 0.0 if p_e >= 1.0 else float((p_o - p_e) / (1.0 - p_e))
+    per_class = [
+        float(mat[i, i] / row_sums[i]) if row_sums[i] > 0 else None
+        for i in range(mat.shape[0])
+    ]
+    return {"oa": oa, "aa": aa, "kappa": kappa, "per_class": per_class}
+
+
+def test_agreement_matches_separate_metrics_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        k = int(rng.integers(2, 10))
+        mat = rng.integers(0, 40, size=(k, k))
+        # some classes with no true sample; one row always keeps a count
+        empty = rng.random(k) < 0.25
+        empty[rng.integers(k)] = False
+        mat[empty] = 0
+        mat[~empty, 0] += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = evaluation._agreement(mat)
+        want = separate_metrics_oracle(mat)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key] == want[key], key
 
 
 # --------------------------------------------------------- evaluate_split
@@ -669,3 +691,19 @@ def test_evaluate_split_empty_test_split_raises_before_training(monkeypatch):
     labels = np.array([1, 2])
     with pytest.raises(ValueError, match="test split is empty.*2 or more"):
         evaluation.evaluate_split(feats, labels, np.arange(2), np.arange(0))
+
+
+def test_evaluate_split_one_class_test_split_gives_zero_kappa():
+    # both test rows are class 1 and predicted so: chance agreement p_e is 1
+    feats = np.array([[0.0], [0.0], [0.0], [1.0]])
+    labels = np.array([1, 1, 1, 2])
+    with pytest.warns(UserWarning,
+                      match="1 class\\(es\\) have no true samples") as record:
+        report = evaluation.evaluate_split(feats, labels, np.array([0, 3]),
+                                           np.array([1, 2]))
+    # the warning points at evaluate_split, not at the helper it calls
+    assert record[0].filename == evaluation.__file__
+    assert report["oa"] == 1.0
+    assert report["aa"] == 1.0
+    assert report["kappa"] == 0.0
+    assert report["per_class"] == [1.0, None]
