@@ -42,12 +42,6 @@ def extract_preliminary_batch(params: dict, pixels: np.ndarray, g: int, d_cap: i
     under ``autodiff`` rules: float32 when the pixels and parameters are
     float32, float64 otherwise."""
     pixels = np.asarray(pixels)
-    c_spec = pixels.shape[-1]
-    if params["w"].data.shape[0] != c_spec:
-        raise ValueError(
-            f"pixels have {c_spec} bands but the block was built for "
-            f"{params['w'].data.shape[0]}"
-        )
     groups = reshape(linear(pixels, params["w"], params["b"]),
                      pixels.shape[:-1] + (g, d_cap))
     return reshape(squash_groups(groups), pixels.shape[:-1] + (g * d_cap,))

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import dataio, model, training
+from . import dataio, evaluation, model, training
 from .config import INT_FIELDS, TrainConfig
 from .errors import DivergenceError
 from .losses import LossReport
@@ -167,9 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _score(args, feats: np.ndarray, labels: np.ndarray, prefix: str) -> int:
     """Split, probe, write the optional report and print the metric line."""
-    # imported per command: evaluation loads scipy, which no other command needs
-    from . import evaluation
-
     rng = np.random.default_rng(args.seed)
     train_idx, test_idx = dataio.stratified_split(labels, args.train_frac, rng)
     result = evaluation.evaluate_split(feats, labels, train_idx, test_idx,
@@ -262,8 +259,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    from . import evaluation
-
     # every baseline reads only the center pixel, so 1 x 1 patches suffice
     patches = dataio.extract_patches(*dataio.read_scene(args.data), 1)
     raw = evaluation.raw_patch_features(patches)

@@ -140,8 +140,6 @@ def write_dten(path: str, array: np.ndarray) -> None:
         code, dtype = 2, "<i4"
     else:
         raise ValueError(f"cannot serialize dtype {array.dtype}")
-    if array.ndim > 255:
-        raise ValueError("too many dimensions for the container")
     if any(dim >= 2 ** 32 for dim in array.shape):
         raise ValueError("dimension too large for the container")
     header = DTEN_MAGIC + struct.pack("<HBB", DTEN_VERSION, code, array.ndim)

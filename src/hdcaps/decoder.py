@@ -36,13 +36,6 @@ def init_decoder(c: int, pose_dim: int, d_out: int, m: int, h: int,
     dimension; m: points per capsule; h: hidden width. anchored mode
     requires pose_dim == d_out.
     """
-    if m < 1 or d_out < 1 or h < 1 or c < 1 or pose_dim < 1:
-        raise ValueError("all decoder dimensions must be positive")
-    if anchored and pose_dim != d_out:
-        raise ValueError(
-            "anchored decoding translates by the pose, so pose_dim must "
-            f"equal d_out (got {pose_dim} vs {d_out})"
-        )
     d_in = c if anchored else c + pose_dim
     return {
         "w1": Tensor(fan_uniform(rng, d_in, h)),

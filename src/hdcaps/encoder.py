@@ -66,12 +66,7 @@ def init_encoder(d_in: int, h: int, n_blocks: int, k: int, c: int,
 
 
 def encode_batch(params: dict, points: Tensor) -> Tensor:
-    """(B, X, D) point sets -> hidden maps (B, X, H)."""
-    if points.data.shape[-1] != params["lift_w"].data.shape[0]:
-        raise ValueError(
-            f"points are {points.data.shape[-1]}-D but the encoder expects "
-            f"{params['lift_w'].data.shape[0]}-D input"
-        )
+    """(B, X, D) point sets, D the encoder's d_in -> hidden maps (B, X, H)."""
     h = linear(points, params["lift_w"], params["lift_b"])
     for i in range(params["n_blocks"]):
         weights = softmax(linear(h, params[f"b{i}_att_w"]), axis=-2)

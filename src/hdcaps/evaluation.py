@@ -19,9 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
 
 __all__ = [
     "fuse_features",
@@ -54,13 +51,6 @@ def fuse_features(feats_hsi: np.ndarray, feats_lidar: np.ndarray,
     """
     fh = np.asarray(feats_hsi)
     fl = np.asarray(feats_lidar)
-    if fh.ndim != 3 or fl.ndim != 3:
-        raise ValueError(
-            f"expected (N, X, C) feature maps, got {fh.shape} and {fl.shape}")
-    if fh.shape[:-1] != fl.shape[:-1]:
-        raise ValueError("branch feature maps must cover the same points")
-    if not 0 <= center < fh.shape[1]:
-        raise ValueError("center index out of range")
     n_points = fh.shape[1]
     return np.concatenate(
         [fh[:, center], np.einsum("nxc->nc", fh, dtype=np.float64) / n_points,
@@ -236,6 +226,11 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     The largest component must hold at least n_components + 2 rows, or a
     ValueError is raised.
     """
+    # imported here: no other function needs scipy, which is slow to load
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import eigsh
+
     x = np.asarray(feats, dtype=np.float64)
     n = x.shape[0]
     if n_neighbors < 1 or n_neighbors >= n:

@@ -17,10 +17,6 @@ def sample_rotations(dim: int, count: int, rng: np.random.Generator) -> np.ndarr
     QR of standard Gaussian matrices, columns sign-fixed by the diagonal
     of R; where the determinant lands at -1 the last column is negated.
     """
-    if dim < 1:
-        raise ValueError("rotation dimension must be >= 1")
-    if count < 1:
-        raise ValueError("count must be >= 1")
     a = rng.standard_normal((count, dim, dim))
     q, r = np.linalg.qr(a)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))

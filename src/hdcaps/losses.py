@@ -109,13 +109,6 @@ def reconstruction_loss(target: np.ndarray, recon: Tensor) -> Tensor:
     constant, which is the exact gradient away from ties.
     """
     target = np.asarray(target, dtype=recon.data.dtype)
-    if target.ndim != 3 or recon.data.ndim != 3:
-        raise ValueError("reconstruction_loss expects (B, n, D) tensors")
-    if (target.shape[0] != recon.data.shape[0]
-            or target.shape[2] != recon.data.shape[2]):
-        raise ValueError("batch or dimension mismatch in reconstruction_loss")
-    if target.shape[1] == 0 or recon.data.shape[1] == 0:
-        raise ValueError("chamfer distance of an empty point set is undefined")
     vals, nn_pq, nn_qp = kernels.chamfer_forward(target, recon.data)
     return tmean(_op(vals, (recon,), lambda g: kernels.chamfer_backward(
         target, recon.data, nn_pq, nn_qp, g)))

@@ -13,7 +13,8 @@ routine (``_branch``) encodes a branch's point set twice, raw and under
 a freshly sampled random rotation, and scores equivariance of the poses,
 invariance of the descriptors and chamfer reconstruction.
 ``forward_batch`` runs it once per branch and adds cross-branch
-attention agreement.
+attention agreement. The entry points check a batch's shapes once, in
+``_check_batch``, and the layers below take them as given.
 
 Precision: the parameters' dtype decides. ``init_model`` makes float32
 parameters (drawn in float64 and rounded once) as views of one vector, a
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluation
 from .autodiff import Tensor, as_tensor, matmul
 from .capsule_block import extract_preliminary_batch, init_capsule_block
 from .config import TrainConfig
@@ -176,21 +178,28 @@ def _branch(enc: dict, dec: dict, pts: Tensor, rot: np.ndarray, target: np.ndarr
             loss_invariance(desc, desc_rot), reconstruction_loss(target, recon))
 
 
-def _check_batch(hsi_patches, lidar_points, name: str = "hsi_patches") -> None:
-    """Raise a ValueError unless hsi_patches (B, b, b, C) and lidar_points
-    (B, b*b, 3) hold the same B patches of the same b*b pixels; messages
-    call the first argument `name`. Reads only the two ``shape``
-    attributes."""
+def _check_batch(hsi_patches, lidar_points, channels: int,
+                 name: str = "hsi_patches") -> None:
+    """Raise a ValueError unless hsi_patches (B, b, b, channels) and
+    lidar_points (B, b*b, 3) hold the same B >= 1 patches of the same b*b
+    pixels; messages call the first argument `name`. Reads only the two
+    ``shape`` attributes. The entry points check a batch here once, and
+    the layers below them take its shapes as given."""
     hs, ls = tuple(hsi_patches.shape), tuple(lidar_points.shape)
-    if len(hs) != 4 or len(ls) != 3:
+    if len(hs) != 4 or len(ls) != 3 or ls[2] != 3:
         raise ValueError(f"{name} must be (B, b, b, C) and lidar_points "
                          f"(B, b*b, 3), got {hs} and {ls}")
     if hs[0] != ls[0]:
         raise ValueError(f"{name} has {hs[0]} patches but lidar_points "
                          f"has {ls[0]}")
+    if hs[0] < 1:
+        raise ValueError(f"{name} has no patches")
     if hs[1] * hs[2] != ls[1]:
         raise ValueError(f"{name} are {hs[1]}x{hs[2]} windows but "
                          f"lidar_points has {ls[1]} points per patch")
+    if hs[3] != channels:
+        raise ValueError(f"{name} have {hs[3]} channels but the model "
+                         f"takes {channels}")
 
 
 def forward_batch(state: ModelState, hsi_patches: np.ndarray,
@@ -211,7 +220,7 @@ def forward_batch(state: ModelState, hsi_patches: np.ndarray,
     dtype = state.vector.dtype
     hsi_patches = np.asarray(hsi_patches, dtype=dtype)
     lidar_points = np.asarray(lidar_points, dtype=dtype)
-    _check_batch(hsi_patches, lidar_points)
+    _check_batch(hsi_patches, lidar_points, state.c_spec)
     n = hsi_patches.shape[0]
 
     # reconstruction target of the spectral branch: the raw pixel spectra
@@ -260,7 +269,8 @@ def decompose_batch(state: ModelState, lifted_patches: np.ndarray,
     dtype = state.vector.dtype
     lifted_patches = np.asarray(lifted_patches, dtype=dtype)
     lidar_points = np.asarray(lidar_points, dtype=dtype)
-    _check_batch(lifted_patches, lidar_points, "lifted_patches")
+    _check_batch(lifted_patches, lidar_points, state.config.d_h,
+                 "lifted_patches")
     n, b0, b1, d_h = lifted_patches.shape
     pts_h = as_tensor(lifted_patches.reshape(n, b0 * b1, d_h))
     pts_l = as_tensor(lidar_points)
@@ -300,16 +310,10 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
     type raises a TypeError. lidar_points: (N, b*b, 3). How the rows are
     computed is described in the module docstring.
     """
-    # imported per call, not at module level: perfbench times
-    # `evaluation.fuse_features` by replacing that module attribute, and a
-    # name bound once at import would call the unwrapped function, moving
-    # its time into the untimed rest of a pass
-    from .evaluation import fuse_features
-
     if not isinstance(hsi_patches, PatchStack):
         raise TypeError(f"hsi_patches must be a dataio.PatchStack (pass "
                         f"PatchSet.hsi), got {type(hsi_patches).__name__}")
-    _check_batch(hsi_patches, lidar_points)
+    _check_batch(hsi_patches, lidar_points, state.c_spec)
     n = hsi_patches.shape[0]
     out = np.empty((n, 4 * state.config.C), dtype=np.float32)
     rows, cols, b = hsi_patches.rows, hsi_patches.cols, hsi_patches.b
@@ -323,7 +327,8 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
     for start in range(0, n, _EXTRACT_BATCH):
         batch = slice(start, start + _EXTRACT_BATCH)
         hidden_h, hidden_l = decompose_batch(state, lifted[batch], lidar_points[batch])
-        pooled = fuse_features(hidden_h, hidden_l, center).reshape(len(hidden_h), 4, -1)
+        pooled = evaluation.fuse_features(hidden_h, hidden_l, center)
+        pooled = pooled.reshape(len(hidden_h), 4, -1)
         out_rows[batch, :2] = feature_map(enc_h, pooled[:, :2]).data
         out_rows[batch, 2:] = feature_map(enc_l, pooled[:, 2:]).data
     return out

@@ -3,7 +3,6 @@
 The lift maps (..., c_spec) pixel spectra to (..., g*d_cap) points."""
 
 import numpy as np
-import pytest
 
 from hdcaps import autodiff as ad
 from hdcaps import capsule_block as cb
@@ -107,12 +106,6 @@ def test_extract_batch_matches_single():
     batch = lift(params, pixels, 4, 4)
     for i in range(3):
         np.testing.assert_allclose(batch[i], lift(params, pixels[i], 4, 4), atol=1e-12)
-
-
-def test_extract_rejects_band_mismatch():
-    params = make_params(5, 2, 2)
-    with pytest.raises(ValueError, match="4 bands"):
-        lift(params, np.zeros((4, 4)), 2, 2)
 
 
 def test_extract_param_gradients_fd():

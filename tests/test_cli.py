@@ -90,10 +90,10 @@ def test_parse_config_errors_cite_line(tmp_path, text, fragment, lineno):
 
 
 def test_cli_and_model_imports_load_no_scipy():
-    # evaluation, the one module that loads scipy, is imported by the
-    # commands that score features; train, extract and gen-synth start
-    # without it
-    code = ("import sys, hdcaps.cli, hdcaps.model, hdcaps.training, hdcaps.dataio; "
+    # only laplacian_eigenmaps loads scipy: importing the package's
+    # modules, evaluation among them, leaves it unloaded
+    code = ("import sys, hdcaps.cli, hdcaps.model, hdcaps.training, hdcaps.dataio, "
+            "hdcaps.evaluation; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -162,12 +162,6 @@ def test_feature_head_of_pooled_rows_equals_pooled_feature_map():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-def test_encode_rejects_dim_mismatch():
-    params = make_encoder(3, 8, 1, 2, 2)
-    with pytest.raises(ValueError, match="4-D"):
-        encode(params, np.zeros((5, 4)))
-
-
 def test_aggregate_uniform_centroid():
     attn = np.full((2, 3), 1.0 / 3.0)
     pts = np.array([[0.0, 0.0], [2.0, 0.0]])

@@ -57,26 +57,6 @@ def test_fuse_batch_matches_per_instance():
             evaluation.fuse_features(fh[i:i + 1], fl[i:i + 1], center=2))
 
 
-def test_fuse_rejects_mismatched_points_and_bad_center():
-    with pytest.raises(ValueError):
-        evaluation.fuse_features(np.ones((1, 4, 2)), np.ones((1, 5, 2)),
-                                 center=0)
-    with pytest.raises(ValueError):
-        evaluation.fuse_features(np.ones((1, 4, 2)), np.ones((1, 4, 2)),
-                                 center=4)
-    with pytest.raises(ValueError):
-        evaluation.fuse_features(np.ones((1, 4, 2)), np.ones((1, 4, 2)),
-                                 center=-1)
-
-
-@pytest.mark.parametrize("shape_h,shape_l", [((4, 2), (4, 2)),
-                                             ((1, 4, 2), (4, 2)),
-                                             ((2, 1, 4, 2), (2, 1, 4, 2))])
-def test_fuse_rejects_input_that_is_not_a_batch(shape_h, shape_l):
-    with pytest.raises(ValueError, match=r"\(N, X, C\)"):
-        evaluation.fuse_features(np.ones(shape_h), np.ones(shape_l), center=0)
-
-
 def test_raw_patch_features_center_spectrum_and_height(tmp_path):
     hsi, elev, labels = dataio.gen_synthetic(
         12, 12, 3, 5, np.random.default_rng(0))

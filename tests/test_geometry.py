@@ -78,14 +78,6 @@ def test_rotation_deterministic_and_stream_consistent():
     np.testing.assert_allclose(three[0], one[0], atol=1e-12)
 
 
-def test_rotation_rejects_bad_dims():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        geometry.sample_rotations(0, 1, rng)
-    with pytest.raises(ValueError):
-        geometry.sample_rotations(3, 0, rng)
-
-
 def test_apply_rotation_semantics():
     # the model rotates a point set as pts @ rot.T (row p becomes R @ p);
     # the equivariance loss must read rotations the same way
@@ -170,14 +162,3 @@ def test_chamfer_batch_rejects_bad_shapes():
         losses.reconstruction_loss(np.ones((2, 3)), ad.Tensor(np.ones((2, 3, 1))))
     with pytest.raises(ValueError):
         losses.reconstruction_loss(np.ones((2, 3, 4)), ad.Tensor(np.ones((3, 3, 4))))
-
-
-def test_chamfer_validation():
-    with pytest.raises(ValueError, match="empty point set"):
-        losses.reconstruction_loss(np.ones((1, 0, 2)), ad.Tensor(np.ones((1, 3, 2))))
-    with pytest.raises(ValueError, match="empty point set"):
-        losses.reconstruction_loss(np.ones((1, 3, 2)), ad.Tensor(np.ones((1, 0, 2))))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        losses.reconstruction_loss(np.ones((1, 2, 2)), ad.Tensor(np.ones((1, 3, 4))))
-    with pytest.raises(ValueError, match="expects"):
-        losses.reconstruction_loss(np.ones((1, 3)), ad.Tensor(np.ones((1, 3, 1))))

@@ -591,23 +591,37 @@ def test_fused_features_rejects_mismatched_lengths():
         fused_features(state, hsi, lidar[:3])
 
 
+def test_fused_features_rejects_wrong_band_count():
+    state = tiny_state(seed=21, c_spec=5)
+    hsi, lidar = tiny_stack(22, n=4)
+    with pytest.raises(ValueError, match=r"hsi_patches have 4 channels but the model takes 5"):
+        fused_features(state, hsi, lidar)
+
+
 def call_forward(state, hsi, lidar):
     return forward_batch(state, hsi, lidar, np.random.default_rng(0),
                          config_weights(state))
 
 
 @pytest.mark.parametrize("run", [call_forward, decompose_batch])
-@pytest.mark.parametrize("n_lidar, x_lidar, message", [
-    (3, 9, r"hsi_patches has 5 patches but lidar_points has 3"),
-    (5, 16, r"3x3 windows but lidar_points has 16 points per patch"),
+@pytest.mark.parametrize("n_lidar, x_lidar, message, hsi_shape, width", [
+    (3, 9, r"hsi_patches has 5 patches but lidar_points has 3", (5, 3, 3, 4), 3),
+    (5, 16, r"3x3 windows but lidar_points has 16 points per patch", (5, 3, 3, 4), 3),
+    (5, 9, r"lidar_points \(B, b\*b, 3\), got .* and \(5, 9, 4\)", (5, 3, 3, 4), 4),
+    (0, 9, r"hsi_patches has no patches", (0, 3, 3, 4), 3),
+    # one pixel of 8 bands is as many values as two of 4: the band check
+    # must see the batch before anything reshapes it to the model's bands
+    (3, 1, r"hsi_patches have 8 channels but the model takes 4", (3, 1, 1, 8), 3),
 ])
-def test_batch_rejects_mismatched_shapes(run, n_lidar, x_lidar, message):
+def test_batch_rejects_mismatched_shapes(run, n_lidar, x_lidar, message, hsi_shape, width):
     state = tiny_state(seed=25)
-    hsi, _ = tiny_data(26, n=5)
+    hsi = np.random.default_rng(26).standard_normal(hsi_shape)
     if run is decompose_batch:
-        hsi = lift(state, hsi)
+        # the model lifts to d_h = 4, so 8-band patches stand in for
+        # 8-wide capsule points
+        hsi = lift(state, hsi) if hsi_shape[3] == 4 else hsi
         message = message.replace("hsi_patches", "lifted_patches")
-    lidar = np.random.default_rng(27).standard_normal((n_lidar, x_lidar, 3))
+    lidar = np.random.default_rng(27).standard_normal((n_lidar, x_lidar, width))
     with pytest.raises(ValueError, match=message):
         run(state, hsi, lidar)
 
