@@ -6,8 +6,10 @@ The classifier is a one-vs-rest linear model trained on the hinge loss
 with L2 regularization: Pegasos-style per-sample subgradient steps with
 the 1/(lambda*t) schedule and a per-class norm projection. All classes
 advance as one (K, D+1) iterate and so share one shuffled sample order,
-drawn from a seeded generator. Features are z-scored with moments from the
-training split. Baselines are PCA and Laplacian eigenmaps applied to
+drawn from a seeded generator. A sample that violates no class's margin
+only decays and averages the iterate, which equals the full update
+exactly (see ``train_classifier``). Features are z-scored with moments
+from the training split. Baselines are PCA and Laplacian eigenmaps applied to
 the per-pixel original data, each one call from the (N, D) matrix to its
 (N, k) embedding: both are fit transductively on the full feature
 matrix, the split happens afterwards.
@@ -19,6 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dataio import _require_finite
 
 __all__ = [
     "fuse_features",
@@ -90,12 +94,20 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray,
     same `epochs` shuffled passes, drawn from one generator. Each sample
     takes a subgradient step of size 1/(lam * t), t the global step
     counter, in every row whose margin it violates; then each row is
-    projected onto the ball of radius 1/sqrt(lam). The returned weights
-    are the average over all iterates; the last iterate still swings with
-    the final few samples at this step schedule, the average settles. The
-    bias is a weight on a constant feature, so it shares the decay and
-    projection; that keeps its scale commensurate with the scores.
-    Deterministic given (features, labels, seed).
+    projected onto the ball of radius 1/sqrt(lam). A sample that violates
+    no row's margin takes the decay alone: the iterate never holds -0.0,
+    so adding the update's +-0 would leave it unchanged, and the decay
+    keeps every row strictly inside the ball, so the projection would
+    scale by exactly 1. The result is bit for bit the full update's.
+
+    The returned weights are the average over all iterates; the last
+    iterate still swings with the final few samples at this step
+    schedule, the average settles. The bias is a weight on a constant
+    feature, so it shares the decay and projection; that keeps its scale
+    commensurate with the scores. Deterministic given (features, labels,
+    seed). A non-finite feature, or a column too large to standardize in
+    float64, raises a ValueError naming its row and column; a NaN margin
+    would otherwise count as no violation.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
@@ -107,10 +119,13 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray,
         raise ValueError("expected feats (N, D) with one label per row")
     if feats.shape[0] == 0:
         raise ValueError("cannot train a classifier on zero samples")
+    _require_finite("feats", feats, ("row", "column"), feats.shape[0])
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     std = np.where(std < _STD_FLOOR, 1.0, std)
     x = (feats - mean) / std
+    # a finite column near float64's limit can overflow its mean
+    _require_finite("standardized feats", x, ("row", "column"), x.shape[0])
     classes = np.unique(labels)
     if classes.shape[0] < 2:
         raise ValueError("need at least two classes to train a classifier")
@@ -123,12 +138,14 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray,
     avg = np.zeros_like(w)
     t = 1
     for _ in range(epochs):
-        for i in rng.permutation(n):
-            violated = y[i] * (w @ x[i]) < 1.0
+        order = rng.permutation(n)
+        for xi, yi in zip(x[order], y[order]):
+            violated = yi * (w @ xi) < 1.0
             w *= 1.0 - 1.0 / t
-            w += np.outer(violated * y[i] / (lam * t), x[i])
-            norms = np.linalg.norm(w, axis=1)
-            w *= (radius / np.maximum(norms, radius))[:, None]
+            if violated.any():
+                w += (violated * yi / (lam * t))[:, None] * xi
+                norms = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
+                w *= radius / np.maximum(norms, radius)
             avg += w
             t += 1
     avg /= t - 1

@@ -213,6 +213,97 @@ def test_classifier_matches_per_class_oracle():
                                       evaluation.predict(want, feats))
 
 
+def _pegasos_full_update(feats, labels, lam, epochs, seed):
+    """Reference probe: the shared-iterate loop with the full update on
+    every step (rank-1 ``np.outer`` step, ``np.linalg.norm`` projection),
+    even when the sample violates no margin. Returns (w, b, steps that
+    violated some margin, all steps)."""
+    mean = feats.mean(axis=0)
+    std = feats.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    x = (feats - mean) / std
+    classes = np.unique(labels)
+    n, d = x.shape
+    x = np.concatenate([x, np.ones((n, 1))], axis=1)
+    y = np.where(labels[:, None] == classes, 1.0, -1.0)  # (n, K)
+    radius = 1.0 / np.sqrt(lam)
+    rng = np.random.default_rng(seed)
+    w = np.zeros((classes.shape[0], d + 1))
+    avg = np.zeros_like(w)
+    t = 1
+    violating = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            violated = y[i] * (w @ x[i]) < 1.0
+            violating += bool(violated.any())
+            w *= 1.0 - 1.0 / t
+            w += np.outer(violated * y[i] / (lam * t), x[i])
+            norms = np.linalg.norm(w, axis=1)
+            w *= (radius / np.maximum(norms, radius))[:, None]
+            avg += w
+            t += 1
+    avg /= t - 1
+    return avg[:, :d], avg[:, d], violating, t - 1
+
+
+@pytest.mark.parametrize("spread", ["separated", "overlapping"])
+def test_classifier_matches_full_update_bit_for_bit(spread):
+    # in the median case, separated blobs leave most steps violating no
+    # margin, so most skip the update; overlapping ones leave most
+    # steps violating one
+    rng = np.random.default_rng(33 if spread == "separated" else 34)
+    sep = 25.0 if spread == "separated" else 0.3
+    shares = []
+    for case in range(24):
+        k = 2 + case % 7
+        n = int(rng.integers(max(k, 12), 80))
+        d = int(rng.integers(1, 12))
+        centers = rng.normal(size=(k, d)) * sep
+        labels = np.concatenate([np.arange(k),
+                                 rng.integers(0, k, size=n - k)])
+        feats = centers[labels] + rng.normal(size=(n, d))
+        if case % 3 == 0:
+            feats[:, 0] = 3.5  # a constant column
+        if case % 4 == 1:
+            feats = np.vstack([feats, feats[: n // 2]])  # duplicated rows
+            labels = np.concatenate([labels, labels[: n // 2]])
+        lam = float(10.0 ** (-5 + 4 * (case % 5) / 4))
+        epochs = 1 + case % 6
+        seed = int(rng.integers(0, 1000))
+        got = evaluation.train_classifier(feats, labels, lam=lam,
+                                          epochs=epochs, seed=seed)
+        w, b, violating, steps = _pegasos_full_update(feats, labels, lam,
+                                                      epochs, seed)
+        assert got.w.tobytes() == w.tobytes(), case
+        assert got.b.tobytes() == b.tobytes(), case
+        shares.append(violating / steps)
+    if spread == "separated":
+        assert np.median(shares) < 0.5
+    else:
+        assert np.median(shares) > 0.5
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, r"feats holds a non-finite value \(nan\) at row 2, column 1"),
+    (np.inf, r"feats holds a non-finite value \(inf\) at row 2, column 1"),
+    (-np.inf, r"feats holds a non-finite value \(-inf\) at row 2, column 1"),
+])
+def test_classifier_rejects_non_finite_features(bad, message):
+    feats = np.arange(12.0).reshape(6, 2)
+    feats[2, 1] = bad
+    feats[4, 0] = bad
+    with pytest.raises(ValueError, match=message):
+        evaluation.train_classifier(feats, np.array([0, 1, 0, 1, 0, 1]))
+
+
+def test_classifier_rejects_column_too_large_to_standardize():
+    # finite, but the column's sum overflows, so its mean is inf
+    feats = np.array([[0.0, 1.7e308], [1.0, 1.7e308], [2.0, 1.0], [3.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"standardized feats .* row 0, column 1"):
+            evaluation.train_classifier(feats, np.array([0, 1, 0, 1]))
+
+
 def test_classifier_tolerates_constant_feature_column():
     feats = np.array([[0.0, 7.0], [1.0, 7.0], [4.0, 7.0], [5.0, 7.0]])
     labels = np.array([0, 0, 1, 1])
