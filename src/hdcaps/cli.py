@@ -4,7 +4,8 @@ Subcommands: gen-synth, train, extract, eval, baseline, gradcheck.
 Exit codes: 0 success, 1 usage/config error, 2 data that is missing,
 malformed, does not fit in memory or cannot be written, 3 numeric
 failure (divergence or a failed gradient check).
-Diagnostics go to stderr as a single line. Metric reports are JSON with
+Diagnostics go to stderr as a single line each, "error: <message>" or,
+for a Python warning, "warning: <message>". Metric reports are JSON with
 fields oa, aa, kappa, per_class, confusion and classes. Every output
 file is written atomically except train's train_log.csv: its header
 reaches the file before the first epoch and each epoch's row as the
@@ -19,6 +20,7 @@ import csv
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -303,7 +305,10 @@ def main(argv=None) -> int:
         if args.command is None:
             print(parser.format_usage().rstrip(), file=sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -14,7 +14,8 @@ class TrainConfig:
     the spectral branch lifts each pixel into G squashed groups of length
     d_cap (so its point sets live in G*d_cap dimensions). alpha/beta/gamma
     weight the spectral branch, elevation branch and attention-alignment
-    terms of the total loss.
+    terms of the total loss. Adam's beta1, beta2 and eps are not knobs:
+    ``training`` holds them as constants, the published defaults.
     """
 
     lr: float = 0.001
@@ -32,16 +33,13 @@ class TrainConfig:
     H: int = 32
     n_blocks: int = 2
     m: int = 2
-    adam_beta1: float = field(default=0.9, repr=False)
-    adam_beta2: float = field(default=0.999, repr=False)
-    adam_eps: float = field(default=1e-8, repr=False)
 
     @property
     def d_h(self) -> int:
         return self.G * self.d_cap
 
     def validate(self) -> "TrainConfig":
-        for name in ("lr", "alpha", "beta", "gamma", "adam_beta1", "adam_beta2", "adam_eps"):
+        for name in ("lr", "alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.lr <= 0:
@@ -58,11 +56,6 @@ class TrainConfig:
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be > 0")
         return self
 
     def to_dict(self) -> dict:

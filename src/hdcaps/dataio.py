@@ -240,8 +240,8 @@ class PatchStack:
     scene: an (H, W, C) array at the scene's own extent: in a PatchSet,
     the standardized float32 spectra, the only copy of them; in
     `model.fused_features`, which takes only this form of spectral
-    patches, the capsule lift of the covered pixels of those spectra
-    (C = d_h). rows, cols: (N,) scene coordinates of the patch centers.
+    patches, their capsule lift (C = d_h) from `map_pixels`. rows, cols:
+    (N,) scene coordinates of the patch centers.
     Patch i is the b x b window centered on (rows[i], cols[i]), its cells
     past the border mirrored back into the scene (see `_windows`).
     Indexing the first axis with an integer, a slice or an integer array
@@ -262,6 +262,25 @@ class PatchStack:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self[:]
+
+    def map_pixels(self, fn, block_bytes: int) -> "PatchStack":
+        """The same windows over a map of the scene that holds fn's (n, D)
+        values at the n pixels some window reads, mirrored cells included,
+        and zero elsewhere, in fn's dtype. fn gets those pixels' (n, C)
+        values, one call per block of about block_bytes of scene rows."""
+        height, width, channels = self.scene.shape
+        read = np.zeros((height, width), dtype=bool)
+        read[_windows(self.rows, self.cols, self.b, read.shape)] = True
+        step = max(1, block_bytes // (width * channels * self.scene.itemsize))
+        mapped = None
+        for start in range(0, height, step):
+            mask = read[start:start + step]
+            if mask.any():
+                values = fn(self.scene[start:start + step][mask])
+                if mapped is None:
+                    mapped = np.zeros((height, width, values.shape[1]), values.dtype)
+                mapped[start:start + step][mask] = values
+        return PatchStack(mapped, self.rows, self.cols, self.b)
 
 
 @dataclass

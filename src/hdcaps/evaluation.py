@@ -4,19 +4,20 @@ recall, all from one confusion matrix.
 
 The classifier is a one-vs-rest linear model trained on the hinge loss
 with L2 regularization: Pegasos-style per-sample subgradient steps with
-the 1/(lambda*t) schedule and a per-class norm projection. All classes
-advance as one (K, D+1) iterate and so share one shuffled sample order,
-drawn from a seeded generator. A sample that violates no class's margin
-only decays and averages the iterate, which equals the full update
-exactly (see ``train_classifier``). Features are z-scored with moments
-from the training split. Baselines are PCA and Laplacian eigenmaps applied to
-the per-pixel original data, each one call from the (N, D) matrix to its
+the 1/(lambda*t) schedule, lambda fixed at 1e-4, and a per-class norm
+projection. All classes advance as one (K, D+1) iterate and so share one
+shuffled sample order, drawn from a seeded generator. A sample that
+violates no class's margin only decays and averages the iterate, which
+equals the full update exactly (see ``train_classifier``). Features are
+z-scored with moments from the training split. Baselines are PCA and
+Laplacian eigenmaps applied to the per-pixel original data, each one call from the (N, D) matrix to its
 (N, k) embedding: both are fit transductively on the full feature
 matrix, the split happens afterwards.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _STD_FLOOR = 1e-12
+_LAMBDA = 1e-4  # the probe's L2 weight, part of the method, not a setting
 # bytes of float64 distances, or of neighbour differences, per row block
 # of the kNN search in laplacian_eigenmaps
 _KNN_BLOCK_BYTES = 1 << 21
@@ -85,20 +87,19 @@ class LinearClassifier:
     std: np.ndarray
 
 
-def train_classifier(feats: np.ndarray, labels: np.ndarray,
-                     lam: float = 1e-4, epochs: int = 100,
+def train_classifier(feats: np.ndarray, labels: np.ndarray, epochs: int = 100,
                      seed: int = 0) -> LinearClassifier:
     """One-vs-rest hinge-loss linear classifier.
 
     All K classes advance together as one (K, D + 1) iterate over the
     same `epochs` shuffled passes, drawn from one generator. Each sample
-    takes a subgradient step of size 1/(lam * t), t the global step
+    takes a subgradient step of size 1/(_LAMBDA * t), t the global step
     counter, in every row whose margin it violates; then each row is
-    projected onto the ball of radius 1/sqrt(lam). A sample that violates
-    no row's margin takes the decay alone: the iterate never holds -0.0,
-    so adding the update's +-0 would leave it unchanged, and the decay
-    keeps every row strictly inside the ball, so the projection would
-    scale by exactly 1. The result is bit for bit the full update's.
+    projected onto the ball of radius 1/sqrt(_LAMBDA). A sample that
+    violates no row's margin takes the decay alone: the iterate never
+    holds -0.0, so adding the update's +-0 would leave it unchanged, and
+    the decay keeps every row strictly inside the ball, so the projection
+    would scale by exactly 1. The result is bit for bit the full update's.
 
     The returned weights are the average over all iterates; the last
     iterate still swings with the final few samples at this step
@@ -109,10 +110,12 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray,
     float64, raises a ValueError naming its row and column; a NaN margin
     would otherwise count as no violation.
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be finite and positive, got {lam}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    try:
+        n_epochs = operator.index(epochs)
+    except TypeError:
+        n_epochs = 0  # a float, even nan or inf, would fail in range()
+    if n_epochs < 1:
+        raise ValueError(f"epochs must be an integer at least 1, got {epochs!r}")
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels)
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
@@ -132,18 +135,18 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray,
     n, d = x.shape
     x = np.concatenate([x, np.ones((n, 1))], axis=1)
     y = np.where(labels[:, None] == classes, 1.0, -1.0)  # (n, K)
-    radius = 1.0 / np.sqrt(lam)
+    radius = 1.0 / np.sqrt(_LAMBDA)
     rng = np.random.default_rng(seed)
     w = np.zeros((classes.shape[0], d + 1))
     avg = np.zeros_like(w)
     t = 1
-    for _ in range(epochs):
+    for _ in range(n_epochs):
         order = rng.permutation(n)
         for xi, yi in zip(x[order], y[order]):
             violated = yi * (w @ xi) < 1.0
             w *= 1.0 - 1.0 / t
             if violated.any():
-                w += (violated * yi / (lam * t))[:, None] * xi
+                w += (violated * yi / (_LAMBDA * t))[:, None] * xi
                 norms = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
                 w *= radius / np.maximum(norms, radius)
             avg += w

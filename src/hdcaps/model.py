@@ -26,9 +26,9 @@ so that its finite differences mean something.
 
 The extract path (``fused_features``) takes the lazy
 ``dataio.PatchStack`` of a ``PatchSet`` and lifts each spectral pixel
-once: the capsule lift is per pixel, so ``extract_preliminary_batch``
-runs over blocks of the scene's pixels that some window covers, directly
-or mirrored at the border, which equals lifting every window on its own.
+once: the capsule lift is per pixel, so ``PatchStack.map_pixels`` runs
+``extract_preliminary_batch`` on blocks of the pixels that some window
+reads (``dataio``'s rule), which equals lifting every window on its own.
 Each batch of ``_EXTRACT_BATCH`` patches then gathers its b x b
 windows of d_h-wide capsule points from the lifted scene instead of its
 b x b x C_spec windows of spectra.
@@ -57,7 +57,7 @@ from . import evaluation
 from .autodiff import Tensor, as_tensor, matmul
 from .capsule_block import extract_preliminary_batch, init_capsule_block
 from .config import TrainConfig
-from .dataio import PatchStack, _windows, read_dten, write_dten, write_json
+from .dataio import PatchStack, read_dten, write_dten, write_json
 from .decoder import decode, init_decoder
 from .encoder import aggregate, attention_map, encode_batch, feature_map, init_encoder
 from .geometry import sample_rotations
@@ -279,28 +279,6 @@ def decompose_batch(state: ModelState, lifted_patches: np.ndarray,
     return hidden_h.data, hidden_l.data
 
 
-def _lift(state: ModelState, scene: np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """The capsule lift of the covered pixels of scene (H, W, C_spec): an
-    (H, W, d_h) array in the parameters' dtype, zero where covered
-    (H, W) is False. Rows are lifted a block of about _LIFT_BLOCK_BYTES
-    of spectra at a time, one ``extract_preliminary_batch`` call on the
-    covered pixels of each block that has any."""
-    cfg = state.config
-    caps = _constants(state.caps)
-    dtype = state.vector.dtype
-    height, width, c_spec = scene.shape
-    lifted = np.zeros((height, width, cfg.d_h), dtype=dtype)
-    step = max(1, _LIFT_BLOCK_BYTES // (width * c_spec * scene.itemsize))
-    for start in range(0, height, step):
-        rows = slice(start, start + step)
-        mask = covered[rows]
-        pixels = np.asarray(scene[rows][mask], dtype=dtype)
-        if pixels.shape[0]:
-            lifted[rows][mask] = extract_preliminary_batch(
-                caps, pixels, cfg.G, cfg.d_cap).data
-    return lifted
-
-
 def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> np.ndarray:
     """Per-patch fused feature vectors, (N, 4 * C) float32.
 
@@ -314,16 +292,16 @@ def fused_features(state: ModelState, hsi_patches, lidar_points: np.ndarray) -> 
         raise TypeError(f"hsi_patches must be a dataio.PatchStack (pass "
                         f"PatchSet.hsi), got {type(hsi_patches).__name__}")
     _check_batch(hsi_patches, lidar_points, state.c_spec)
+    cfg, caps = state.config, _constants(state.caps)
+    lifted = hsi_patches.map_pixels(
+        lambda pixels: extract_preliminary_batch(caps, pixels, cfg.G, cfg.d_cap).data,
+        _LIFT_BLOCK_BYTES)
     n = hsi_patches.shape[0]
-    out = np.empty((n, 4 * state.config.C), dtype=np.float32)
-    rows, cols, b = hsi_patches.rows, hsi_patches.cols, hsi_patches.b
-    covered = np.zeros(hsi_patches.scene.shape[:2], dtype=bool)
-    covered[_windows(rows, cols, b, covered.shape)] = True
-    lifted = PatchStack(_lift(state, hsi_patches.scene, covered), rows, cols, b)
+    out = np.empty((n, 4 * cfg.C), dtype=np.float32)
     center = lidar_points.shape[1] // 2
     enc_h, enc_l = _constants(state.enc_hsi), _constants(state.enc_lidar)
     # rows [spectral center, spectral mean, lidar center, lidar mean]
-    out_rows = out.reshape(n, 4, state.config.C)
+    out_rows = out.reshape(n, 4, cfg.C)
     for start in range(0, n, _EXTRACT_BATCH):
         batch = slice(start, start + _EXTRACT_BATCH)
         hidden_h, hidden_l = decompose_batch(state, lifted[batch], lidar_points[batch])
@@ -357,8 +335,10 @@ def load_checkpoint(directory: str) -> ModelState:
     """Rebuild the model saved by save_checkpoint (version 2 only).
 
     The manifest's names must equal those of the model its config builds,
-    in order, and params.dten must hold their total size, every value
-    finite; anything else raises a ValueError naming what is wrong.
+    in order, and params.dten must hold their total size in float32,
+    every value finite; anything else raises a ValueError naming what is
+    wrong. A config's adam_beta1, adam_beta2 and adam_eps keys are
+    dropped unread: ``training`` holds those as constants.
     """
     path = os.path.join(directory, CHECKPOINT_MANIFEST)
     with open(path) as fh:
@@ -374,7 +354,11 @@ def load_checkpoint(directory: str) -> ModelState:
     c_spec = manifest["c_spec"]
     if type(c_spec) is not int:
         raise ValueError(f"{path}: c_spec must be an integer, got {c_spec!r}")
-    cfg = TrainConfig.from_dict(manifest["config"])
+    config = manifest["config"]
+    if isinstance(config, dict):  # older manifests name Adam's constants
+        config = {k: v for k, v in config.items()
+                  if k not in ("adam_beta1", "adam_beta2", "adam_eps")}
+    cfg = TrainConfig.from_dict(config)
     state = init_model(cfg, c_spec, np.random.default_rng(0))
     flat = parameters(state)
     if manifest["params"] != list(flat):
@@ -382,6 +366,9 @@ def load_checkpoint(directory: str) -> ModelState:
                          f"names in order")
     params_path = os.path.join(directory, CHECKPOINT_PARAMS)
     vector = read_dten(params_path)
+    if vector.dtype != np.float32:
+        raise ValueError(f"{params_path} holds {vector.dtype} values, "
+                         f"expected float32")
     if vector.shape != state.vector.shape:
         raise ValueError(f"{params_path} holds a vector of shape {vector.shape}, "
                          f"expected {state.vector.shape}")

@@ -24,6 +24,9 @@ from .model import ModelState, bind_vector, forward_batch, init_model, parameter
 
 __all__ = ["AdamState", "adam_step", "zero_grads", "train_step", "train", "grad_check"]
 
+# Adam's published defaults (Kingma & Ba, arXiv 1412.6980), which no caller varies
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -40,21 +43,20 @@ def zero_grads(params: dict) -> None:
         tensor.grad = None
 
 
-def adam_step(vector: np.ndarray, grad: np.ndarray, opt: AdamState, lr: float,
-              beta1: float, beta2: float, eps: float) -> None:
-    """One Adam update of vector (P,), in place, from its gradient grad (P,).
-    lr, beta1, beta2 and eps come from ``TrainConfig``, which holds the defaults."""
+def adam_step(vector: np.ndarray, grad: np.ndarray, opt: AdamState, lr: float) -> None:
+    """One Adam update of vector (P,), in place, from its gradient grad (P,),
+    at learning rate lr and the constants _ADAM_BETA1, _ADAM_BETA2 and _ADAM_EPS."""
     if opt.m is None:
         opt.m, opt.v = np.zeros_like(vector), np.zeros_like(vector)
     opt.t += 1
     t, m, v = opt.t, opt.m, opt.v
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    vector -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m *= _ADAM_BETA1
+    m += (1.0 - _ADAM_BETA1) * grad
+    v *= _ADAM_BETA2
+    v += (1.0 - _ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - _ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - _ADAM_BETA2 ** t)
+    vector -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def train_step(state: ModelState, opt: AdamState, params: dict,
@@ -84,9 +86,7 @@ def train_step(state: ModelState, opt: AdamState, params: dict,
         name = next(name for name, tensor in params.items()
                     if not np.isfinite(tensor.grad).all())
         raise DivergenceError(name, "gradient is not finite", epoch, step)
-    cfg = state.config
-    adam_step(state.vector, grad, opt, cfg.lr, cfg.adam_beta1, cfg.adam_beta2,
-              cfg.adam_eps)
+    adam_step(state.vector, grad, opt, state.config.lr)
     return report
 
 

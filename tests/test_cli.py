@@ -76,9 +76,7 @@ def test_parse_config_ignores_comments_and_blanks(tmp_path):
     ("lr = nan\n", "lr must be finite", 2),
     ("alpha = inf\n", "alpha must be finite", 2),
     ("gamma = nan\n", "gamma must be finite", 2),
-    ("adam_eps = -1\n", "adam_eps must be > 0", 2),
-    ("adam_beta1 = 2\n", "adam_beta1 must be in [0, 1)", 2),
-    ("adam_beta2 = 1\n", "adam_beta2 must be in [0, 1)", 2),
+    ("adam_eps = 1e-6\n", "unknown key 'adam_eps'", 2),
 ])
 def test_parse_config_errors_cite_line(tmp_path, text, fragment, lineno):
     path = write(tmp_path / "bad.cfg", "# header\n" + text)
@@ -592,6 +590,42 @@ def test_extract_malformed_manifest_is_exit_2(pipeline, capsys, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_extract_int32_checkpoint_is_exit_2(pipeline, capsys, tmp_path):
+    ckpt = tmp_path / "ck"
+    ckpt.mkdir()
+    src = Path(pipeline["ckpt"])
+    (ckpt / "manifest.json").write_bytes((src / "manifest.json").read_bytes())
+    params = dataio.read_dten(str(src / "params.dten"))
+    dataio.write_dten(str(ckpt / "params.dten"), np.round(params * 100).astype(np.int32))
+    rc = cli.main(["extract", "--model", str(ckpt), "--data", pipeline["scene"],
+                   "--out", str(tmp_path / "f.hdcf")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt / 'params.dten'} holds int32 values, expected float32\n"
+    assert not os.path.exists(tmp_path / "f.hdcf")
+
+
+@pytest.mark.filterwarnings("default")
+def test_baseline_warnings_print_one_line_each(capsys, tmp_path):
+    hsi, elevation, labels = dataio.gen_synthetic(20, 20, 3, 6,
+                                                  np.random.default_rng(0))
+    labels[labels == 3] = 1
+    labels[5, 5] = 3  # its one pixel trains, so no test pixel is left
+    scene = str(tmp_path / "scene")
+    dataio.write_scene(scene, hsi, elevation, labels)
+    empty_class = ("warning: 1 class(es) have no true samples; excluded from "
+                   "the average accuracy")
+    assert cli.main(["baseline", "--data", scene, "--method", "raw"]) == 0
+    assert capsys.readouterr().err.splitlines() == [empty_class]
+    # one neighbour per pixel leaves the graph in many components
+    assert cli.main(["baseline", "--data", scene, "--method", "le",
+                     "--neighbors", "1", "--dim", "2"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[1] == empty_class
+    assert err[0].startswith("warning: neighbor graph has ")
+    assert err[0].endswith(" components; embedding the largest only")
 
 
 @pytest.fixture

@@ -77,14 +77,14 @@ def test_adam_first_step_toy_quadratic():
     w = np.array([1.0])
     opt = training.AdamState()
     # d(w^2)/dw at w=1
-    training.adam_step(w, np.array([2.0]), opt, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
+    training.adam_step(w, np.array([2.0]), opt, lr=0.001)
     np.testing.assert_allclose(w, 1.0 - 0.001, atol=1e-9)
 
 
 def test_adam_zero_lr_keeps_params_updates_moments():
     w = np.array([3.0])
     opt = training.AdamState()
-    training.adam_step(w, np.array([1.5]), opt, lr=0.0, beta1=0.9, beta2=0.999, eps=1e-8)
+    training.adam_step(w, np.array([1.5]), opt, lr=0.0)
     np.testing.assert_allclose(w, 3.0, atol=0)
     assert opt.t == 1 and opt.m.shape == opt.v.shape == (1,) and opt.m[0] != 0.0
 
@@ -117,9 +117,9 @@ def test_adam_vector_step_equals_per_tensor_loop():
     for t in range(1, 6):
         grads = {name: (rng.standard_normal(p.shape) * 10.0 ** (t - 3)).astype(np.float32)
                  for name, p in params.items()}
-        per_tensor_adam(params, grads, m, v, t, lr=0.01, eps=1e-6)
+        per_tensor_adam(params, grads, m, v, t, lr=0.01)
         training.adam_step(vector, np.concatenate([g.reshape(-1) for g in grads.values()]),
-                           opt, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-6)
+                           opt, lr=0.01)
         assert opt.t == t
         for got, want in ((vector, params), (opt.m, m), (opt.v, v)):
             assert got.dtype == np.float32
@@ -643,9 +643,7 @@ def test_batch_of_one_step_equals_single_pair_step():
                              np.random.default_rng(12), weights)
     ad.backward(total)
     grad = np.concatenate([t.grad.reshape(-1) for t in params_b.values()])
-    training.adam_step(state_b.vector, grad, training.AdamState(), state_b.config.lr,
-                       state_b.config.adam_beta1, state_b.config.adam_beta2,
-                       state_b.config.adam_eps)
+    training.adam_step(state_b.vector, grad, training.AdamState(), state_b.config.lr)
     for name in params_a:
         np.testing.assert_allclose(params_a[name].data, params_b[name].data,
                                    atol=1e-12)
@@ -985,3 +983,26 @@ def test_load_checkpoint_names_the_first_non_finite_parameter(tmp_path):
     with pytest.raises(ValueError) as info:
         load_checkpoint(str(ckpt))
     assert str(info.value) == f"{path}: parameter {middle} holds non-finite values"
+
+
+def test_load_checkpoint_drops_adam_keys_of_older_manifests(tmp_path):
+    # manifests written while Adam's constants were config fields hold
+    # them; they load, whatever the values, to the model saved without them
+    plain, older = tmp_path / "plain", tmp_path / "older"
+    state = tiny_state(seed=35)
+    training.train(state, *tiny_data(36), np.random.default_rng(37))
+    save_checkpoint(state, str(plain))
+    save_checkpoint(state, str(older))
+    config = json.loads((older / "manifest.json").read_text())["config"]
+    assert "adam_eps" not in config
+    edit_manifest(older, config={**config, "adam_beta1": 0.9, "adam_beta2": 0.5,
+                                 "adam_eps": 1e-8})
+    hsi, lidar = tiny_stack(38)
+    want = fused_features(load_checkpoint(str(plain)), hsi, lidar)
+    loaded = load_checkpoint(str(older))
+    assert loaded.config == state.config
+    assert fused_features(loaded, hsi, lidar).tobytes() == want.tobytes()
+    # only those three keys are dropped
+    edit_manifest(older, config={**config, "adam_gamma": 0.5})
+    with pytest.raises(ValueError, match=r"unknown config keys: \['adam_gamma'\]"):
+        load_checkpoint(str(older))
