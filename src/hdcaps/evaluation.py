@@ -8,11 +8,15 @@ the 1/(lambda*t) schedule, lambda fixed at 1e-4, and a per-class norm
 projection. All classes advance as one (K, D+1) iterate and so share one
 shuffled sample order, drawn from a seeded generator. A sample that
 violates no class's margin only decays and averages the iterate, which
-equals the full update exactly (see ``train_classifier``). Features are
-z-scored with moments from the training split. Baselines are PCA and
-Laplacian eigenmaps applied to the per-pixel original data, each one call from the (N, D) matrix to its
+equals the full update exactly (see ``train_classifier``). Each step
+writes into buffers allocated once per call, with the same arithmetic in
+the same order. Features are z-scored with moments from the training
+split. Baselines are PCA and Laplacian eigenmaps applied to the
+per-pixel original data, each one call from the (N, D) matrix to its
 (N, k) embedding: both are fit transductively on the full feature
-matrix, the split happens afterwards.
+matrix, the split happens afterwards. Every estimator here (the
+classifier, ``predict``, ``pca`` and ``laplacian_eigenmaps``) rejects a
+non-finite feature with a ValueError naming its row and column.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ __all__ = [
 
 _STD_FLOOR = 1e-12
 _LAMBDA = 1e-4  # the probe's L2 weight, part of the method, not a setting
+# rows per isfinite pass of a finite check: at most _CHECK_ROWS * D bytes
+# of booleans at a time, not a second (N, D) array
+_CHECK_ROWS = 1024
 # bytes of float64 distances, or of neighbour differences, per row block
 # of the kNN search in laplacian_eigenmaps
 _KNN_BLOCK_BYTES = 1 << 21
@@ -100,6 +107,9 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray, epochs: int = 100,
     holds -0.0, so adding the update's +-0 would leave it unchanged, and
     the decay keeps every row strictly inside the ball, so the projection
     would scale by exactly 1. The result is bit for bit the full update's.
+    Each step writes its margins, update and row norms into buffers
+    allocated once per call: the same IEEE operations on the same
+    operands, in the same order, without one allocation per numpy call.
 
     The returned weights are the average over all iterates; the last
     iterate still swings with the final few samples at this step
@@ -118,17 +128,17 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray, epochs: int = 100,
         raise ValueError(f"epochs must be an integer at least 1, got {epochs!r}")
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels)
-    if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
+    if feats.ndim != 2 or labels.ndim != 1 or feats.shape[0] != labels.shape[0]:
         raise ValueError("expected feats (N, D) with one label per row")
     if feats.shape[0] == 0:
         raise ValueError("cannot train a classifier on zero samples")
-    _require_finite("feats", feats, ("row", "column"), feats.shape[0])
+    _require_finite("feats", feats, ("row", "column"), _CHECK_ROWS)
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     std = np.where(std < _STD_FLOOR, 1.0, std)
     x = (feats - mean) / std
     # a finite column near float64's limit can overflow its mean
-    _require_finite("standardized feats", x, ("row", "column"), x.shape[0])
+    _require_finite("standardized feats", x, ("row", "column"), _CHECK_ROWS)
     classes = np.unique(labels)
     if classes.shape[0] < 2:
         raise ValueError("need at least two classes to train a classifier")
@@ -137,19 +147,45 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray, epochs: int = 100,
     y = np.where(labels[:, None] == classes, 1.0, -1.0)  # (n, K)
     radius = 1.0 / np.sqrt(_LAMBDA)
     rng = np.random.default_rng(seed)
-    w = np.zeros((classes.shape[0], d + 1))
+    k = classes.shape[0]
+    w = np.zeros((k, d + 1))
     avg = np.zeros_like(w)
+    # every step writes into these, with outputs passed positionally
+    margins = np.empty(k)
+    violated = np.empty(k, dtype=bool)
+    step = np.empty((k, 1))
+    step_k = step[:, 0]
+    update = np.empty_like(w)
+    norms = np.empty((k, 1))
+    # bound once: at these sizes a module lookup is a share of each call.
+    # count_nonzero(v) is v.any() without numpy's Python-level _any
+    dot, multiply, divide, add, less, count_nonzero, sqrt, maximum = (
+        np.dot, np.multiply, np.divide, np.add, np.less, np.count_nonzero,
+        np.sqrt, np.maximum)
+    add_reduce = np.add.reduce
     t = 1
     for _ in range(n_epochs):
         order = rng.permutation(n)
         for xi, yi in zip(x[order], y[order]):
-            violated = yi * (w @ xi) < 1.0
-            w *= 1.0 - 1.0 / t
-            if violated.any():
-                w += (violated * yi / (_LAMBDA * t))[:, None] * xi
-                norms = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
-                w *= radius / np.maximum(norms, radius)
-            avg += w
+            # violated = yi * (w @ xi) < 1.0
+            dot(w, xi, margins)
+            multiply(yi, margins, margins)
+            less(margins, 1.0, violated)
+            multiply(w, 1.0 - 1.0 / t, w)
+            if count_nonzero(violated):
+                # w += (violated * yi / (_LAMBDA * t))[:, None] * xi
+                multiply(violated, yi, step_k)
+                divide(step, _LAMBDA * t, step)
+                multiply(step, xi, update)
+                add(w, update, w)
+                # w *= radius / max(sqrt(sum(w * w)), radius), row by row
+                multiply(w, w, update)
+                add_reduce(update, 1, None, norms, True)
+                sqrt(norms, norms)
+                maximum(norms, radius, out=norms)  # a positional out is deprecated
+                divide(radius, norms, norms)
+                multiply(w, norms, w)
+            add(avg, w, avg)
             t += 1
     avg /= t - 1
     return LinearClassifier(classes=classes, w=avg[:, :d], b=avg[:, d],
@@ -157,7 +193,19 @@ def train_classifier(feats: np.ndarray, labels: np.ndarray, epochs: int = 100,
 
 
 def predict(model: LinearClassifier, feats: np.ndarray) -> np.ndarray:
-    """Highest-scoring class per row; score ties go to the lowest class id."""
+    """Highest-scoring class per row; score ties go to the lowest class id.
+
+    feats must be (N, D) at the model's width D and finite, or a
+    ValueError names the widths, or the first non-finite row and column.
+    """
+    feats = np.asarray(feats)
+    d = model.w.shape[1]
+    if feats.ndim != 2 or feats.shape[1] != d:
+        raise ValueError(f"expected feats (N, {d}) at the model's width {d}, "
+                         f"got shape {feats.shape}")
+    _require_finite("feats", feats, ("row", "column"), _CHECK_ROWS)
+    # the float64 copy of float32 feats is left unnamed, so numpy may
+    # reuse its buffer for the centered result
     x = (np.asarray(feats, dtype=np.float64) - model.mean) / model.std
     scores = x @ model.w.T + model.b
     return model.classes[np.argmax(scores, axis=1)]
@@ -175,10 +223,12 @@ def pca(feats: np.ndarray, n_components: int) -> np.ndarray:
     principal axes, from the eigendecomposition of the covariance.
 
     Axis signs are fixed so each axis's largest-magnitude entry is
-    positive, which makes the embedding reproducible across backends.
+    positive, which makes the embedding reproducible across backends. A
+    non-finite feature raises a ValueError naming its row and column.
     """
     feats = np.asarray(feats, dtype=np.float64)
     n, d = feats.shape
+    _require_finite("feats", feats, ("row", "column"), _CHECK_ROWS)
     if not 1 <= n_components <= d:
         raise ValueError(f"n_components must be in [1, D = {d}], got {n_components}")
     centered = feats - feats.mean(axis=0)
@@ -244,7 +294,8 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     component of its own. If the graph is disconnected, only the largest
     component is embedded; other rows are zero and a warning is issued.
     The largest component must hold at least n_components + 2 rows, or a
-    ValueError is raised.
+    ValueError is raised, as it is for a non-finite feature, named by its
+    row and column.
     """
     # imported here: no other function needs scipy, which is slow to load
     from scipy.sparse import csr_array
@@ -253,6 +304,7 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
 
     x = np.asarray(feats, dtype=np.float64)
     n = x.shape[0]
+    _require_finite("feats", x, ("row", "column"), _CHECK_ROWS)
     if n_neighbors < 1 or n_neighbors >= n:
         raise ValueError(f"need 1 <= n_neighbors < n_samples = {n}, got {n_neighbors}")
     if n_components < 1 or n_components >= n:

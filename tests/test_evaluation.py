@@ -112,6 +112,14 @@ def test_classifier_rejects_degenerate_input():
         evaluation.train_classifier(np.ones((4, 2)), np.array([0, 1, 0]))
 
 
+def test_classifier_rejects_labels_that_are_not_one_dimensional():
+    # a column of labels, (N, 1), used to fail inside the loop on a
+    # broadcast between the labels and the classes
+    with pytest.raises(ValueError, match="one label per row"):
+        evaluation.train_classifier(np.arange(8.0).reshape(4, 2),
+                                    np.array([[0], [1], [0], [1]]))
+
+
 def test_classifier_deterministic_for_fixed_seed():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(30, 4))
@@ -120,6 +128,16 @@ def test_classifier_deterministic_for_fixed_seed():
     b = evaluation.train_classifier(feats, labels, seed=7)
     np.testing.assert_array_equal(a.w, b.w)
     np.testing.assert_array_equal(a.b, b.b)
+
+
+def test_predict_rejects_features_of_another_width():
+    clf = evaluation.LinearClassifier(classes=np.array([2, 5]),
+                                      w=np.zeros((2, 3)), b=np.zeros(2),
+                                      mean=np.zeros(3), std=np.ones(3))
+    with pytest.raises(ValueError, match=r"\(N, 3\) .* width 3, got shape \(5, 4\)"):
+        evaluation.predict(clf, np.ones((5, 4)))
+    with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+        evaluation.predict(clf, np.ones(3))
 
 
 def test_predict_score_tie_takes_lowest_class_id():
@@ -283,6 +301,24 @@ def test_classifier_matches_full_update_bit_for_bit(spread):
         assert np.median(shares) < 0.5
     else:
         assert np.median(shares) > 0.5
+
+
+@pytest.mark.parametrize("k, n, d", [(4, 28, 200), (4, 29, 32), (15, 60, 32)])
+def test_classifier_matches_full_update_at_benchmark_shapes(k, n, d):
+    # perfbench's evaluate trains the probe for 100 epochs on 28-29 rows of
+    # K = 4 classes, 200 fused features or 32 eigenmap features wide; 15 is
+    # the class count of the Houston-shaped scene. Overlapping blobs make
+    # most steps violate a margin and bind the projection, as there
+    rng = np.random.default_rng(d + k)
+    centers = rng.normal(size=(k, d)) * 0.3
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    feats = centers[labels] + rng.normal(size=(n, d))
+    got = evaluation.train_classifier(feats, labels, epochs=100, seed=7)
+    w, b, violating, steps = _pegasos_full_update(feats, labels, PROBE_LAMBDA,
+                                                  100, 7)
+    assert got.w.tobytes() == w.tobytes()
+    assert got.b.tobytes() == b.tobytes()
+    assert 0 < violating < steps
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -573,6 +609,31 @@ def test_eigenmaps_never_allocate_an_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("estimator", ["predict", "pca", "laplacian_eigenmaps"])
+def test_estimators_reject_non_finite_features(estimator, bad, capfd):
+    # before the check, predict gave a NaN row the lowest class id, pca
+    # returned NaN and LAPACK wrote to stderr, and the eigenmap raised an
+    # ArpackError on a NaN or zeroed an inf row with a warning
+    clean = np.random.default_rng(6).normal(size=(12, 3))
+    clf = evaluation.train_classifier(clean, np.arange(12) % 2, epochs=1)
+    run = {
+        "predict": lambda x: evaluation.predict(clf, x),
+        "pca": lambda x: evaluation.pca(x, 2),
+        "laplacian_eigenmaps": lambda x: evaluation.laplacian_eigenmaps(
+            x, 2, n_neighbors=3),
+    }[estimator]
+    feats = clean.copy()
+    feats[5, 2] = bad
+    feats[8, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^feats holds a non-finite value "
+                                             rf"\({bad}\) at row 5, column 2$"):
+            run(feats)
+    assert capfd.readouterr().err == ""
 
 
 # --------------------------------------------------------------- metrics
