@@ -132,19 +132,22 @@ def write_json(path: str, obj) -> None:
 
 
 def write_dten(path: str, array: np.ndarray) -> None:
-    """Serialize an array as DTEN. Floats store as f32, ints as i32."""
+    """Serialize an array as DTEN. Floats store as f32, ints as i32 if i32 holds them."""
     array = np.asarray(array)
-    if array.dtype.kind == "f":
-        code, dtype = 1, "<f4"
-    elif array.dtype.kind in ("i", "u"):
-        code, dtype = 2, "<i4"
-    else:
+    kind = "i" if array.dtype.kind == "u" else array.dtype.kind
+    code = next((c for c, dtype in _DTYPE_CODES.items() if dtype.kind == kind), None)
+    if code is None:
         raise ValueError(f"cannot serialize dtype {array.dtype}")
     if any(dim >= 2 ** 32 for dim in array.shape):
         raise ValueError("dimension too large for the container")
+    payload = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code])
+    wrapped = np.flatnonzero(payload != array) if kind == "i" else []
+    if len(wrapped):
+        index = tuple(map(int, np.unravel_index(wrapped[0], array.shape)))
+        raise ValueError(f"{array[index]} at index {index} is outside the int32 range")
     header = DTEN_MAGIC + struct.pack("<HBB", DTEN_VERSION, code, array.ndim)
     header += struct.pack(f"<{array.ndim}I", *array.shape)
-    _atomic_write(path, header, np.ascontiguousarray(array, dtype=dtype))
+    _atomic_write(path, header, payload)
 
 
 def read_dten(path: str) -> np.ndarray:
@@ -201,8 +204,9 @@ def write_scene(directory: str, hsi: np.ndarray, elevation: np.ndarray,
     write_dten(os.path.join(directory, "hsi.dten"), np.asarray(hsi, dtype=np.float32))
     write_dten(os.path.join(directory, "lidar.dten"),
                np.asarray(elevation, dtype=np.float32))
+    labels = np.asarray(labels)
     write_dten(os.path.join(directory, "labels.dten"),
-               np.asarray(labels, dtype=np.int32))
+               labels if labels.dtype.kind in "iu" else labels.astype(np.int32))
 
 
 def read_scene(directory: str):

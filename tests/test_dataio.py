@@ -14,6 +14,15 @@ HOUSTON_CLASS_SIZES = [1251, 1254, 697, 1244, 1242, 325, 1268, 1244,
                        1252, 1227, 1235, 1233, 469, 428, 660]
 
 
+def traced_peak(call):
+    """call()'s result and the peak bytes that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dten_round_trip_f32(tmp_path):
     path = str(tmp_path / "a.dten")
     arr = np.random.default_rng(0).normal(size=(3, 4, 5)).astype(np.float32)
@@ -23,11 +32,14 @@ def test_dten_round_trip_f32(tmp_path):
 
 def test_dten_round_trip_i32(tmp_path):
     path = str(tmp_path / "a.dten")
-    arr = np.arange(-5, 7, dtype=np.int32).reshape(4, 3)
+    arr = np.array([-2 ** 31, -5, 0, 7, 2 ** 31 - 1], dtype=np.int32)
     dataio.write_dten(path, arr)
     out = dataio.read_dten(path)
     assert out.dtype == np.dtype("<i4")
     np.testing.assert_array_equal(out, arr)
+    # int64 in the i32 range writes the same bytes
+    dataio.write_dten(str(tmp_path / "b.dten"), arr.astype(np.int64))
+    assert (tmp_path / "b.dten").read_bytes() == Path(path).read_bytes()
 
 
 def test_dten_float64_saves_as_f32(tmp_path):
@@ -36,6 +48,17 @@ def test_dten_float64_saves_as_f32(tmp_path):
     dataio.write_dten(path, arr)
     np.testing.assert_array_equal(dataio.read_dten(path),
                                   arr.astype(np.float32))
+
+
+@pytest.mark.parametrize("value, dtype", [(2 ** 31, np.int64), (2 ** 32 - 1, np.uint32),
+                                          (-2 ** 31 - 1, np.int64)])
+def test_dten_refuses_ints_outside_i32_and_writes_nothing(tmp_path, value, dtype):
+    with pytest.raises(ValueError, match=rf"^{value} at index \(1, 0\) is outside the int32"):
+        dataio.write_dten(str(tmp_path / "a.dten"), np.array([[0, 1], [value, 2]], dtype))
+    with pytest.raises(ValueError, match="outside the int32 range"):
+        dataio.write_scene(str(tmp_path), np.zeros((1, 1, 2)), np.zeros((1, 1)),
+                           np.array([[value]], dtype))
+    assert sorted(os.listdir(tmp_path)) == ["hsi.dten", "lidar.dten"]
 
 
 def test_dten_2x2_fixture_is_32_bytes(tmp_path):
@@ -148,12 +171,7 @@ def test_writers_hold_no_extra_copy_of_the_payload(tmp_path):
              (dataio.write_dten, (rng.standard_normal((2000, 1000)),))]
     for write, args in cases:
         path = str(tmp_path / "out")
-        tracemalloc.start()
-        try:
-            write(path, *args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: write(path, *args))[1]
         assert peak < 1.5 * os.path.getsize(path), write.__name__
 
 
@@ -165,12 +183,7 @@ def test_readers_hold_one_copy_of_the_payload(tmp_path):
     dataio.write_features(features, idx, idx, idx, feats)
     dataio.write_dten(tensor, rng.standard_normal((2000, 1000)))
     for read, path in ((dataio.read_features, features), (dataio.read_dten, tensor)):
-        tracemalloc.start()
-        try:
-            read(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: read(path))[1]
         assert peak < 1.5 * os.path.getsize(path), read.__name__
 
 
@@ -192,12 +205,7 @@ def test_read_scene_holds_the_payloads_once(tmp_path):
     d = str(tmp_path / "scene")
     dataio.write_scene(d, *dataio.gen_synthetic(60, 64, 4, 144,
                                                 np.random.default_rng(3)))
-    tracemalloc.start()
-    try:
-        scene = dataio.read_scene(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    scene, peak = traced_peak(lambda: dataio.read_scene(d))
     assert peak <= 1.1 * sum(a.nbytes for a in scene)
 
 
@@ -336,16 +344,9 @@ def test_extract_peak_memory_stays_near_output():
     # the spectra are held once, as the float32 scene, not as a
     # b*b-fold (N, b, b, C) copy: at b = 9 that copy alone is about 40x
     # the float64 scene
-    import tracemalloc
-
     hsi, elev, labels = dataio.gen_synthetic(40, 40, 4, 64, np.random.default_rng(0))
     for b in (5, 9):
-        tracemalloc.start()
-        try:
-            ps = dataio.extract_patches(hsi, elev, labels, b=b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ps, peak = traced_peak(lambda: dataio.extract_patches(hsi, elev, labels, b=b))
         assert peak < 4 * hsi.nbytes + ps.lidar.nbytes, b
 
 
@@ -377,18 +378,11 @@ def test_extract_peak_memory_is_output_plus_one_chunk(monkeypatch):
     # bookkeeping (mask, coordinates, elevation rasters) of at most 64
     # bytes a pixel. A float64 standardized copy of the scene, or of its
     # labeled pixels, would add 8 bytes per value.
-    import tracemalloc
-
     chunk = 1 << 18
     monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
     hsi, elev, labels = dataio.gen_synthetic(60, 64, 4, 144, np.random.default_rng(1))
     for b in (5, 9):
-        tracemalloc.start()
-        try:
-            ps = dataio.extract_patches(hsi, elev, labels, b=b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ps, peak = traced_peak(lambda: dataio.extract_patches(hsi, elev, labels, b=b))
         output = sum(a.nbytes for a in (ps.hsi.scene, ps.lidar, ps.labels,
                                          ps.rows, ps.cols))
         assert peak < output + chunk + 64 * labels.size, b
@@ -408,12 +402,7 @@ def test_extract_standardizes_float32_scene_in_place(monkeypatch):
     monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 16)
     for b in (5, 9):
         hsi, elev, labels = in_place_scene()
-        tracemalloc.start()
-        try:
-            ps = dataio.extract_patches(hsi, elev, labels, b=b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ps, peak = traced_peak(lambda: dataio.extract_patches(hsi, elev, labels, b=b))
         assert len(ps) == 110
         assert np.shares_memory(ps.hsi.scene, hsi), b
         output = sum(a.nbytes for a in (ps.lidar, ps.labels, ps.rows, ps.cols))
@@ -606,12 +595,7 @@ def test_gen_synthetic_adds_signatures_a_block_of_rows_at_a_time(monkeypatch):
     monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 40)
     whole = dataio.gen_synthetic(*args, np.random.default_rng(3))
     monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 16)
-    tracemalloc.start()
-    try:
-        rows = dataio.gen_synthetic(*args, np.random.default_rng(3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(lambda: dataio.gen_synthetic(*args, np.random.default_rng(3)))
     for a, b in zip(whole, rows):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert peak <= 1.2 * rows[0].nbytes, peak / rows[0].nbytes

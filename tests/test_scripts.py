@@ -1,20 +1,14 @@
-"""The scripts that no test imports must still parse.
-
-``benchmarks/*.py`` and ``tools/*.py`` are run by hand, and ``tools/*.sh``
-by ``sh``, so a syntax error in one of them would pass every other test.
-Each Python script is byte-compiled into the test's temporary directory,
-and each shell script is read by ``sh -n``, which parses without running.
-"""
+"""``benchmarks/*.py`` and ``tools/*.py`` parse, and ``reach`` reads a
+module right: no test imports the scripts, so a syntax error would pass."""
 
 import py_compile
-import subprocess
+import runpy
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PYTHON_SCRIPTS = sorted([*ROOT.glob("benchmarks/*.py"), *ROOT.glob("tools/*.py")])
-SHELL_SCRIPTS = sorted(ROOT.glob("tools/*.sh"))
 
 
 def _name(path):
@@ -23,9 +17,8 @@ def _name(path):
 
 def test_scripts_are_found():
     # an empty glob would leave the tests below with nothing to check
-    names = {_name(path) for path in PYTHON_SCRIPTS + SHELL_SCRIPTS}
-    assert {"benchmarks/scale.py", "tools/reach.py", "tools/cli_fixtures.sh",
-            "tools/same_bytes.sh"} <= names
+    assert {"benchmarks/scale.py", "tools/reach.py", "tools/cli_fixtures.py"} <= {
+        _name(path) for path in PYTHON_SCRIPTS}
 
 
 @pytest.mark.parametrize("path", PYTHON_SCRIPTS, ids=_name)
@@ -33,7 +26,11 @@ def test_python_script_compiles(path, tmp_path):
     py_compile.compile(str(path), cfile=str(tmp_path / "script.pyc"), doraise=True)
 
 
-@pytest.mark.parametrize("path", SHELL_SCRIPTS, ids=_name)
-def test_shell_script_parses(path):
-    proc = subprocess.run(["sh", "-n", str(path)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def test_reach_skips_the_blocks_that_end_in_a_raise(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text('"""Doc."""\ndef f(x):\n    if x:\n        message = f"bad {x}"\n'
+                      '        raise ValueError(message)\n    return 0\n\n\n'
+                      'def g():\n    return 1\n')
+    reach = runpy.run_path(str(ROOT / "tools" / "reach.py"))
+    reach["_ran"].update((str(module), line) for line in (2, 3, 6, 9))
+    assert reach["unreached"](module) == [(10, "return 1")]

@@ -3,23 +3,21 @@
     python3 tools/reach.py
 
 Run from any directory; the checkout is the one that holds this file.
-It traces every line that runs in ``src/hdcaps`` while this process runs:
-
-  * every ``cli.main`` subcommand on a small ``gen-synth`` scene: train,
-    extract, eval (once with ``--labels``), baseline raw / pca / le and
-    gradcheck, the last through ``python -m hdcaps``;
-  * perfbench's set-up of each workload, then one operation of each in
-    perfbench's own timed loop: two ``TrainLoop`` steps (the warm-up
-    and the measured one), one extract pass and one evaluate pass.
+It traces every line that runs in ``src/hdcaps`` while it runs the CLI
+fixture set of ``tools/cli_fixtures.py`` (every subcommand once),
+``python -m hdcaps`` with no arguments (the usage), and perfbench's
+set-up of each workload with one operation of each in perfbench's own
+timed loop (two ``TrainLoop`` steps, one extract and one evaluate pass).
 
 Then, per module, it prints the statements that never ran as
-``LINE: source``. ``raise`` statements are skipped: an error path is
-reached by the tests, not by a run that succeeds. A statement counts as
-run when any of its lines ran, so a ``def`` that ran at import is not
-listed, while the statements of a body that was never called are.
-Everything the runs write goes to a temporary directory that is removed
-at the end; stdout of the runs is dropped. It took 2.2 s on a 2-core
-Xeon.
+``LINE: source``. The statements of a block that ends in a ``raise``,
+nested ones too, build an error: the tests reach those, not a run that
+succeeds, so they are skipped. A fallback set in a block with no
+``raise``, such as ``train_classifier``'s ``n_epochs = 0``, is listed. A
+statement counts as run when any of its lines ran, so a ``def`` that ran
+at import is not listed, while the statements of a body never called are.
+What the runs write goes to a temporary directory that is removed at the
+end. It took 6.4–7.3 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -55,39 +53,15 @@ def _trace_calls(frame, event, arg):
     return None
 
 
-def _cli(*argv: str) -> None:
-    from hdcaps import cli
-
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(list(argv))
-    if code != 0:
-        sys.exit(f"reach: hdcaps {' '.join(argv)} exited {code}")
-
-
-def run_cli(tmp: str) -> None:
-    """Every subcommand once on a 12 x 12 scene with 16 bands."""
-    scene, ckpt = os.path.join(tmp, "scene"), os.path.join(tmp, "ckpt")
-    feats, config = os.path.join(tmp, "features.hdcf"), os.path.join(tmp, "train.cfg")
-    with open(config, "w") as fh:
-        fh.write("# one epoch\n\nepochs=1\n")
-    _cli("gen-synth", "--out", scene, "--size", "12x12", "--bands", "16",
-         "--classes", "3", "--seed", "0")
-    _cli("train", "--data", scene, "--out", ckpt, "--config", config)
-    _cli("extract", "--model", ckpt, "--data", scene, "--out", feats)
-    _cli("eval", "--features", feats, "--report", os.path.join(tmp, "eval.json"))
-    _cli("eval", "--features", feats, "--labels", os.path.join(scene, "labels.dten"))
-    # pca and le below the band count
-    for method in ("raw", "pca", "le"):
-        _cli("baseline", "--data", scene, "--method", method, "--dim", "8",
-             "--report", os.path.join(tmp, f"baseline-{method}.json"))
-    argv = sys.argv
-    sys.argv = ["hdcaps", "gradcheck", "--seed", "0", "--samples", "1"]
+def run_usage() -> None:
+    """``python -m hdcaps`` with no arguments: usage on stderr, exit 1."""
+    argv, sys.argv = sys.argv, ["hdcaps"]
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
             runpy.run_module("hdcaps", run_name="__main__")
     except SystemExit as exc:
-        if exc.code != 0:
-            sys.exit(f"reach: python -m hdcaps gradcheck exited {exc.code}")
+        if exc.code != 1:
+            sys.exit(f"reach: python -m hdcaps exited {exc.code}, not 1")
     finally:
         sys.argv = argv
 
@@ -117,10 +91,17 @@ def unreached(path: Path) -> list:
     source = path.read_text()
     lines = source.splitlines()
     ran = {line for name, line in _ran if name == str(path)}
+    tree = ast.parse(source)
+    errors = set()  # every statement, nested ones too, of a block that ends in a raise
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if isinstance(block, list) and block and isinstance(block[-1], ast.Raise):
+                errors.update(id(inner) for stmt in block for inner in ast.walk(stmt))
     missed = []
-    for node in ast.walk(ast.parse(source)):
-        if (not isinstance(node, ast.stmt) or isinstance(node, (ast.Raise, ast.Global))
-                or _is_docstring(node)):
+    for node in ast.walk(tree):
+        if (not isinstance(node, ast.stmt) or id(node) in errors
+                or isinstance(node, ast.Global) or _is_docstring(node)):
             continue
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
         if not ran.intersection(range(first, node.end_lineno + 1)):
@@ -136,7 +117,10 @@ def main() -> int:
         with tempfile.TemporaryDirectory(prefix="hdcaps-reach-") as tmp:
             # perfbench first: it pins one BLAS thread before numpy loads
             run_perfbench(tmp)
-            run_cli(tmp)
+            import cli_fixtures
+
+            cli_fixtures.run(ROOT, os.path.join(tmp, "cli"))
+            run_usage()
     finally:
         sys.settrace(None)
     import hdcaps
@@ -150,7 +134,7 @@ def main() -> int:
         print(f"{path.name}: {len(missed)} statements never ran")
         for line, text in missed:
             print(f"  {line}: {text}")
-    print(f"total: {total} statements never ran, raise statements not counted")
+    print(f"total: {total} statements never ran, blocks ending in a raise not counted")
     return 0
 
 
