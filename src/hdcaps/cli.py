@@ -244,16 +244,13 @@ def _cmd_eval(args) -> int:
         raster = dataio.read_dten(args.labels)
         if raster.ndim != 2:
             raise ValueError("label raster must be a 2-D tensor")
-        if raster.dtype.kind not in "iu":
-            raise ValueError(f"{args.labels}: label raster must hold integer "
-                             f"class labels, got {raster.dtype}")
+        raster = dataio._exact_int(raster, np.int32, f"{args.labels}: label raster")
         if rows.size:
             extent = (int(rows.max()) + 1, int(cols.max()) + 1)
             if extent[0] > raster.shape[0] or extent[1] > raster.shape[1]:
                 raise ValueError(f"label raster has shape {raster.shape} but the "
                                  f"features need at least {extent}")
-        labels = raster[rows, cols].astype(np.int32)
-    # as in extract_patches, label 0 marks an unlabeled pixel
+        labels = raster[rows, cols]
     labeled = labels > 0
     if not labeled.any():
         raise ValueError("no feature row has a label > 0")

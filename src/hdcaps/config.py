@@ -51,9 +51,7 @@ class TrainConfig:
             raise ValueError("b must be odd so the patch has a center pixel")
         if self.d_cap < 2:
             raise ValueError("d_cap must be >= 2")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        for name in ("alpha", "beta", "gamma"):
+        for name in ("epochs", "seed", "alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         return self

@@ -21,6 +21,10 @@ failed. Every writer here, `write_json` included, writes a temp file and
 renames it over the target, so readers never observe a half-written
 file; an array is streamed from its own buffer after its header.
 
+The integer rule: a label, row or column array at this edge is bool or
+integer and fits the stored i32 (labels) or u32 (rows, cols), or a
+ValueError from `_exact_int` names it. A label <= 0 means unlabeled.
+
 `extract_patches` keeps the standardized spectra once, unpadded, as a
 float32 scene in a `PatchStack`: indexing its first axis with a slice,
 an integer or an integer array gathers only the selected b x b windows,
@@ -126,6 +130,21 @@ def _read_payload(fh, path: str, size: int, dtype: np.dtype, count: int,
     return np.fromfile(fh, dtype=dtype, count=count)
 
 
+def _exact_int(array, dtype, name=None, what="class labels") -> np.ndarray:
+    """array cast exactly to the integer dtype (the integer rule); a ValueError
+    names a dtype not bool or integer, or the first value out of range."""
+    array = np.asarray(array)
+    if array.dtype.kind not in "biu":
+        raise ValueError(f"{name} must hold integer {what}, got {array.dtype}")
+    out = array.astype(dtype, copy=False)
+    wrapped = np.flatnonzero(out != array) if out.dtype != array.dtype else []
+    if len(wrapped):
+        index = tuple(map(int, np.unravel_index(wrapped[0], array.shape)))
+        raise ValueError(f"{name + ': ' if name else ''}{array[index]} at index "
+                         f"{index} is outside the {out.dtype} range")
+    return out
+
+
 def write_json(path: str, obj) -> None:
     """Write obj as JSON with 2-space indent, sorted keys and a final newline."""
     _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
@@ -140,11 +159,8 @@ def write_dten(path: str, array: np.ndarray) -> None:
         raise ValueError(f"cannot serialize dtype {array.dtype}")
     if any(dim >= 2 ** 32 for dim in array.shape):
         raise ValueError("dimension too large for the container")
-    payload = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code])
-    wrapped = np.flatnonzero(payload != array) if kind == "i" else []
-    if len(wrapped):
-        index = tuple(map(int, np.unravel_index(wrapped[0], array.shape)))
-        raise ValueError(f"{array[index]} at index {index} is outside the int32 range")
+    payload = _exact_int(array, _DTYPE_CODES[code]) if kind == "i" else array
+    payload = np.ascontiguousarray(payload, dtype=_DTYPE_CODES[code])
     header = DTEN_MAGIC + struct.pack("<HBB", DTEN_VERSION, code, array.ndim)
     header += struct.pack(f"<{array.ndim}I", *array.shape)
     _atomic_write(path, header, payload)
@@ -168,16 +184,16 @@ def read_dten(path: str) -> np.ndarray:
 
 def write_features(path: str, rows: np.ndarray, cols: np.ndarray,
                    labels: np.ndarray, feats: np.ndarray) -> None:
-    """Serialize per-pixel feature vectors with their scene location and label."""
+    """Serialize per-pixel features with row, col and label (the integer rule)."""
     feats = np.asarray(feats)
     n, dim = feats.shape
     if not (len(rows) == len(cols) == len(labels) == n):
         raise ValueError("rows, cols, labels and feats must have equal length")
     rec = np.zeros(n, dtype=[("row", "<u4"), ("col", "<u4"),
                              ("label", "<i4"), ("feat", "<f4", (dim,))])
-    rec["row"] = rows
-    rec["col"] = cols
-    rec["label"] = labels
+    rec["row"] = _exact_int(rows, np.uint32, "rows", "pixel coordinates")
+    rec["col"] = _exact_int(cols, np.uint32, "cols", "pixel coordinates")
+    rec["label"] = _exact_int(labels, np.int32, "labels")
     rec["feat"] = feats
     _atomic_write(path, HDCF_MAGIC + struct.pack("<II", n, dim), rec)
 
@@ -199,19 +215,17 @@ def read_features(path: str):
 def write_scene(directory: str, hsi: np.ndarray, elevation: np.ndarray,
                 labels: np.ndarray) -> None:
     """Store a scene directory: hsi.dten (H,W,C f32), lidar.dten (H,W f32
-    elevation raster), labels.dten (H,W i32, 0 = unlabeled)."""
+    elevation raster), labels.dten (H,W i32 by the integer rule)."""
     os.makedirs(directory, exist_ok=True)
     write_dten(os.path.join(directory, "hsi.dten"), np.asarray(hsi, dtype=np.float32))
     write_dten(os.path.join(directory, "lidar.dten"),
                np.asarray(elevation, dtype=np.float32))
-    labels = np.asarray(labels)
     write_dten(os.path.join(directory, "labels.dten"),
-               labels if labels.dtype.kind in "iu" else labels.astype(np.int32))
+               _exact_int(labels, np.int32, "labels"))
 
 
 def read_scene(directory: str):
-    """Load (hsi, elevation, labels) written by write_scene, as stored:
-    float32, float32 and int32."""
+    """Load (hsi, elevation, labels) written by write_scene: float32, float32, int32."""
     hsi = read_dten(os.path.join(directory, "hsi.dten"))
     elevation = read_dten(os.path.join(directory, "lidar.dten"))
     labels = read_dten(os.path.join(directory, "labels.dten"))
@@ -219,10 +233,7 @@ def read_scene(directory: str):
         raise ValueError("hsi.dten must hold a (H, W, C) tensor")
     if elevation.shape != hsi.shape[:2] or labels.shape != hsi.shape[:2]:
         raise ValueError("lidar/labels extents do not match hsi")
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"labels.dten must hold integer class labels, "
-                         f"got {labels.dtype}")
-    return hsi, elevation, labels
+    return hsi, elevation, _exact_int(labels, np.int32, "labels.dten")
 
 
 def _windows(rows, cols, b: int, extent):
@@ -351,7 +362,7 @@ def _band_moments(hsi: np.ndarray, mask: np.ndarray, n: int):
 
 def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
                     labels: np.ndarray, b: int) -> PatchSet:
-    """Cut one b x b patch around every labeled pixel (label > 0).
+    """Cut one b x b patch around every labeled pixel (the integer rule).
 
     Borders are mirrored. Spectra are z-scored per band with moments
     computed over labeled pixels only; elevation is z-scored over the
@@ -367,7 +378,7 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     """
     hsi = np.asarray(hsi)
     elevation = np.asarray(elevation, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = _exact_int(labels, np.int32, "labels")
     if hsi.ndim != 3 or hsi.shape[2] == 0:
         raise ValueError(f"hsi must have shape (H, W, C) with at least one "
                          f"band, got {hsi.shape}")
@@ -386,9 +397,7 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
     _require_finite("hsi", hsi, ("row", "col", "band"), step)
     _require_finite("elevation", elevation, ("row", "col"), height)
 
-    rows, cols = np.nonzero(mask)
-    rows = rows.astype(np.int32)
-    cols = cols.astype(np.int32)
+    rows, cols = (_exact_int(i, np.int32, "scene index") for i in np.nonzero(mask))
     el_std = elevation.std()
     el_n = (elevation - elevation.mean()) / (el_std if el_std >= _STD_FLOOR else 1.0)
     # cast before the gather, so its (n, b, b) temporary is float32
@@ -412,7 +421,7 @@ def extract_patches(hsi: np.ndarray, elevation: np.ndarray,
 
     return PatchSet(
         hsi=PatchStack(scene, rows, cols, b), lidar=lidar,
-        labels=labels[mask].astype(np.int32), rows=rows, cols=cols,
+        labels=labels[mask], rows=rows, cols=cols,
     )
 
 
@@ -476,7 +485,7 @@ def gen_synthetic(height: int, width: int, n_classes: int, n_bands: int,
     yy, xx = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     d2 = (yy[..., None] - sites[:, 0]) ** 2 + (xx[..., None] - sites[:, 1]) ** 2
     class_map = np.argmin(d2, axis=-1)
-    labels = (class_map + 1).astype(np.int32)
+    labels = _exact_int(class_map + 1, np.int32)
 
     base = _fourier_mixture(rng, 1, n_bands, n_waves=4)
     deltas = _fourier_mixture(rng, n_classes, n_bands, n_waves=3)

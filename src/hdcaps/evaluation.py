@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _require_finite
+from .dataio import _STD_FLOOR, _require_finite
 
 __all__ = [
     "fuse_features",
@@ -41,7 +41,6 @@ __all__ = [
     "evaluate_split",
 ]
 
-_STD_FLOOR = 1e-12
 _LAMBDA = 1e-4  # the probe's L2 weight, part of the method, not a setting
 # rows per isfinite pass of a finite check: at most _CHECK_ROWS * D bytes
 # of booleans at a time, not a second (N, D) array
@@ -332,14 +331,9 @@ def laplacian_eigenmaps(feats: np.ndarray, n_components: int,
     n_comp, comp_labels = connected_components(weights, directed=False)
     out = np.zeros((n, n_components))
     if n_comp > 1:
-        warnings.warn(
-            f"neighbor graph has {n_comp} components; embedding the largest only",
-            stacklevel=2,
-        )
-        keep = comp_labels == np.bincount(comp_labels).argmax()
-    else:
-        keep = np.ones(n, dtype=bool)
-    idx = np.nonzero(keep)[0]
+        warnings.warn(f"neighbor graph has {n_comp} components; embedding the "
+                      "largest only", stacklevel=2)
+    idx = np.flatnonzero(comp_labels == np.bincount(comp_labels).argmax())
     # eigsh needs fewer eigenvectors than rows: n_components + 1 < m
     if idx.shape[0] < n_components + 2:
         raise ValueError(

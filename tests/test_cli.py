@@ -72,6 +72,7 @@ def test_parse_config_ignores_comments_and_blanks(tmp_path):
     ("K = many\n", "must be an integer", 2),
     ("just words\n", "expected key=value", 2),
     ("K = 0\n", "K must be >= 1", 2),
+    ("seed = -1\n", "seed must be >= 0", 2),
     ("b = 4\n", "center pixel", 2),
     ("lr = nan\n", "lr must be finite", 2),
     ("alpha = inf\n", "alpha must be finite", 2),

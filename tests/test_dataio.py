@@ -61,6 +61,66 @@ def test_dten_refuses_ints_outside_i32_and_writes_nothing(tmp_path, value, dtype
     assert sorted(os.listdir(tmp_path)) == ["hsi.dten", "lidar.dten"]
 
 
+# the integer rule: each entry point that takes a label, row or column
+# array, given one value its dtype refuses at index 1 of the first axis
+RULE_VALUES = {"fraction": 1.5, "nan": np.nan, "int64-2**31": np.int64(2 ** 31),
+               "uint64-2**32": np.uint64(2 ** 32)}
+RULE_CASES = [pytest.param(entry, "labels", value, id=f"{entry}-{name}")
+              for entry in ("write_scene", "extract_patches", "write_features")
+              for name, value in RULE_VALUES.items()]
+RULE_CASES += [pytest.param("write_features", "rows", np.int64(-1), id="write_features-rows-1"),
+               pytest.param("write_dten", None, RULE_VALUES["int64-2**31"],
+                            id="write_dten-int64-2**31"),
+               pytest.param("write_dten", None, RULE_VALUES["uint64-2**32"],
+                            id="write_dten-uint64-2**32")]
+
+
+@pytest.mark.parametrize("entry, name, value", RULE_CASES)
+def test_integer_rule_names_the_array_and_writes_nothing(tmp_path, entry, name, value):
+    labels = np.ones((2, 2), dtype=np.asarray(value).dtype)
+    rows = np.array([0, 0])
+    (rows if name == "rows" else labels)[1] = value
+    index = (1,) if entry == "write_features" else (1, 0)
+    if labels.dtype.kind == "f":
+        want = f"labels must hold integer class labels, got {labels.dtype}"
+    else:
+        range_ = "uint32" if name == "rows" else "int32"
+        want = f"{value} at index {index} is outside the {range_} range"
+        want = f"{name}: {want}" if name else want
+    calls = {
+        "write_scene": lambda: dataio.write_scene(str(tmp_path), np.zeros((2, 2, 1)),
+                                                  np.zeros((2, 2)), labels),
+        "extract_patches": lambda: dataio.extract_patches(np.zeros((2, 2, 1)),
+                                                          np.zeros((2, 2)), labels, 1),
+        "write_features": lambda: dataio.write_features(
+            str(tmp_path / "f.hdcf"), rows, np.array([0, 1]), labels[:, 0],
+            np.zeros((2, 3))),
+        "write_dten": lambda: dataio.write_dten(str(tmp_path / "a.dten"), labels),
+    }
+    with pytest.raises(ValueError) as info:
+        calls[entry]()
+    assert str(info.value) == want
+    # write_scene writes hsi.dten and lidar.dten before it reaches the labels
+    written = ["hsi.dten", "lidar.dten"] if entry == "write_scene" else []
+    assert sorted(os.listdir(tmp_path)) == written
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+def test_integer_rule_keeps_bool_uint8_and_int64_labels(tmp_path, dtype):
+    rng = np.random.default_rng(5)
+    hsi = rng.normal(size=(6, 7, 3))
+    elev = rng.normal(size=(6, 7))
+    labels = rng.integers(0, 2, size=(6, 7)).astype(np.int32)
+    want = dataio.extract_patches(hsi, elev, labels, 3)
+    got = dataio.extract_patches(hsi, elev, labels.astype(dtype), 3)
+    assert got.labels.dtype == got.rows.dtype == got.cols.dtype == np.int32
+    for field in ("labels", "rows", "cols", "lidar"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert np.asarray(got.hsi).tobytes() == np.asarray(want.hsi).tobytes()
+    dataio.write_scene(str(tmp_path), hsi, elev, labels.astype(dtype))
+    assert dataio.read_scene(str(tmp_path))[2].tobytes() == labels.tobytes()
+
+
 def test_dten_2x2_fixture_is_32_bytes(tmp_path):
     path = str(tmp_path / "a.dten")
     dataio.write_dten(path, np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
